@@ -10,7 +10,7 @@ ground truth makes every stage verifiable end to end.
 __version__ = "0.1.0"
 
 from . import aggregation, cleaning, config, features, frames, manifest, models, plots, synth, weather
-from .aggregation import HourlyCount, MinuteCount, hourly_counts, minute_counts
+from .aggregation import HourlyCount, MinuteCount, hourly_counts, minute_counts, segment_hourly_counts
 from .cleaning import CleaningConfig, CleaningReport, Segment, clean
 from .errors import (
     BusfluxError,
@@ -65,6 +65,7 @@ __all__ = [
     "parse_frame_csv",
     "parse_weather",
     "plots",
+    "segment_hourly_counts",
     "synth",
     "weather",
     "__version__",

@@ -1,8 +1,16 @@
-"""Turn kept dwell segments into per-minute device counts and the hourly target.
+"""Turn kept dwell segments into the hourly target, on integer minute indices.
 
-A minute counts a device when its segment overlaps any part of that minute;
-the hourly value is the mean of the 60 minute-counts with absent minutes
-contributing zero, which keeps the target in persons units.
+A minute counts a device when its segment overlaps any part of that minute:
+a segment covers every minute index (minutes since the Unix epoch) in
+[floor(start/60), floor(end/60)]. The hourly value is the mean of the 60
+minute-counts with absent minutes contributing zero, which keeps the target
+in persons units.
+
+All counting is integer arithmetic on minute indices: each segment's minute
+span is folded straight into per-(stop, hour) totals of covered
+device-minutes, and only the zero-filled hourly rows build ``datetime``
+objects. Per-minute ``MinuteCount`` rows are built only on request
+(``minute_counts``, and the CLI's ``--out-minutes``).
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ import csv
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ParseError
 from .cleaning import Segment
@@ -21,14 +29,11 @@ MINUTE_HEADER = "bus_stop,timestamp_utc,count"
 HOURLY_HEADER = "bus_stop,hour_utc,count"
 
 _EPOCH = datetime(1970, 1, 1)
+_MINUTE = timedelta(minutes=1)
+_HOUR = timedelta(hours=1)
 
-
-def _epoch_seconds(at: datetime) -> int:
-    return int((at - _EPOCH).total_seconds())
-
-
-def _minute_start(index: int) -> datetime:
-    return _EPOCH + timedelta(minutes=index)
+# (stop, first minute index, last minute index, devices per minute)
+_MinuteSpan = tuple[str, int, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,24 +50,93 @@ class HourlyCount:
     count: float
 
 
+def _minute_index(at: datetime) -> int:
+    return (at - _EPOCH) // _MINUTE
+
+
+def _hour_index(at: datetime) -> int:
+    return (at - _EPOCH) // _HOUR
+
+
+def _segment_spans(segments: Iterable[Segment]) -> Iterator[_MinuteSpan]:
+    """The coverage rule: one device over [floor(start/60), floor(end/60)].
+
+    Segments of one device at the same stop are more than the gap apart,
+    and ``CleaningConfig`` keeps the gap at 60 s or more, so they never
+    share a minute: a minute's count is a count of distinct devices.
+    """
+    for s in segments:
+        yield s.stop, _minute_index(s.start), _minute_index(s.end), 1
+
+
+def _minute_row_spans(minutes: Iterable[MinuteCount]) -> Iterator[_MinuteSpan]:
+    for m in minutes:
+        index = _minute_index(m.minute)
+        yield m.stop, index, index, m.count
+
+
+def _hour_totals(spans: Iterable[_MinuteSpan]) -> dict[tuple[str, int], int]:
+    """The hour fold: covered device-minutes per (stop, hour index).
+
+    Each span adds its weight once for every minute index in [first, last],
+    split across the hours it touches by overlap length.
+    """
+    totals: dict[tuple[str, int], int] = {}
+    for stop, first, last, weight in spans:
+        for hour in range(first // 60, last // 60 + 1):
+            covered = min(last, hour * 60 + 59) - max(first, hour * 60) + 1
+            key = (stop, hour)
+            totals[key] = totals.get(key, 0) + covered * weight
+    return totals
+
+
+def _hourly_rows(
+    totals: dict[tuple[str, int], int],
+    start: datetime | None,
+    end: datetime | None,
+    stops: Iterable[str] | None,
+) -> list[HourlyCount]:
+    """Zero-filled hourly rows, hour-major then stop, from hour totals."""
+    if not totals and (start is None or end is None or stops is None):
+        return []
+    stop_set = sorted(set(stops)) if stops is not None else sorted({stop for stop, _ in totals})
+    lo = _hour_index(start) if start is not None else min(hour for _, hour in totals)
+    hi = _hour_index(end) if end is not None else max(hour for _, hour in totals)
+    out: list[HourlyCount] = []
+    for hour in range(lo, hi + 1):
+        at = _EPOCH + hour * _HOUR
+        for stop in stop_set:
+            out.append(HourlyCount(stop=stop, hour=at, count=totals.get((stop, hour), 0) / 60.0))
+    return out
+
+
+def segment_hourly_counts(
+    segments: Iterable[Segment],
+    *,
+    start: datetime | None = None,
+    end: datetime | None = None,
+    stops: Iterable[str] | None = None,
+) -> list[HourlyCount]:
+    """Hourly counts straight from segments, without per-minute rows.
+
+    Equal to ``hourly_counts(minute_counts(segments), ...)`` with the same
+    keywords.
+    """
+    return _hourly_rows(_hour_totals(_segment_spans(segments)), start, end, stops)
+
+
 def minute_counts(segments: Sequence[Segment]) -> list[MinuteCount]:
     """Distinct devices with an active segment per (stop, minute).
 
-    A segment [start, end] covers minute m when start <= m+59s and
-    end >= m; with second-resolution stamps that is every minute index in
-    [floor(start/60), floor(end/60)]. Only minutes with count > 0 are
-    emitted. Segments of one device at the same stop are separated by more
-    than the gap threshold, so they can never double-count a minute.
+    Only minutes with count > 0 are emitted, sorted by (stop, minute).
     """
     counts: dict[tuple[str, int], int] = {}
-    for s in segments:
-        first = _epoch_seconds(s.start) // 60
-        last = _epoch_seconds(s.end) // 60
+    for stop, first, last, _ in _segment_spans(segments):
         for m in range(first, last + 1):
-            key = (s.stop, m)
+            key = (stop, m)
             counts[key] = counts.get(key, 0) + 1
     return [
-        MinuteCount(stop=stop, minute=_minute_start(m), count=n)
+        MinuteCount(stop=stop, minute=_EPOCH + m * _MINUTE, count=n)
         for (stop, m), n in sorted(counts.items())
     ]
 
@@ -84,26 +158,7 @@ def hourly_counts(
     the models see quiet hours; the range defaults to the span of the
     input, and the stop set to the stops present in it.
     """
-    if not minutes and (start is None or end is None or stops is None):
-        return []
-
-    stop_set = sorted(set(stops)) if stops is not None else sorted({m.stop for m in minutes})
-    lo = truncate_hour(start) if start is not None else truncate_hour(min(m.minute for m in minutes))
-    hi = truncate_hour(end) if end is not None else truncate_hour(max(m.minute for m in minutes))
-
-    sums: dict[tuple[str, datetime], int] = {}
-    for m in minutes:
-        key = (m.stop, truncate_hour(m.minute))
-        sums[key] = sums.get(key, 0) + m.count
-
-    out: list[HourlyCount] = []
-    hour = lo
-    one = timedelta(hours=1)
-    while hour <= hi:
-        for stop in stop_set:
-            out.append(HourlyCount(stop=stop, hour=hour, count=sums.get((stop, hour), 0) / 60.0))
-        hour = hour + one
-    return out
+    return _hourly_rows(_hour_totals(_minute_row_spans(minutes)), start, end, stops)
 
 
 def write_minute_csv(minutes: Iterable[MinuteCount], dest: Union[str, os.PathLike]) -> None:

@@ -31,7 +31,8 @@ class CleaningConfig:
     The dwell bounds and RSSI range follow the field deployment defaults
     (2/30 minutes, -80/-30 dBm, both ends inclusive); the segmentation gap
     is not published anywhere, so it defaults to 5 minutes and is
-    configurable.
+    configurable down to 60 s. A shorter gap would let one device's
+    segments share a minute, which the minute counts would count twice.
     """
 
     d_min: timedelta = timedelta(minutes=2)
@@ -46,8 +47,8 @@ class CleaningConfig:
             raise ConfigError("need 0 < d_min < d_max")
         if self.rssi_lo >= self.rssi_hi:
             raise ConfigError("need rssi_lo < rssi_hi")
-        if self.gap <= timedelta(0):
-            raise ConfigError("need gap > 0")
+        if self.gap < timedelta(minutes=1):
+            raise ConfigError("need gap >= 60 s")
         if self.multi_stop_window not in (WINDOW_PER_DAY, WINDOW_WHOLE_DATASET):
             raise ConfigError(f"unknown multi_stop_window: {self.multi_stop_window!r}")
 

@@ -21,10 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .aggregation import (
-    hourly_counts,
     minute_counts,
     read_hourly_csv,
-    read_minute_csv,
+    segment_hourly_counts,
     write_hourly_csv,
     write_minute_csv,
 )
@@ -203,16 +202,15 @@ def cmd_aggregate(args) -> int:
     cfg = load_config(args.config)
     t0 = time.perf_counter()
     segments = read_segment_csv(args.segments)
-    minutes = minute_counts(segments)
-    hours = hourly_counts(minutes, start=args.start, end=args.end)
+    hours = segment_hourly_counts(segments, start=args.start, end=args.end)
     t_agg = time.perf_counter() - t0
     outputs = []
     if args.out_minutes:
-        write_minute_csv(minutes, args.out_minutes)
+        write_minute_csv(minute_counts(segments), args.out_minutes)
         outputs.append(args.out_minutes)
     write_hourly_csv(hours, args.out_hourly)
     outputs.append(args.out_hourly)
-    log.info("aggregate: %d segments -> %d minute rows, %d hourly rows", len(segments), len(minutes), len(hours))
+    log.info("aggregate: %d segments -> %d hourly rows", len(segments), len(hours))
     _finish_manifest(args, "aggregate", cfg, None, [args.segments], outputs, {"aggregate": t_agg})
     return 0
 
@@ -422,6 +420,14 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def utc_timestamp(text: str) -> datetime:
+    """An ISO timestamp without a UTC offset: all pipeline times are naive UTC."""
+    at = datetime.fromisoformat(text)
+    if at.tzinfo is not None:
+        raise argparse.ArgumentTypeError(f"{text!r} has a UTC offset; give it as naive UTC")
+    return at
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--manifest", help="run manifest path (default: <first output>.manifest.json)")
@@ -456,8 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", required=True)
     p.add_argument("--out-minutes")
     p.add_argument("--out-hourly", required=True)
-    p.add_argument("--start", type=datetime.fromisoformat, help="zero-fill range start (UTC)")
-    p.add_argument("--end", type=datetime.fromisoformat, help="zero-fill range end (UTC)")
+    p.add_argument("--start", type=utc_timestamp, help="zero-fill range start (UTC)")
+    p.add_argument("--end", type=utc_timestamp, help="zero-fill range end (UTC)")
     _add_common(p)
     p.set_defaults(func=cmd_aggregate)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -84,6 +85,9 @@ class WeatherParseReport:
 
 
 def _validate(values: dict) -> str | None:
+    for name in NUMERIC_FIELDS:
+        if not math.isfinite(values[name]):
+            return f"non-finite {name}: {values[name]}"
     if not 0 <= values["humidity"] <= 100:
         return f"humidity out of [0,100]: {values['humidity']}"
     if not 0 <= values["clouds_all"] <= 100:
@@ -138,7 +142,8 @@ def parse_weather(
     Optional fields (rain_*, snow_*, sea_level, grnd_level) default to 0
     with a per-field absence counter. Duplicate dt keeps the first
     occurrence; out-of-order input is sorted. Both are warnings, not
-    errors. Rows violating range invariants are rejected into the report.
+    errors. Rows holding a non-finite number or violating range
+    invariants are rejected into the report.
     """
     if hasattr(source, "read"):
         data = source.read()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import datetime, timedelta
 
 import pytest
@@ -15,6 +16,7 @@ from busflux.aggregation import (
     minute_counts,
     read_hourly_csv,
     read_minute_csv,
+    segment_hourly_counts,
     truncate_hour,
     write_hourly_csv,
     write_minute_csv,
@@ -171,6 +173,61 @@ def test_hour_total_equals_minute_total_over_sixty():
     minutes = minute_counts(segments)
     hours = hourly_counts(minutes)
     assert sum(h.count for h in hours) * 60 == pytest.approx(sum(m.count for m in minutes))
+
+
+def brute_force_hours(segments, start=None, end=None, stops=None) -> list[HourlyCount]:
+    """Walk every covered minute as a datetime and zero-fill hour by hour."""
+    per_hour: Counter = Counter()
+    for s in segments:
+        t = s.start.replace(second=0, microsecond=0)
+        while t <= s.end:
+            per_hour[(s.stop, truncate_hour(t))] += 1
+            t += timedelta(minutes=1)
+    if not per_hour and (start is None or end is None or stops is None):
+        return []
+    stop_set = sorted(set(stops) if stops is not None else {stop for stop, _ in per_hour})
+    hour = truncate_hour(start) if start is not None else min(h for _, h in per_hour)
+    last = truncate_hour(end) if end is not None else max(h for _, h in per_hour)
+    out = []
+    while hour <= last:
+        out.extend(HourlyCount(stop, hour, per_hour[(stop, hour)] / 60.0) for stop in stop_set)
+        hour += timedelta(hours=1)
+    return out
+
+
+# Late evening start, so spans and windows cross hour and midnight boundaries.
+LATE = datetime(2017, 4, 5, 21, 40, 0)
+STOPS = ["stop-01", "stop-02", "stop-03"]
+window_offsets = st.none() | st.integers(min_value=-2 * 3600, max_value=8 * 3600)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spans=st.lists(
+        st.tuples(
+            st.sampled_from(STOPS),
+            st.integers(min_value=0, max_value=5 * 3600),
+            st.integers(min_value=0, max_value=3 * 3600),
+        ),
+        max_size=30,
+    ),
+    start=window_offsets,
+    end=window_offsets,
+    stops=st.none() | st.lists(st.sampled_from(STOPS + ["stop-09"]), max_size=4),
+)
+def test_segment_hourly_counts_equal_brute_force_minutes(spans, start, end, stops):
+    segments = [
+        seg(stop, LATE + timedelta(seconds=a), LATE + timedelta(seconds=a + d), idx=i)
+        for i, (stop, a, d) in enumerate(spans)
+    ]
+    window = dict(
+        start=None if start is None else LATE + timedelta(seconds=start),
+        end=None if end is None else LATE + timedelta(seconds=end),
+        stops=stops,
+    )
+    expected = brute_force_hours(segments, **window)
+    assert segment_hourly_counts(segments, **window) == expected
+    assert hourly_counts(minute_counts(segments), **window) == expected
 
 
 # ── CSV round-trips ──────────────────────────────────────────────────────────

@@ -236,6 +236,14 @@ def test_config_rejects_inverted_bounds():
         CleaningConfig(multi_stop_window="fortnightly")
 
 
+def test_config_rejects_sub_minute_gap():
+    # Below 60 s one device's two segments could share a minute and be
+    # counted twice in it.
+    with pytest.raises(ConfigError):
+        CleaningConfig(gap=timedelta(seconds=30))
+    assert CleaningConfig(gap=timedelta(seconds=60)).gap == timedelta(seconds=60)
+
+
 def test_report_json_round_trip():
     _, report = clean(two_stop_day())
     back = type(report).from_json(report.to_json())

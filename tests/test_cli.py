@@ -180,6 +180,39 @@ def test_log_verbosity_does_not_change_outputs(ws, tmp_path, monkeypatch):
     assert (tmp_path / "w.json").read_bytes() == ws["weather"].read_bytes()
 
 
+# Digests of the aggregate outputs for the criterion-8 scenario (2 days,
+# seed 9), taken before aggregation moved to integer minute indices.
+HOURLY_SHA256 = "e8a2445f150767e9b5d5aa7b6f12a153a26cd8ccc2313fabc9b0cc2f098e9921"
+MINUTES_SHA256 = "161c0a9d7ff8774e582e469c92f5f821f319f27e42cd60aa6db7fcdb9929e261"
+
+
+def test_aggregate_outputs_match_pinned_digests(ws, tmp_path):
+    assert sha256_file(ws["hourly"]) == HOURLY_SHA256
+    hourly, minutes = tmp_path / "hourly.csv", tmp_path / "minutes.csv"
+    assert run("aggregate", "--segments", ws["segments"], "--out-minutes", minutes,
+               "--out-hourly", hourly) == 0
+    assert sha256_file(hourly) == HOURLY_SHA256
+    assert sha256_file(minutes) == MINUTES_SHA256
+
+
+def test_aggregate_window_flags_narrow_the_zero_fill(ws, tmp_path):
+    hourly = tmp_path / "hourly.csv"
+    assert run("aggregate", "--segments", ws["segments"], "--out-hourly", hourly,
+               "--start", "2017-04-05T23:30", "--end", "2017-04-06 01:00") == 0
+    full = ws["hourly"].read_text().splitlines()
+    hours = [line.split(",")[1] for line in hourly.read_text().splitlines()[1:]]
+    assert sorted(set(hours)) == ["2017-04-05 23:00:00", "2017-04-06 00:00:00",
+                                  "2017-04-06 01:00:00"]
+    assert set(hourly.read_text().splitlines()) <= set(full)
+
+
+def test_aggregate_rejects_a_utc_offset(ws, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("aggregate", "--segments", ws["segments"], "--out-hourly", tmp_path / "h.csv",
+            "--start", "2017-04-05T23:00+00:00")
+    assert exc.value.code == 2
+
+
 # ── exit codes ───────────────────────────────────────────────────────────
 
 

@@ -113,6 +113,28 @@ def test_range_violations_reject_rows(tmp_path):
     assert len(report.rejected) == 4
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_json_values_reject_rows(tmp_path, value):
+    # json.dumps writes these as the bare tokens NaN, Infinity, -Infinity.
+    rows = [row(pressure=value), row(dt=DT_8AM + 3600, wind_speed=value), row(dt=DT_8AM + 7200)]
+    observations, report = parse_weather(write_json(tmp_path, rows))
+    assert [o.dt for o in observations] == [DT_8AM + 7200]
+    assert [index for index, _ in report.rejected] == [0, 1]
+    assert all("non-finite" in reason for _, reason in report.rejected)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_non_finite_csv_values_reject_rows(tmp_path, text):
+    o = obs()
+    cells = [str(getattr(o, name)) for name in CSV_HEADER.split(",")]
+    bad = [text if name == "pressure" else cell for name, cell in zip(CSV_HEADER.split(","), cells)]
+    path = tmp_path / "wx.csv"
+    path.write_text(CSV_HEADER + "\n" + ",".join(bad) + "\n" + ",".join(cells) + "\n")
+    observations, report = parse_weather(path)
+    assert observations == [o]
+    assert report.rejected == [(0, f"non-finite pressure: {float(text)}")]
+
+
 def test_duplicate_dt_keeps_first(tmp_path):
     path = write_json(tmp_path, [row(temp=10.0), row(temp=9.0, temp_min=8.0)])
     observations, report = parse_weather(path)
