@@ -15,18 +15,17 @@ objects. Per-minute ``MinuteCount`` rows are built only on request
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import ParseError
 from .cleaning import Segment
 from .frames import format_timestamp
+from .schema import read_table, real, write_table
 
-MINUTE_HEADER = "bus_stop,timestamp_utc,count"
-HOURLY_HEADER = "bus_stop,hour_utc,count"
+MINUTE_HEADER = ("bus_stop", "timestamp_utc", "count")
+HOURLY_HEADER = ("bus_stop", "hour_utc", "count")
 
 _EPOCH = datetime(1970, 1, 1)
 _MINUTE = timedelta(minutes=1)
@@ -162,38 +161,24 @@ def hourly_counts(
 
 
 def write_minute_csv(minutes: Iterable[MinuteCount], dest: Union[str, os.PathLike]) -> None:
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MINUTE_HEADER + "\n")
-        for m in minutes:
-            fh.write(f"{m.stop},{format_timestamp(m.minute)},{m.count}\n")
+    write_table(
+        dest, MINUTE_HEADER, ((m.stop, format_timestamp(m.minute), m.count) for m in minutes)
+    )
 
 
 def read_minute_csv(source: Union[str, os.PathLike]) -> list[MinuteCount]:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != MINUTE_HEADER:
-            raise ParseError(f"minute CSV needs header {MINUTE_HEADER!r}, got {header!r}")
-        return [
-            MinuteCount(stop=row[0], minute=datetime.fromisoformat(row[1]), count=int(row[2]))
-            for row in csv.reader(fh)
-            if row
-        ]
+    return [
+        MinuteCount(*row)
+        for row in read_table(source, MINUTE_HEADER, (str, datetime.fromisoformat, int))
+    ]
 
 
 def write_hourly_csv(hours: Iterable[HourlyCount], dest: Union[str, os.PathLike]) -> None:
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(HOURLY_HEADER + "\n")
-        for h in hours:
-            fh.write(f"{h.stop},{format_timestamp(h.hour)},{h.count!r}\n")
+    write_table(dest, HOURLY_HEADER, ((h.stop, format_timestamp(h.hour), h.count) for h in hours))
 
 
 def read_hourly_csv(source: Union[str, os.PathLike]) -> list[HourlyCount]:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != HOURLY_HEADER:
-            raise ParseError(f"hourly CSV needs header {HOURLY_HEADER!r}, got {header!r}")
-        return [
-            HourlyCount(stop=row[0], hour=datetime.fromisoformat(row[1]), count=float(row[2]))
-            for row in csv.reader(fh)
-            if row
-        ]
+    return [
+        HourlyCount(*row)
+        for row in read_table(source, HOURLY_HEADER, (str, datetime.fromisoformat, real))
+    ]

@@ -8,17 +8,17 @@ Every input frame is accounted to exactly one counter.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Sequence, Union
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .frames import DeviceId, FrameRecord, format_timestamp, is_randomized
+from .schema import read_table, real, write_table
 
-SEGMENT_HEADER = "bus_stop,device,start_utc,end_utc,frame_count,mean_rssi"
+SEGMENT_HEADER = ("bus_stop", "device", "start_utc", "end_utc", "frame_count", "mean_rssi")
+_SEGMENT_TYPES = (str, DeviceId.from_hex, datetime.fromisoformat, datetime.fromisoformat, int, real)
 
 WINDOW_PER_DAY = "per-day"
 WINDOW_WHOLE_DATASET = "whole-dataset"
@@ -99,13 +99,6 @@ class CleaningReport:
                 f"cleaning accounting broken: {self.input_frames} != "
                 f"{self.kept_frames} kept + {dropped} dropped"
             )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "CleaningReport":
-        return cls(**json.loads(text))
 
 
 def filter_rssi(frames: Sequence[FrameRecord], cfg: CleaningConfig) -> list[FrameRecord]:
@@ -260,33 +253,16 @@ def kept_frames(
 
 
 def write_segment_csv(segments_out: Iterable[Segment], dest: Union[str, os.PathLike]) -> None:
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SEGMENT_HEADER + "\n")
-        for s in segments_out:
-            fh.write(
-                f"{s.stop},{s.device.hex},{format_timestamp(s.start)},"
-                f"{format_timestamp(s.end)},{s.frame_count},{s.mean_rssi!r}\n"
-            )
+    write_table(
+        dest,
+        SEGMENT_HEADER,
+        (
+            (s.stop, s.device.hex, format_timestamp(s.start), format_timestamp(s.end),
+             s.frame_count, s.mean_rssi)
+            for s in segments_out
+        ),
+    )
 
 
 def read_segment_csv(source: Union[str, os.PathLike]) -> list[Segment]:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
-        if header != SEGMENT_HEADER:
-            raise ParseError(f"segment CSV needs header {SEGMENT_HEADER!r}, got {header!r}")
-        out = []
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            stop, device, start, end, count, rssi = row
-            out.append(
-                Segment(
-                    stop=stop,
-                    device=DeviceId.from_hex(device),
-                    start=datetime.fromisoformat(start),
-                    end=datetime.fromisoformat(end),
-                    frame_count=int(count),
-                    mean_rssi=float(rssi),
-                )
-            )
-    return out
+    return [Segment(*row) for row in read_table(source, SEGMENT_HEADER, _SEGMENT_TYPES)]

@@ -66,6 +66,7 @@ from .plots import (
     report_bars,
     write_series_csv,
 )
+from .schema import to_dict, write_json, write_table
 from .synth import (
     default_scenario,
     generate,
@@ -120,12 +121,6 @@ def _finish_manifest(
     log.info("%s: wrote manifest %s", stage, manifest_path)
 
 
-def _write_json(payload: dict, dest) -> None:
-    with open(dest, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     scenario = PRESETS[args.preset]() if args.preset else cfg.scenario
@@ -168,7 +163,8 @@ def cmd_clean(args) -> int:
     segments, report = clean(frames, cfg.cleaning)
     t_clean = time.perf_counter() - t0
     write_segment_csv(segments, args.out_segments)
-    _write_json(
+    write_json(
+        args.out_report,
         {
             "parse": {
                 "rows_total": parse_report.rows_total,
@@ -176,9 +172,8 @@ def cmd_clean(args) -> int:
                 "rows_bad": parse_report.rows_bad,
                 "anonymized_input": parse_report.anonymized_input,
             },
-            "cleaning": json.loads(report.to_json()),
+            "cleaning": to_dict(report),
         },
-        args.out_report,
     )
     log.info(
         "clean: %d frames in, %d segments, %d frames kept",
@@ -225,7 +220,8 @@ def cmd_join(args) -> int:
     write_joined_csv(rows, args.out_joined)
     outputs = [args.out_joined]
     if args.out_report:
-        _write_json(
+        write_json(
+            args.out_report,
             {
                 "weather": {
                     "rows_total": weather_report.rows_total,
@@ -233,14 +229,8 @@ def cmd_join(args) -> int:
                     "duplicate_dt": weather_report.duplicate_dt,
                     "sorted_input": weather_report.sorted_input,
                 },
-                "join": {
-                    "rows_in": join_report.rows_in,
-                    "rows_out": join_report.rows_out,
-                    "dropped_no_weather": join_report.dropped_no_weather,
-                    "rejected_pre_semester": join_report.rejected_pre_semester,
-                },
+                "join": to_dict(join_report),
             },
-            args.out_report,
         )
         outputs.append(args.out_report)
     log.info(
@@ -353,7 +343,7 @@ def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
     report = compare(models, test)
     t_eval = time.perf_counter() - t0
-    _write_json(report.to_dict(), args.out_report)
+    write_json(args.out_report, report.to_dict())
     for entry in report.ranking:
         log.info("evaluate: %s mse=%.6g mae=%.6g", entry["name"], entry["mse"], entry["mae"])
     _finish_manifest(
@@ -381,10 +371,7 @@ def cmd_importance(args) -> int:
         else [f"x{i}" for i in range(model.importance.size)]
     )
     ranked = sorted(zip(names, model.importance.tolist()), key=lambda kv: (-kv[1], kv[0]))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("feature,importance\n")
-        for name, value in ranked:
-            fh.write(f"{name},{value!r}\n")
+    write_table(args.out, ("feature", "importance"), ranked)
     _finish_manifest(args, "importance", cfg, None, [args.model], [args.out], {})
     return 0
 

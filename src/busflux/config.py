@@ -1,24 +1,28 @@
 """Pipeline configuration file: one JSON document, one section per stage.
 
-Every section is optional and falls back to the stage defaults, so a
-config file only needs to spell out what it changes. Command-line flags
-override file values; the fully resolved config is what run manifests
-snapshot.
+Every section and key is optional and falls back to the stage defaults,
+so a config file only needs to spell out what it changes. Unknown keys
+and values of the wrong type are rejected with a ConfigError naming the
+dotted key, so a misspelt key cannot silently leave a default in place.
+The scenario's ``cleaning`` section, when the file leaves it out, is the
+pipeline's ``cleaning`` section. Command-line flags override file values;
+the fully resolved config is what run manifests snapshot.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from datetime import date, timedelta
+from dataclasses import dataclass, field, replace
+from datetime import date
 from typing import Union
 
 from .cleaning import CleaningConfig
-from .errors import ConfigError, ParseError
+from .errors import ParseError
 from .features import CampusCalendar, SplitSpec
 from .models.config import TrainConfig
-from .synth import DemandModel, NoiseMix, ScenarioConfig
+from .schema import from_dict, to_dict, write_json
+from .synth import ScenarioConfig
 
 DEFAULT_SEMESTER_START = date(2017, 1, 9)
 
@@ -36,143 +40,15 @@ class PipelineConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
 
 
-def _cleaning_to_dict(cfg: CleaningConfig) -> dict:
-    return {
-        "d_min_seconds": int(cfg.d_min.total_seconds()),
-        "d_max_seconds": int(cfg.d_max.total_seconds()),
-        "gap_seconds": int(cfg.gap.total_seconds()),
-        "rssi_lo": cfg.rssi_lo,
-        "rssi_hi": cfg.rssi_hi,
-        "multi_stop_window": cfg.multi_stop_window,
-    }
-
-
-def _cleaning_from_dict(data: dict) -> CleaningConfig:
-    base = CleaningConfig()
-    return CleaningConfig(
-        d_min=timedelta(seconds=int(data.get("d_min_seconds", base.d_min.total_seconds()))),
-        d_max=timedelta(seconds=int(data.get("d_max_seconds", base.d_max.total_seconds()))),
-        gap=timedelta(seconds=int(data.get("gap_seconds", base.gap.total_seconds()))),
-        rssi_lo=int(data.get("rssi_lo", base.rssi_lo)),
-        rssi_hi=int(data.get("rssi_hi", base.rssi_hi)),
-        multi_stop_window=str(data.get("multi_stop_window", base.multi_stop_window)),
-    )
-
-
-def _calendar_to_dict(cal: CampusCalendar) -> dict:
-    return {
-        "semester_start": cal.semester_start.isoformat(),
-        "utc_offset_hours": cal.utc_offset_hours,
-        "morning_end_hour": cal.morning_end_hour,
-    }
-
-
-def _calendar_from_dict(data: dict) -> CampusCalendar:
-    base = default_calendar()
-    raw_start = data.get("semester_start")
-    return CampusCalendar(
-        semester_start=date.fromisoformat(raw_start) if raw_start else base.semester_start,
-        utc_offset_hours=int(data.get("utc_offset_hours", base.utc_offset_hours)),
-        morning_end_hour=int(data.get("morning_end_hour", base.morning_end_hour)),
-    )
-
-
-def _split_to_dict(split: SplitSpec) -> dict:
-    return {
-        "seed": split.seed,
-        "test_fraction": split.test_fraction,
-        "val_fraction_of_train": split.val_fraction_of_train,
-    }
-
-
-def _split_from_dict(data: dict) -> SplitSpec:
-    base = SplitSpec()
-    return SplitSpec(
-        seed=int(data.get("seed", base.seed)),
-        test_fraction=float(data.get("test_fraction", base.test_fraction)),
-        val_fraction_of_train=float(
-            data.get("val_fraction_of_train", base.val_fraction_of_train)
-        ),
-    )
-
-
-def _noise_to_dict(noise: NoiseMix) -> dict:
-    return {
-        "randomized": noise.randomized,
-        "single_stop": noise.single_stop,
-        "out_of_rssi": noise.out_of_rssi,
-        "short_dwell": noise.short_dwell,
-        "long_dwell": noise.long_dwell,
-    }
-
-
-def _scenario_to_dict(sc: ScenarioConfig) -> dict:
-    return {
-        "seed": sc.seed,
-        "stops": list(sc.stops),
-        "start_date": sc.start_date.isoformat(),
-        "days": sc.days,
-        "demand": sc.demand.to_dict(),
-        "noise": _noise_to_dict(sc.noise),
-        "cleaning": _cleaning_to_dict(sc.cleaning),
-    }
-
-
-def _demand_from_dict(data: dict) -> DemandModel:
-    base = DemandModel()
-    stop_weights = data.get("stop_weights", base.stop_weights)
-    return DemandModel(
-        base_rate=float(data.get("base_rate", base.base_rate)),
-        stop_weights=tuple(float(w) for w in stop_weights) if stop_weights else None,
-        hour_shape=tuple(float(v) for v in data.get("hour_shape", base.hour_shape)),
-        weekday_weights=tuple(
-            float(v) for v in data.get("weekday_weights", base.weekday_weights)
-        ),
-        rain_multiplier=float(data.get("rain_multiplier", base.rain_multiplier)),
-        cold_multiplier=float(data.get("cold_multiplier", base.cold_multiplier)),
-        cold_threshold_c=float(data.get("cold_threshold_c", base.cold_threshold_c)),
-    )
-
-
-def _scenario_from_dict(data: dict, cleaning: CleaningConfig) -> ScenarioConfig:
-    base = ScenarioConfig()
-    raw_start = data.get("start_date")
-    noise = data.get("noise", {})
-    return ScenarioConfig(
-        seed=int(data.get("seed", base.seed)),
-        stops=tuple(str(s) for s in data.get("stops", base.stops)),
-        start_date=date.fromisoformat(raw_start) if raw_start else base.start_date,
-        days=int(data.get("days", base.days)),
-        demand=_demand_from_dict(data.get("demand", {})),
-        noise=NoiseMix(**{k: float(v) for k, v in noise.items()}),
-        cleaning=_cleaning_from_dict(data.get("cleaning", {})) if "cleaning" in data else cleaning,
-    )
-
-
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    return {
-        "cleaning": _cleaning_to_dict(cfg.cleaning),
-        "calendar": _calendar_to_dict(cfg.calendar),
-        "split": _split_to_dict(cfg.split),
-        "train": cfg.train.to_dict(),
-        "scenario": _scenario_to_dict(cfg.scenario),
-    }
+    return to_dict(cfg)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(data) - {"cleaning", "calendar", "split", "train", "scenario"}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    cleaning = _cleaning_from_dict(data.get("cleaning", {}))
-    return PipelineConfig(
-        cleaning=cleaning,
-        calendar=_calendar_from_dict(data.get("calendar", {})),
-        split=_split_from_dict(data.get("split", {})),
-        train=TrainConfig.from_dict(data.get("train", {})),
-        scenario=_scenario_from_dict(data.get("scenario", {}), cleaning),
-    )
+    cfg = from_dict(PipelineConfig, data, PipelineConfig())
+    if "cleaning" not in data.get("scenario", {}):
+        cfg = replace(cfg, scenario=replace(cfg.scenario, cleaning=cfg.cleaning))
+    return cfg
 
 
 def load_config(path: Union[str, os.PathLike, None]) -> PipelineConfig:
@@ -187,6 +63,4 @@ def load_config(path: Union[str, os.PathLike, None]) -> PipelineConfig:
 
 
 def write_config(cfg: PipelineConfig, dest: Union[str, os.PathLike]) -> None:
-    with open(dest, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(dest, config_to_dict(cfg))

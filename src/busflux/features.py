@@ -7,7 +7,6 @@ one-hot vocabularies are fit on the training partition only.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 from .aggregation import HourlyCount
 from .errors import BusfluxError, ConfigError, ParseError
 from .frames import format_timestamp
+from .schema import read_table, real, write_json, write_table
 from .weather import WeatherObservation
 
 WEEKDAY_NAMES = (
@@ -358,63 +358,47 @@ def fit_transform(
 # --- joined-row and matrix serialization ---------------------------------
 
 JOINED_KEY_COLUMNS = ("bus_stop", "hour_utc")
+JOINED_HEADER = (
+    JOINED_KEY_COLUMNS
+    + tuple(f"num:{n}" for n in NUMERIC_FEATURES)
+    + tuple(f"cat:{c}" for c in CATEGORICAL_FEATURES)
+    + ("target",)
+)
+_JOINED_TYPES = (
+    (str, datetime.fromisoformat)
+    + (real,) * len(NUMERIC_FEATURES)
+    + (str,) * len(CATEGORICAL_FEATURES)
+    + (real,)
+)
 
 
 def write_joined_csv(rows: Sequence[FeatureRow], dest: Union[str, os.PathLike]) -> None:
     """Raw joined rows (pre-encoding): keys, numerics, categoricals, target."""
-    header = (
-        list(JOINED_KEY_COLUMNS)
-        + [f"num:{n}" for n in NUMERIC_FEATURES]
-        + [f"cat:{c}" for c in CATEGORICAL_FEATURES]
-        + ["target"]
+    write_table(
+        dest,
+        JOINED_HEADER,
+        (
+            [r.stop, format_timestamp(r.hour)]
+            + [float(r.numeric[n]) for n in NUMERIC_FEATURES]
+            + [r.categorical[c] for c in CATEGORICAL_FEATURES]
+            + [float(r.target)]
+            for r in sorted(rows, key=FeatureRow.key)
+        ),
     )
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in sorted(rows, key=FeatureRow.key):
-            writer.writerow(
-                [r.stop, format_timestamp(r.hour)]
-                + [repr(float(r.numeric[n])) for n in NUMERIC_FEATURES]
-                + [r.categorical[c] for c in CATEGORICAL_FEATURES]
-                + [repr(float(r.target))]
-            )
 
 
 def read_joined_csv(source: Union[str, os.PathLike]) -> list[FeatureRow]:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = (
-            list(JOINED_KEY_COLUMNS)
-            + [f"num:{n}" for n in NUMERIC_FEATURES]
-            + [f"cat:{c}" for c in CATEGORICAL_FEATURES]
-            + ["target"]
+    n_num = len(NUMERIC_FEATURES)
+    return [
+        FeatureRow(
+            stop=row[0],
+            hour=row[1],
+            numeric=dict(zip(NUMERIC_FEATURES, row[2 : 2 + n_num])),
+            categorical=dict(zip(CATEGORICAL_FEATURES, row[2 + n_num : -1])),
+            target=row[-1],
         )
-        if header != expected:
-            raise ParseError("joined CSV header does not match the expected schema")
-        rows = []
-        n_num = len(NUMERIC_FEATURES)
-        for row in reader:
-            if not row:
-                continue
-            stop, hour = row[0], datetime.fromisoformat(row[1])
-            numeric = {
-                name: float(v) for name, v in zip(NUMERIC_FEATURES, row[2 : 2 + n_num])
-            }
-            categorical = {
-                name: v
-                for name, v in zip(CATEGORICAL_FEATURES, row[2 + n_num : 2 + n_num + len(CATEGORICAL_FEATURES)])
-            }
-            rows.append(
-                FeatureRow(
-                    stop=stop,
-                    hour=hour,
-                    numeric=numeric,
-                    categorical=categorical,
-                    target=float(row[-1]),
-                )
-            )
-    return rows
+        for row in read_table(source, JOINED_HEADER, _JOINED_TYPES)
+    ]
 
 
 def write_matrix_meta(
@@ -430,9 +414,7 @@ def write_matrix_meta(
             "val_fraction_of_train": split.val_fraction_of_train,
         },
     }
-    with open(dest, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(dest, payload)
 
 
 def read_matrix_meta(source: Union[str, os.PathLike]) -> tuple[FeatureCodec, SplitSpec]:
@@ -452,47 +434,32 @@ def read_matrix_meta(source: Union[str, os.PathLike]) -> tuple[FeatureCodec, Spl
 
 
 def save_matrix(matrix: FeatureMatrix, dest: Union[str, os.PathLike]) -> None:
-    """Matrix CSV: key columns (when present), encoded features, target."""
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        has_keys = matrix.keys is not None
-        header = (list(JOINED_KEY_COLUMNS) if has_keys else []) + matrix.column_names + ["target"]
-        writer.writerow(header)
-        for i in range(matrix.n_rows):
-            row = []
-            if has_keys:
-                stop, hour = matrix.keys[i]
-                row += [stop, format_timestamp(hour)]
-            row += [repr(float(v)) for v in matrix.rows[i]]
-            row.append(repr(float(matrix.target[i])))
-            writer.writerow(row)
+    """Matrix CSV: key columns, encoded features, target.
+
+    Only matrices from ``FeatureCodec.transform``, which carry row keys,
+    are saved.
+    """
+    rows = zip(matrix.keys, matrix.rows.tolist(), matrix.target.tolist())
+    write_table(
+        dest,
+        [*JOINED_KEY_COLUMNS, *matrix.column_names, "target"],
+        ([stop, format_timestamp(hour), *values, y] for (stop, hour), values, y in rows),
+    )
 
 
 def load_matrix(
     source: Union[str, os.PathLike], codec: FeatureCodec
 ) -> FeatureMatrix:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"empty matrix CSV: {source}")
-        has_keys = header[: len(JOINED_KEY_COLUMNS)] == list(JOINED_KEY_COLUMNS)
-        offset = len(JOINED_KEY_COLUMNS) if has_keys else 0
-        if header[offset:-1] != [c.name for c in codec.columns] or header[-1] != "target":
-            raise ParseError(f"matrix CSV columns do not match the codec: {source}")
-        keys = [] if has_keys else None
-        data = []
-        target = []
-        for row in reader:
-            if not row:
-                continue
-            if has_keys:
-                keys.append((row[0], datetime.fromisoformat(row[1])))
-            data.append([float(v) for v in row[offset:-1]])
-            target.append(float(row[-1]))
+    names = [c.name for c in codec.columns]
+    rows = read_table(
+        source,
+        [*JOINED_KEY_COLUMNS, *names, "target"],
+        [str, datetime.fromisoformat] + [real] * (len(names) + 1),
+    )
+    X = np.array([row[2:-1] for row in rows], dtype=np.float64).reshape(len(rows), len(names))
     return FeatureMatrix(
         columns=list(codec.columns),
-        rows=np.array(data, dtype=np.float64).reshape(len(target), len(codec.columns)),
-        target=np.array(target, dtype=np.float64),
-        keys=keys,
+        rows=X,
+        target=np.array([row[-1] for row in rows], dtype=np.float64),
+        keys=[(row[0], row[1]) for row in rows],
     )

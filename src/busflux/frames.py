@@ -255,7 +255,7 @@ def parse_frame_csv(source: PathOrStream) -> tuple[list[FrameRecord], ParseRepor
 
 
 def format_timestamp(at: datetime) -> str:
-    return at.strftime("%Y-%m-%d %H:%M:%S")
+    return at.isoformat(" ", "seconds")
 
 
 def write_frame_csv(

@@ -10,10 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Union
 
 from .errors import ParseError
+from .schema import to_dict, write_json
 
 FORMAT_VERSION = 1
 
@@ -59,19 +60,7 @@ def _label(path: Union[str, os.PathLike], base: str | None) -> str:
 
 
 def write_manifest(manifest: RunManifest, dest: Union[str, os.PathLike]) -> None:
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "tool_version": manifest.tool_version,
-        "stage": manifest.stage,
-        "seed": manifest.seed,
-        "config": manifest.config,
-        "inputs": manifest.inputs,
-        "outputs": manifest.outputs,
-        "timings": manifest.timings,
-    }
-    with open(dest, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(dest, {"format_version": FORMAT_VERSION, **to_dict(manifest)})
 
 
 def read_manifest(source: Union[str, os.PathLike]) -> RunManifest:
@@ -79,15 +68,7 @@ def read_manifest(source: Union[str, os.PathLike]) -> RunManifest:
         payload = json.load(fh)
     if payload.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported manifest version in {source}")
-    return RunManifest(
-        tool_version=payload["tool_version"],
-        stage=payload["stage"],
-        seed=payload["seed"],
-        config=payload["config"],
-        inputs=dict(payload["inputs"]),
-        outputs=dict(payload["outputs"]),
-        timings=dict(payload["timings"]),
-    )
+    return RunManifest(**{f.name: payload[f.name] for f in fields(RunManifest)})
 
 
 def combined_digest_list(manifests: Iterable[RunManifest]) -> list[tuple[str, str, str]]:

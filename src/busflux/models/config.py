@@ -64,42 +64,3 @@ class TrainConfig:
         for name, widths in (("wnn_hidden", self.wnn_hidden), ("dnn_hidden", self.dnn_hidden)):
             if len(widths) == 0 or any(w < 1 for w in widths):
                 raise ConfigError(f"{name} must be a non-empty tuple of positive widths")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-            "wnn_hidden": list(self.wnn_hidden),
-            "dnn_hidden": list(self.dnn_hidden),
-            "cart": {"max_depth": self.cart.max_depth, "min_leaf": self.cart.min_leaf},
-            "gbt": {
-                "n_trees": self.gbt.n_trees,
-                "depth": self.gbt.depth,
-                "shrinkage": self.gbt.shrinkage,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        cart = data.get("cart", {})
-        gbt = data.get("gbt", {})
-        base = cls()
-        return cls(
-            epochs=int(data.get("epochs", base.epochs)),
-            batch_size=int(data.get("batch_size", base.batch_size)),
-            learning_rate=float(data.get("learning_rate", base.learning_rate)),
-            seed=int(data.get("seed", base.seed)),
-            wnn_hidden=tuple(int(w) for w in data.get("wnn_hidden", base.wnn_hidden)),
-            dnn_hidden=tuple(int(w) for w in data.get("dnn_hidden", base.dnn_hidden)),
-            cart=CartParams(
-                max_depth=int(cart.get("max_depth", base.cart.max_depth)),
-                min_leaf=int(cart.get("min_leaf", base.cart.min_leaf)),
-            ),
-            gbt=GbtParams(
-                n_trees=int(gbt.get("n_trees", base.gbt.n_trees)),
-                depth=int(gbt.get("depth", base.gbt.depth)),
-                shrinkage=float(gbt.get("shrinkage", base.gbt.shrinkage)),
-            ),
-        )

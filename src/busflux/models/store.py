@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from typing import Union
@@ -10,6 +9,7 @@ from typing import Union
 import numpy as np
 
 from ..errors import ParseError
+from ..schema import read_table, real, to_dict, write_json, write_table
 from .boosting import GbtEnsemble
 from .config import TrainConfig
 from .linear import LinearModel
@@ -44,12 +44,10 @@ def save_model(
         "arch": _arch_of(model),
         "columns": list(model.columns) if model.columns is not None else None,
         "parameters": model.to_dict(),
-        "config": config.to_dict() if config is not None else None,
+        "config": to_dict(config) if config is not None else None,
         "seed": getattr(model, "seed", None),
     }
-    with open(dest, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(dest, payload)
 
 
 def load_model(source: Union[str, os.PathLike]):
@@ -71,30 +69,21 @@ def load_model(source: Union[str, os.PathLike]):
     raise ParseError(f"unknown model arch {arch!r} in {source}")
 
 
-HISTORY_HEADER = "epoch,train_mse,val_mse"
+HISTORY_HEADER = ("epoch", "train_mse", "val_mse")
 
 
 def write_history_csv(history: TrainHistory, dest: Union[str, os.PathLike]) -> None:
     """Per-epoch loss curve; the epoch column is 1-based for plotting."""
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HISTORY_HEADER.split(","))
-        for i, (tr, va) in enumerate(zip(history.train_mse, history.val_mse)):
-            writer.writerow([i + 1, repr(tr), repr(va)])
+    write_table(
+        dest,
+        HISTORY_HEADER,
+        ((i + 1, tr, va) for i, (tr, va) in enumerate(zip(history.train_mse, history.val_mse))),
+    )
 
 
 def read_history_csv(source: Union[str, os.PathLike]) -> TrainHistory:
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != HISTORY_HEADER.split(","):
-            raise ParseError(f"unexpected history header in {source}")
-        history = TrainHistory()
-        for row in reader:
-            if not row:
-                continue
-            history.train_mse.append(float(row[1]))
-            history.val_mse.append(float(row[2]))
+    rows = read_table(source, HISTORY_HEADER, (int, real, real))
+    history = TrainHistory(train_mse=[tr for _, tr, _ in rows], val_mse=[va for _, _, va in rows])
     if history.val_mse:
         history.best_epoch = int(np.argmin(history.val_mse))
     return history

@@ -8,7 +8,6 @@ charts one rect per labeled value.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -18,6 +17,7 @@ from .aggregation import HourlyCount
 from .errors import ParseError
 from .models.metrics import ComparisonReport
 from .models.mlp import TrainHistory
+from .schema import write_table
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 44, 48
@@ -203,9 +203,8 @@ def report_bars(report: ComparisonReport) -> tuple[list[str], list[float]]:
 
 
 def write_series_csv(series: Iterable[Series], dest: Union[str, os.PathLike]) -> None:
-    with open(dest, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["series", "x", "y"])
-        for s in series:
-            for x, y in zip(s.xs, s.ys):
-                writer.writerow([s.name, repr(float(x)), repr(float(y))])
+    write_table(
+        dest,
+        ("series", "x", "y"),
+        ((s.name, float(x), float(y)) for s in series for x, y in zip(s.xs, s.ys)),
+    )

@@ -1,0 +1,178 @@
+"""File formats declared once: CSV tables, JSON artifacts, dataclass dicts.
+
+Every CSV table busflux writes for itself goes through ``write_table`` and
+comes back through ``read_table``. A table is a header plus one converter
+per column. Its own artifacts fail fast: a wrong header, a wrong field
+count, a cell that does not convert, or a non-finite number raises a
+ParseError naming the file and line. Floats are written as their
+shortest round-trip ``repr``, so a read-write cycle reproduces the bytes.
+Every JSON artifact is written by ``write_json``.
+
+``to_dict`` / ``from_dict`` convert config (and report) dataclasses,
+driven by their fields and type hints: a nested dataclass is a JSON
+object, a ``timedelta`` field ``x`` is the integer key ``x_seconds``, a
+``date`` is an ISO string and a tuple is a list. Unknown keys and values
+of the wrong type raise a ConfigError naming the dotted key.
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import json
+import os
+import typing
+from datetime import date, timedelta
+from types import UnionType
+from typing import Any, Callable, Iterable, Sequence, Union
+
+from .errors import ConfigError, ParseError
+
+PathLike = Union[str, os.PathLike]
+
+
+def real(text: str) -> float:
+    """Column converter for a finite float."""
+    value = float(text)
+    if value - value == 0.0:  # false for nan and ±inf; cheaper than math.isfinite
+        return value
+    raise ValueError(f"non-finite number {text!r}")
+
+
+def write_json(dest: PathLike, payload) -> None:
+    """Write a JSON artifact: sorted keys, one-space indent, final newline."""
+    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def write_table(dest: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write header and rows as CSV with ``\\n`` line ends.
+
+    Cells are written with ``str``, which for a float is its ``repr``;
+    a cell holding a comma or a quote is quoted.
+    """
+    with open(dest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(
+    source: PathLike, header: Sequence[str], types: Sequence[Callable[[str], Any]]
+) -> list[list]:
+    """Rows of a table written by ``write_table``, each cell converted by
+    its column's converter. Blank lines are skipped."""
+    width = len(header)
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != list(header):
+            raise ParseError(f"{source}: header must be {','.join(header)!r}, got {got!r}")
+        rows = []
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise ParseError(
+                    f"{source}:{reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            try:
+                rows.append([convert(cell) for convert, cell in zip(types, row)])
+            except ValueError as exc:
+                raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
+    return rows
+
+
+def to_dict(obj) -> dict:
+    """A config dataclass as a JSON-ready dict (see the module docstring)."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, timedelta):
+            out[f"{f.name}_seconds"] = int(value.total_seconds())
+        else:
+            out[f.name] = _dump(value)
+    return out
+
+
+def _dump(value):
+    if dataclasses.is_dataclass(value):
+        return to_dict(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    return value
+
+
+def from_dict(cls, data, base):
+    """``base`` with the fields that ``data`` names replaced.
+
+    Nested sections are merged the same way into the matching field of
+    ``base``, so a document only spells out what it changes.
+    """
+    return _load(cls, data, base, "")
+
+
+def _where(key: str) -> str:
+    return f"config key {key!r}" if key else "config root"
+
+
+def _load(cls, data, base, key: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{_where(key)} needs a JSON object, got {data!r}")
+    prefix = f"{key}." if key else ""
+    hints = typing.get_type_hints(cls)
+    fields = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        fields[f"{f.name}_seconds" if hint is timedelta else f.name] = (f.name, hint)
+    changes = {}
+    for name, value in data.items():
+        if name not in fields:
+            raise ConfigError(f"unknown config key {prefix + name!r}")
+        attr, hint = fields[name]
+        changes[attr] = _value(hint, value, getattr(base, attr), prefix + name)
+    try:
+        return dataclasses.replace(base, **changes)
+    except ConfigError as exc:
+        raise ConfigError(f"{_where(key)}: {exc}") from None
+
+
+def _value(hint, value, base, key: str):
+    origin = typing.get_origin(hint)
+    if origin in (Union, UnionType):
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        return _value(hint, value, base, key)
+    if dataclasses.is_dataclass(hint):
+        return _load(hint, value, base, key)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{_where(key)} needs a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_value(item, v, None, f"{key}[{i}]") for i, v in enumerate(value))
+    if hint is date and isinstance(value, str):
+        try:
+            return date.fromisoformat(value)
+        except ValueError:
+            pass
+    elif hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    elif hint in (int, timedelta) and isinstance(value, int) and not isinstance(value, bool):
+        return timedelta(seconds=value) if hint is timedelta else value
+    elif hint in (str, bool) and isinstance(value, hint):
+        return value
+    raise ConfigError(f"{_where(key)} needs {_NAMES[hint]}, got {value!r}")
+
+
+_NAMES = {
+    int: "an integer",
+    timedelta: "an integer number of seconds",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    date: "an ISO date",
+}

@@ -35,6 +35,7 @@ from .cleaning import CleaningConfig
 from .errors import ConfigError, ParseError
 from .features import FeatureMatrix
 from .frames import DeviceId, FrameRecord, MacAddress, anonymize
+from .schema import to_dict, write_json
 from .weather import WeatherObservation
 
 _EPOCH = datetime(1970, 1, 1)
@@ -90,17 +91,6 @@ class DemandModel:
         if wx.temp < self.cold_threshold_c:
             rate *= self.cold_multiplier
         return rate
-
-    def to_dict(self) -> dict:
-        return {
-            "base_rate": self.base_rate,
-            "stop_weights": list(self.stop_weights) if self.stop_weights else None,
-            "hour_shape": list(self.hour_shape),
-            "weekday_weights": list(self.weekday_weights),
-            "rain_multiplier": self.rain_multiplier,
-            "cold_multiplier": self.cold_multiplier,
-            "cold_threshold_c": self.cold_threshold_c,
-        }
 
 
 NOISE_CLASSES = ("randomized", "single_stop", "out_of_rssi", "short_dwell", "long_dwell")
@@ -330,7 +320,7 @@ def generate(
     cfg: ScenarioConfig,
 ) -> tuple[list[FrameRecord], list[WeatherObservation], GroundTruth]:
     """Emit frames, the hourly weather series, and the planted truth."""
-    truth = GroundTruth(coefficients={"demand": cfg.demand.to_dict()})
+    truth = GroundTruth(coefficients={"demand": to_dict(cfg.demand)})
     frames: list[FrameRecord] = []
     weather: list[WeatherObservation] = []
 
@@ -505,9 +495,7 @@ def write_truth_json(truth: GroundTruth, dest: Union[str, os.PathLike]) -> None:
         "noise_devices": truth.noise_devices,
         "noise_frames": truth.noise_frames,
     }
-    with open(dest, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(dest, payload)
 
 
 def read_truth_json(source: Union[str, os.PathLike]) -> GroundTruth:

@@ -13,11 +13,12 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import IO, Sequence, Union
 
 from .errors import ParseError
+from .schema import to_dict, write_json
 
 # Field names follow the OpenWeather bulk export exactly.
 NUMERIC_FIELDS = (
@@ -245,15 +246,8 @@ def write_weather_json(
     Zero-valued optional fields are omitted, mirroring how the upstream
     export leaves out dry hours.
     """
-    rows = []
-    for obs in observations:
-        row = {}
-        for f in fields(WeatherObservation):
-            value = getattr(obs, f.name)
-            if f.name in OPTIONAL_FIELDS and value == 0:
-                continue
-            row[f.name] = value
-        rows.append(row)
-    with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(rows, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    rows = [
+        {name: v for name, v in to_dict(obs).items() if v != 0 or name not in OPTIONAL_FIELDS}
+        for obs in observations
+    ]
+    write_json(dest, rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from datetime import timedelta
 
@@ -25,6 +26,7 @@ from busflux.cleaning import (
 )
 from busflux.errors import ConfigError
 from busflux.frames import parse_frame_csv, write_frame_csv
+from busflux.schema import from_dict, to_dict
 from conftest import T0, burst, frame
 
 CFG = CleaningConfig()
@@ -246,7 +248,7 @@ def test_config_rejects_sub_minute_gap():
 
 def test_report_json_round_trip():
     _, report = clean(two_stop_day())
-    back = type(report).from_json(report.to_json())
+    back = from_dict(type(report), json.loads(json.dumps(to_dict(report))), type(report)())
     assert back == report
 
 

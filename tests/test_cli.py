@@ -3,13 +3,25 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from busflux.aggregation import read_hourly_csv, read_minute_csv, write_hourly_csv, write_minute_csv
+from busflux.cleaning import read_segment_csv, write_segment_csv
 from busflux.cli import main
+from busflux.errors import ParseError
+from busflux.features import (
+    load_matrix,
+    read_joined_csv,
+    read_matrix_meta,
+    save_matrix,
+    write_joined_csv,
+)
 from busflux.manifest import read_manifest, sha256_file
+from busflux.models import read_history_csv, write_history_csv
 
 
 def run(*argv):
@@ -43,6 +55,7 @@ def ws(tmp_path_factory):
         "segments": root / "segments.csv",
         "clean_report": root / "clean_report.json",
         "hourly": root / "hourly.csv",
+        "minutes": root / "minutes.csv",
         "joined": root / "joined.csv",
         "train": root / "train.csv",
         "val": root / "val.csv",
@@ -61,7 +74,8 @@ def ws(tmp_path_factory):
          "--out-weather", p["weather"], "--out-truth", p["truth"]),
         ("clean", "--config", cfg, "--frames", p["frames"],
          "--out-segments", p["segments"], "--out-report", p["clean_report"]),
-        ("aggregate", "--segments", p["segments"], "--out-hourly", p["hourly"]),
+        ("aggregate", "--segments", p["segments"], "--out-hourly", p["hourly"],
+         "--out-minutes", p["minutes"]),
         ("join", "--hourly", p["hourly"], "--weather", p["weather"],
          "--out-joined", p["joined"]),
         ("featurize", "--joined", p["joined"], "--out-train", p["train"],
@@ -195,6 +209,92 @@ def test_aggregate_outputs_match_pinned_digests(ws, tmp_path):
     assert sha256_file(minutes) == MINUTES_SHA256
 
 
+# Digests of the pure-Python artifacts of the same scenario, taken before
+# the table writers moved to busflux.schema. The matrices and the history
+# hold numpy-computed floats whose bytes may vary by platform, so they are
+# covered by the round trip below instead.
+PINNED_SHA256 = {
+    "segments": "2d4a88ac783013b1a4f7edebfdae07440d854c7d4c52eb50afb37186512d477c",
+    "joined": "6055917338e3391cd7143a18de8472ca670515bf2884b730555add8591998eb3",
+    "svg": "ea01ec5447caee4b41775524174b1026f7309a3492285b466134eab6d7feeaf5",
+    "series": "6d562e07f60854bb1caa7c4d1b61627bce676bd99dc774d23f60cc5473dac59c",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_SHA256))
+def test_pure_python_artifacts_match_pinned_digests(ws, key):
+    path = ws["svg"].with_suffix(".csv") if key == "series" else ws[key]
+    assert sha256_file(path) == PINNED_SHA256[key]
+
+
+def _matrix_reader(ws):
+    return lambda path: load_matrix(path, read_matrix_meta(ws["meta"])[0])
+
+
+TABLES = {
+    "segments": (lambda ws: read_segment_csv, write_segment_csv),
+    "minutes": (lambda ws: read_minute_csv, write_minute_csv),
+    "hourly": (lambda ws: read_hourly_csv, write_hourly_csv),
+    "joined": (lambda ws: read_joined_csv, write_joined_csv),
+    "train": (_matrix_reader, save_matrix),
+    "val": (_matrix_reader, save_matrix),
+    "test": (_matrix_reader, save_matrix),
+    "history": (lambda ws: read_history_csv, write_history_csv),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_tables_round_trip_byte_for_byte(ws, tmp_path, key):
+    reader, write = TABLES[key]
+    copy = tmp_path / ws[key].name
+    write(reader(ws)(ws[key]), copy)
+    assert copy.read_bytes() == ws[key].read_bytes()
+
+
+CORRUPTIONS = {
+    "wrong field count": lambda fields: fields[:-1],
+    "bad cell": lambda fields: fields[:-1] + ["abc"],
+    "non-finite": lambda fields: fields[:-1] + ["nan"],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_malformed_table_row_raises_parse_error_naming_the_line(ws, tmp_path, key, corruption):
+    lines = ws[key].read_text().splitlines(keepends=True)
+    lines[2] = ",".join(CORRUPTIONS[corruption](lines[2].rstrip("\n").split(","))) + "\n"
+    bad = tmp_path / ws[key].name
+    bad.write_text("".join(lines))
+    with pytest.raises(ParseError, match=re.escape(f"{bad}:3: ")):
+        TABLES[key][0](ws)(bad)
+
+
+def test_malformed_segment_csv_exits_2(ws, tmp_path):
+    lines = ws["segments"].read_text().splitlines(keepends=True)
+    bad = tmp_path / "segments.csv"
+    bad.write_text("".join(lines[:2]) + lines[2].rsplit(",", 1)[0] + "\n")
+    assert run("aggregate", "--segments", bad, "--out-hourly", tmp_path / "h.csv") == 2
+
+
+def test_stop_names_with_a_comma_survive_clean_aggregate_join(ws, tmp_path):
+    stop = "Stop A,North"
+    frames = tmp_path / "frames.csv"
+    rows = ["bus_stop,timestamp_utc,mac,rssi_dbm"]
+    for name, hour in ((stop, 8), ("stop-02", 9)):
+        rows += [f'"{name}",2017-04-05 {hour:02d}:{m:02d}:00,00:B8:00:00:00:01,-60'
+                 for m in range(6)]
+    frames.write_text("\n".join(rows) + "\n")
+    segments, hourly, joined = (tmp_path / n for n in ("s.csv", "h.csv", "j.csv"))
+    assert run("clean", "--frames", frames, "--out-segments", segments,
+               "--out-report", tmp_path / "r.json") == 0
+    assert run("aggregate", "--segments", segments, "--out-hourly", hourly) == 0
+    assert run("join", "--hourly", hourly, "--weather", ws["weather"],
+               "--out-joined", joined) == 0
+    assert stop in {s.stop for s in read_segment_csv(segments)}
+    assert stop in {h.stop for h in read_hourly_csv(hourly)}
+    assert stop in {r.stop for r in read_joined_csv(joined)}
+
+
 def test_aggregate_window_flags_narrow_the_zero_fill(ws, tmp_path):
     hourly = tmp_path / "hourly.csv"
     assert run("aggregate", "--segments", ws["segments"], "--out-hourly", hourly,
@@ -250,6 +350,18 @@ def test_domain_errors_exit_1(ws, tmp_path):
                "--meta", ws["meta"], "--out-model", tmp_path / "m.json") == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"cleaning": {"gap": 30}},
+    {"scenario": {"noise": {"bogus": 1}}},
+    {"train": {"epochs": "ten"}},
+])
+def test_unknown_or_malformed_config_keys_exit_1(ws, tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("aggregate", "--config", cfg, "--segments", ws["segments"],
+               "--out-hourly", tmp_path / "h.csv") == 1
+
+
 def test_duplicate_model_stems_exit_1(ws, tmp_path):
     other = tmp_path / "lr.json"
     shutil.copy(ws["lr"], other)
@@ -264,6 +376,10 @@ def test_plot_rejects_files_with_the_wrong_schema(ws, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("plot", "--mse-report", bad, "--out", tmp_path / "p.svg") == 1
+    # a non-numeric count is reported, not raised as a traceback
+    counts = tmp_path / "counts.csv"
+    counts.write_text(ws["hourly"].read_text().replace(",0.0\n", ",zero\n", 1))
+    assert run("plot", "--counts", counts, "--out", tmp_path / "p.svg") == 1
 
 
 def test_no_command_prints_help_and_exits_2(capsys):

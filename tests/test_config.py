@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import date, timedelta
 
 import pytest
@@ -19,7 +20,54 @@ from busflux.config import (
 from busflux.errors import ConfigError, ParseError
 from busflux.features import SplitSpec
 from busflux.models import TrainConfig
+from busflux.schema import to_dict
 from busflux.synth import NoiseMix, ScenarioConfig
+
+# The dict form of the default config as the hand-written converters
+# produced it; run manifests and model files embed it, so it must not move.
+DEFAULT_CLEANING_DICT = {
+    "d_max_seconds": 1800,
+    "d_min_seconds": 120,
+    "gap_seconds": 300,
+    "multi_stop_window": "per-day",
+    "rssi_hi": -30,
+    "rssi_lo": -80,
+}
+DEFAULT_TRAIN_DICT = {
+    "batch_size": 32,
+    "cart": {"max_depth": 8, "min_leaf": 5},
+    "dnn_hidden": [64, 32, 16],
+    "epochs": 100,
+    "gbt": {"depth": 3, "n_trees": 100, "shrinkage": 0.1},
+    "learning_rate": 0.001,
+    "seed": 7,
+    "wnn_hidden": [256],
+}
+DEFAULT_CONFIG_DICT = {
+    "calendar": {"morning_end_hour": 12, "semester_start": "2017-01-09", "utc_offset_hours": -4},
+    "cleaning": DEFAULT_CLEANING_DICT,
+    "scenario": {
+        "cleaning": DEFAULT_CLEANING_DICT,
+        "days": 30,
+        "demand": {
+            "base_rate": 2.0,
+            "cold_multiplier": 0.7,
+            "cold_threshold_c": 5.0,
+            "hour_shape": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4, 1.2, 1.8, 1.2, 0.7, 0.6,
+                           0.8, 0.7, 0.6, 0.8, 1.3, 1.8, 1.4, 0.8, 0.5, 0.0, 0.0, 0.0],
+            "rain_multiplier": 0.5,
+            "stop_weights": None,
+            "weekday_weights": [1.0, 1.0, 1.0, 1.0, 1.0, 0.6, 0.5],
+        },
+        "noise": {"long_dwell": 0.0, "out_of_rssi": 0.0, "randomized": 0.0,
+                  "short_dwell": 0.0, "single_stop": 0.0},
+        "seed": 11,
+        "start_date": "2017-04-05",
+        "stops": [f"stop-0{i}" for i in range(1, 8)],
+    },
+    "split": {"seed": 7, "test_fraction": 0.2, "val_fraction_of_train": 0.2},
+    "train": DEFAULT_TRAIN_DICT,
+}
 
 
 def test_no_file_means_all_defaults():
@@ -113,6 +161,38 @@ def test_config_dict_is_json_complete():
     cfg = PipelineConfig()
     data = json.loads(json.dumps(config_to_dict(cfg)))
     assert config_from_dict(data) == cfg
+
+
+def test_default_dicts_are_pinned():
+    # JSON text, not dict equality: 300 and 300.0 compare equal but dump apart.
+    def dump(data):
+        return json.dumps(data, sort_keys=True)
+
+    assert dump(config_to_dict(PipelineConfig())) == dump(DEFAULT_CONFIG_DICT)
+    assert dump(to_dict(TrainConfig())) == dump(DEFAULT_TRAIN_DICT)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"cleaning": {"gap": 30}}, "cleaning.gap"),
+        ({"scenario": {"noise": {"bogus": 1}}}, "scenario.noise.bogus"),
+        ({"train": {"epochs": "ten"}}, "train.epochs"),
+        ({"train": {"wnn_hidden": [16, "wide"]}}, "train.wnn_hidden[1]"),
+        ({"scenario": {"start_date": "April"}}, "scenario.start_date"),
+        ({"calendar": 3}, "calendar"),
+        ({"cleaning": {"gap_seconds": 30}}, "cleaning"),
+    ],
+)
+def test_unknown_keys_and_bad_values_name_the_dotted_key(doc, key):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        config_from_dict(doc)
+
+
+def test_float_fields_accept_integers():
+    cfg = config_from_dict({"train": {"learning_rate": 1}, "split": {"test_fraction": 0.5}})
+    assert cfg.train.learning_rate == 1.0
+    assert isinstance(cfg.train.learning_rate, float)
 
 
 def test_written_file_is_deterministic(tmp_path):

@@ -15,6 +15,7 @@ from busflux.frames import (
     DeviceId,
     MacAddress,
     anonymize,
+    format_timestamp,
     is_randomized,
     parse_frame_csv,
     sorted_frames,
@@ -234,3 +235,8 @@ def test_timestamp_format_is_space_separated_utc(tmp_path):
     assert body.split(",")[1] == "2017-04-05 08:00:00"
     back, _ = parse_frame_csv(path)
     assert back[0].at == datetime(2017, 4, 5, 8, 0, 0)
+
+
+@given(st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(2242, 12, 31)))
+def test_format_timestamp_equals_the_strftime_form(at):
+    assert format_timestamp(at) == at.strftime("%Y-%m-%d %H:%M:%S")

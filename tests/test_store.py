@@ -26,6 +26,7 @@ from busflux.models import (
     save_model,
     write_history_csv,
 )
+from busflux.schema import from_dict, to_dict
 
 
 def matrix(seed=0, n=80, d=4):
@@ -104,7 +105,7 @@ def test_payload_schema_and_determinism(tmp_path):
     }
     assert payload["format_version"] == 1
     assert payload["arch"] == "wnn"
-    assert payload["config"] == cfg.to_dict()
+    assert payload["config"] == to_dict(cfg)
     assert payload["seed"] == model.seed
 
 
@@ -113,7 +114,7 @@ def test_config_round_trips_through_payload(tmp_path):
     dest = tmp_path / "m.json"
     save_model(one_of_each()["lr"], dest, config=cfg)
     stored = json.loads(dest.read_text())["config"]
-    assert TrainConfig.from_dict(stored) == cfg
+    assert from_dict(TrainConfig, stored, TrainConfig()) == cfg
 
 
 def test_unsupported_format_version_is_rejected(tmp_path):
