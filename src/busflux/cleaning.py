@@ -1,9 +1,11 @@
 """Noise removal: randomized MACs, single-stop devices, RSSI gate, dwell segments.
 
 Stage order inside clean() is randomized -> single-stop -> RSSI -> segmentation
--> duration. The first three are independent per-frame/per-device predicates,
-so reordering them only moves report attribution, never the final kept set.
-Every input frame is accounted to exactly one counter.
+-> duration, and it decides the kept set, not only the report attribution:
+single-stop counts the stops a device was seen at before the RSSI gate, so
+frames the gate then drops can still make a device multi-stop and keep its
+in-range frames at another stop. Every input frame is accounted to exactly
+one counter.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ one-hot vocabularies are fit on the training partition only.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -16,9 +15,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .aggregation import HourlyCount
-from .errors import BusfluxError, ConfigError, ParseError
+from .errors import BusfluxError, ConfigError
 from .frames import format_timestamp
-from .schema import read_table, real, write_json, write_table
+from .schema import read_json, read_table, real, to_dict, write_json, write_table
 from .weather import WeatherObservation
 
 WEEKDAY_NAMES = (
@@ -405,32 +404,12 @@ def write_matrix_meta(
     codec: FeatureCodec, split: SplitSpec, dest: Union[str, os.PathLike]
 ) -> None:
     """Sidecar JSON describing the encoded matrices: codec + split recipe."""
-    payload = {
-        "format_version": 1,
-        "codec": codec.to_dict(),
-        "split": {
-            "seed": split.seed,
-            "test_fraction": split.test_fraction,
-            "val_fraction_of_train": split.val_fraction_of_train,
-        },
-    }
-    write_json(dest, payload)
+    write_json(dest, {"format_version": 1, "codec": codec.to_dict(), "split": to_dict(split)})
 
 
 def read_matrix_meta(source: Union[str, os.PathLike]) -> tuple[FeatureCodec, SplitSpec]:
-    with open(source, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != 1:
-        raise ParseError(f"unsupported matrix metadata version in {source}")
-    split = payload["split"]
-    return (
-        FeatureCodec.from_dict(payload["codec"]),
-        SplitSpec(
-            seed=int(split["seed"]),
-            test_fraction=float(split["test_fraction"]),
-            val_fraction_of_train=float(split["val_fraction_of_train"]),
-        ),
-    )
+    with read_json(source, 1) as payload:
+        return FeatureCodec.from_dict(payload["codec"]), SplitSpec(**payload["split"])
 
 
 def save_matrix(matrix: FeatureMatrix, dest: Union[str, os.PathLike]) -> None:

@@ -278,9 +278,10 @@ def write_frame_csv(
     if digest_form:
         buf.write(ANONYMIZED_FLAG + "\n")
     buf.write(FRAME_HEADER + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
     for r in records:
         ident = r.device.hex if digest_form or r.mac is None else r.mac.canonical()
-        buf.write(f"{r.stop},{format_timestamp(r.at)},{ident},{r.rssi}\n")
+        writer.writerow((r.stop, format_timestamp(r.at), ident, r.rssi))
 
     data = buf.getvalue().encode("utf-8")
     path = os.fspath(dest)

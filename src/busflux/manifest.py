@@ -8,13 +8,11 @@ for byte. Timings are informational and excluded from any comparison.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Union
 
-from .errors import ParseError
-from .schema import to_dict, write_json
+from .schema import read_json, to_dict, write_json
 
 FORMAT_VERSION = 1
 
@@ -64,11 +62,8 @@ def write_manifest(manifest: RunManifest, dest: Union[str, os.PathLike]) -> None
 
 
 def read_manifest(source: Union[str, os.PathLike]) -> RunManifest:
-    with open(source, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported manifest version in {source}")
-    return RunManifest(**{f.name: payload[f.name] for f in fields(RunManifest)})
+    with read_json(source, FORMAT_VERSION) as payload:
+        return RunManifest(**{f.name: payload[f.name] for f in fields(RunManifest)})
 
 
 def combined_digest_list(manifests: Iterable[RunManifest]) -> list[tuple[str, str, str]]:

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from .config import CartParams, GbtParams
-from .tree import RegressionTree, _grow
+from .tree import RegressionTree, grow
 
 # Boosting relies on depth for capacity control, so the base learner grows
 # with the loosest leaf constraint rather than the standalone-CART default.
@@ -64,26 +64,16 @@ def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsembl
     params = params or GbtParams()
     X = np.asarray(train.rows, dtype=np.float64)
     y = np.asarray(train.target, dtype=np.float64)
-    n_features = X.shape[1]
     base = float(y.mean())
     pred = np.full(y.shape, base, dtype=np.float64)
     tree_params = CartParams(max_depth=params.depth, min_leaf=BASE_LEARNER_MIN_LEAF)
-    raw_importance = np.zeros(n_features, dtype=np.float64)
+    raw_importance = np.zeros(X.shape[1], dtype=np.float64)
     trees: list[RegressionTree] = []
     columns = tuple(train.column_names)
     for _ in range(params.n_trees):
-        residual = y - pred
-        records: list = []
-        root = _grow(X, residual, 0, tree_params, records)
-        tree = RegressionTree(
-            root=root,
-            n_features=n_features,
-            params=tree_params,
-            splits=records,
-            columns=columns,
-        )
+        tree = grow(X, y - pred, tree_params, columns)
         trees.append(tree)
-        for split in records:
+        for split in tree.splits:
             raw_importance[split.feature] += split.decrease
         pred += params.shrinkage * tree.predict(X)
     total = float(raw_importance.sum())

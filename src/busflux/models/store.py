@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Union
 
 import numpy as np
 
 from ..errors import ParseError
-from ..schema import read_table, real, to_dict, write_json, write_table
+from ..schema import read_json, read_table, real, to_dict, write_json, write_table
 from .boosting import GbtEnsemble
 from .config import TrainConfig
 from .linear import LinearModel
 from .mlp import ARCH_CUSTOM, ARCH_DNN, ARCH_WNN, MlpModel, TrainHistory
 from .tree import RegressionTree
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MLP_ARCHS = (ARCH_WNN, ARCH_DNN, ARCH_CUSTOM)
 
@@ -51,21 +50,18 @@ def save_model(
 
 
 def load_model(source: Union[str, os.PathLike]):
-    with open(source, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported model format version in {source}")
-    arch = payload["arch"]
-    columns = tuple(payload["columns"]) if payload.get("columns") is not None else None
-    params = payload["parameters"]
-    if arch == "lr":
-        return LinearModel.from_dict(params, columns=columns)
-    if arch in _MLP_ARCHS:
-        return MlpModel.from_dict(params, columns=columns)
-    if arch == "cart":
-        return RegressionTree.from_dict(params, columns=columns)
-    if arch == "gbt":
-        return GbtEnsemble.from_dict(params, columns=columns)
+    with read_json(source, FORMAT_VERSION) as payload:
+        arch = payload["arch"]
+        columns = tuple(payload["columns"]) if payload.get("columns") is not None else None
+        params = payload["parameters"]
+        if arch == "lr":
+            return LinearModel.from_dict(params, columns=columns)
+        if arch in _MLP_ARCHS:
+            return MlpModel.from_dict(params, columns=columns)
+        if arch == "cart":
+            return RegressionTree.from_dict(params, columns=columns)
+        if arch == "gbt":
+            return GbtEnsemble.from_dict(params, columns=columns)
     raise ParseError(f"unknown model arch {arch!r} in {source}")
 
 

@@ -10,7 +10,7 @@ feature index, then the lowest threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,48 +31,6 @@ class CartSplit:
     feature: int
     threshold: float
     decrease: float
-
-
-@dataclass(slots=True)
-class TreeNode:
-    prediction: float
-    n: int
-    sse: float
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"prediction": self.prediction, "n": self.n, "sse": self.sse}
-        return {
-            "prediction": self.prediction,
-            "n": self.n,
-            "sse": self.sse,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TreeNode":
-        node = cls(
-            prediction=float(data["prediction"]),
-            n=int(data["n"]),
-            sse=float(data["sse"]),
-        )
-        if "feature" in data:
-            node.feature = int(data["feature"])
-            node.threshold = float(data["threshold"])
-            node.left = cls.from_dict(data["left"])
-            node.right = cls.from_dict(data["right"])
-        return node
 
 
 def _best_candidate(
@@ -116,42 +74,69 @@ def _best_candidate(
     return best
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    depth: int,
-    params: CartParams,
-    records: list[CartSplit],
-) -> TreeNode:
-    node = TreeNode(prediction=float(y.mean()), n=int(y.size), sse=node_sse(y))
-    if depth >= params.max_depth or y.size < 2 * params.min_leaf:
-        return node
-    candidate = _best_candidate(X, y, params.min_leaf)
-    if candidate is None:
-        return node
-    feature, threshold = candidate
-    mask = X[:, feature] <= threshold
-    if mask.all() or not mask.any():
-        # Midpoint of two adjacent floats can round onto one of them.
-        return node
-    decrease = node.sse - node_sse(y[mask]) - node_sse(y[~mask])
-    if decrease <= 0.0:
-        return node
-    records.append(CartSplit(feature=feature, threshold=threshold, decrease=decrease))
-    node.feature = feature
-    node.threshold = threshold
-    node.left = _grow(X[mask], y[mask], depth + 1, params, records)
-    node.right = _grow(X[~mask], y[~mask], depth + 1, params, records)
-    return node
+def grow(X: np.ndarray, y: np.ndarray, params: CartParams, columns) -> "RegressionTree":
+    """Grow a tree on rows X with targets y, laying its nodes out in preorder."""
+    nodes: list[list] = []  # [feature, threshold, right, value, n, sse] per node
+
+    def add_node(X: np.ndarray, y: np.ndarray, depth: int) -> None:
+        node = [-1, 0.0, -1, float(y.mean()), y.size, node_sse(y)]
+        nodes.append(node)
+        if depth >= params.max_depth or y.size < 2 * params.min_leaf:
+            return
+        candidate = _best_candidate(X, y, params.min_leaf)
+        if candidate is None:
+            return
+        mask = X[:, candidate[0]] <= candidate[1]
+        if mask.all() or not mask.any():
+            # Midpoint of two adjacent floats can round onto one of them.
+            return
+        if node[5] - node_sse(y[mask]) - node_sse(y[~mask]) <= 0.0:
+            return
+        node[0], node[1] = candidate
+        add_node(X[mask], y[mask], depth + 1)
+        node[2] = len(nodes)
+        add_node(X[~mask], y[~mask], depth + 1)
+
+    add_node(X, y, 0)
+    arrays = dict(zip(_ARRAYS, zip(*nodes)))
+    return RegressionTree.from_dict({**arrays, "n_features": X.shape[1]}, columns=columns)
 
 
-@dataclass(slots=True)
+_ARRAYS = {
+    "feature": np.intp,
+    "threshold": np.float64,
+    "right": np.intp,
+    "value": np.float64,
+    "n": np.intp,
+    "sse": np.float64,
+}
+
+
+@dataclass(slots=True, eq=False)
 class RegressionTree:
-    root: TreeNode
+    """Node arrays in preorder: node 0 is the root, the left child of split
+    node i is i + 1 and its right child is right[i]. A leaf has feature -1,
+    threshold 0.0 and right -1. value, n and sse are the node's mean
+    target, row count and within-node sum of squares."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
+    sse: np.ndarray
     n_features: int
-    params: CartParams
-    splits: list[CartSplit] = field(default_factory=list)
     columns: tuple[str, ...] | None = None
+
+    @property
+    def splits(self) -> list[CartSplit]:
+        """Split nodes in preorder with their sum-of-squares decrease."""
+        i = np.flatnonzero(self.feature >= 0)
+        decrease = self.sse[i] - self.sse[i + 1] - self.sse[self.right[i]]
+        return [
+            CartSplit(int(f), float(t), float(d))
+            for f, t, d in zip(self.feature[i], self.threshold[i], decrease)
+        ]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -159,63 +144,43 @@ class RegressionTree:
             X = X[None, :]
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i in range(X.shape[0]):
-            node = self.root
-            while node.feature is not None:
-                node = node.left if X[i, node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
-        return out
-
-    def leaves(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.extend((node.right, node.left))
-        return out
-
-    def total_sse(self) -> float:
-        """R(T): sum of within-leaf sums of squares."""
-        return sum(leaf.sse for leaf in self.leaves())
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        while True:  # one tree level per pass
+            feature = self.feature[node]
+            split = feature >= 0
+            if not split.any():
+                return self.value[node]
+            left = X[rows, feature] <= self.threshold[node]
+            node = np.where(split, np.where(left, node + 1, self.right[node]), node)
 
     def to_dict(self) -> dict:
         return {
-            "root": self.root.to_dict(),
+            **{name: getattr(self, name).tolist() for name in _ARRAYS},
             "n_features": self.n_features,
-            "params": {"max_depth": self.params.max_depth, "min_leaf": self.params.min_leaf},
-            "splits": [
-                {"feature": s.feature, "threshold": s.threshold, "decrease": s.decrease}
-                for s in self.splits
-            ],
         }
 
     @classmethod
     def from_dict(cls, data: dict, columns=None) -> "RegressionTree":
-        return cls(
-            root=TreeNode.from_dict(data["root"]),
+        tree = cls(
+            **{name: np.array(data[name], dtype=dtype) for name, dtype in _ARRAYS.items()},
             n_features=int(data["n_features"]),
-            params=CartParams(**data["params"]),
-            splits=[CartSplit(**s) for s in data["splits"]],
             columns=columns,
         )
+        i = np.flatnonzero(tree.feature >= 0)
+        if len({getattr(tree, name).size for name in _ARRAYS}) != 1 or not (
+            (i + 1 < tree.right[i]) & (tree.right[i] < tree.n.size) & (tree.feature[i] < tree.n_features)
+        ).all():
+            raise ValueError("node arrays are not one preorder tree")
+        return tree
 
 
 def cart_fit(train: FeatureMatrix, params: CartParams | None = None) -> RegressionTree:
     if train.n_rows == 0:
         raise ValueError("cannot fit a regression tree on zero rows")
-    params = params or CartParams()
-    X = np.asarray(train.rows, dtype=np.float64)
-    y = np.asarray(train.target, dtype=np.float64)
-    records: list[CartSplit] = []
-    root = _grow(X, y, 0, params, records)
-    return RegressionTree(
-        root=root,
-        n_features=X.shape[1],
-        params=params,
-        splits=records,
-        columns=tuple(train.column_names),
+    return grow(
+        np.asarray(train.rows, dtype=np.float64),
+        np.asarray(train.target, dtype=np.float64),
+        params or CartParams(),
+        tuple(train.column_names),
     )

@@ -6,7 +6,8 @@ per column. Its own artifacts fail fast: a wrong header, a wrong field
 count, a cell that does not convert, or a non-finite number raises a
 ParseError naming the file and line. Floats are written as their
 shortest round-trip ``repr``, so a read-write cycle reproduces the bytes.
-Every JSON artifact is written by ``write_json``.
+Every JSON artifact is written by ``write_json``; those that carry a
+``format_version`` are read back through ``read_json``.
 
 ``to_dict`` / ``from_dict`` convert config (and report) dataclasses,
 driven by their fields and type hints: a nested dataclass is a JSON
@@ -17,6 +18,7 @@ of the wrong type raise a ConfigError naming the dotted key.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -24,7 +26,7 @@ import os
 import typing
 from datetime import date, timedelta
 from types import UnionType
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import ConfigError, ParseError
 
@@ -44,6 +46,24 @@ def write_json(dest: PathLike, payload) -> None:
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+@contextlib.contextmanager
+def read_json(source: PathLike, version: int) -> Iterator[dict]:
+    """The JSON object in ``source``, for a with-block that builds an artifact.
+
+    The file must hold an object whose ``format_version`` is ``version``.
+    A missing key or a value of the wrong type or form met inside the block
+    raises a ParseError naming the file.
+    """
+    with open(source, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or payload.get("format_version") != version:
+        raise ParseError(f"{source}: expected a JSON object of format version {version}")
+    try:
+        yield payload
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ParseError(f"{source}: malformed artifact: {type(exc).__name__}: {exc}") from None
 
 
 def write_table(dest: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:

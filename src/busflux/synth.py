@@ -22,7 +22,6 @@ prefix.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -32,10 +31,10 @@ import numpy as np
 
 from .aggregation import HourlyCount
 from .cleaning import CleaningConfig
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .features import FeatureMatrix
 from .frames import DeviceId, FrameRecord, MacAddress, anonymize
-from .schema import to_dict, write_json
+from .schema import read_json, to_dict, write_json
 from .weather import WeatherObservation
 
 _EPOCH = datetime(1970, 1, 1)
@@ -499,31 +498,28 @@ def write_truth_json(truth: GroundTruth, dest: Union[str, os.PathLike]) -> None:
 
 
 def read_truth_json(source: Union[str, os.PathLike]) -> GroundTruth:
-    with open(source, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format_version") != 1:
-        raise ParseError(f"unsupported ground-truth version in {source}")
-    truth = GroundTruth(coefficients=payload.get("coefficients", {}))
-    for stop, by_day in payload["waiting"].items():
-        for day_text, hexes in by_day.items():
-            truth.waiting[(stop, date.fromisoformat(day_text))] = {
-                DeviceId.from_hex(h) for h in hexes
-            }
-    truth.dwells = [
-        PlantedDwell(
-            stop=stop,
-            device=DeviceId.from_hex(dev),
-            start=datetime.fromisoformat(start),
-            end=datetime.fromisoformat(end),
-        )
-        for stop, dev, start, end in payload["dwells"]
-    ]
-    truth.hourly = [
-        HourlyCount(stop=stop, hour=datetime.fromisoformat(hour), count=float(count))
-        for stop, hour, count in payload["hourly"]
-    ]
-    truth.signal_devices = int(payload["signal_devices"])
-    truth.signal_frames = int(payload["signal_frames"])
-    truth.noise_devices = {k: int(v) for k, v in payload["noise_devices"].items()}
-    truth.noise_frames = {k: int(v) for k, v in payload["noise_frames"].items()}
-    return truth
+    with read_json(source, 1) as payload:
+        truth = GroundTruth(coefficients=payload.get("coefficients", {}))
+        for stop, by_day in payload["waiting"].items():
+            for day_text, hexes in by_day.items():
+                truth.waiting[(stop, date.fromisoformat(day_text))] = {
+                    DeviceId.from_hex(h) for h in hexes
+                }
+        truth.dwells = [
+            PlantedDwell(
+                stop=stop,
+                device=DeviceId.from_hex(dev),
+                start=datetime.fromisoformat(start),
+                end=datetime.fromisoformat(end),
+            )
+            for stop, dev, start, end in payload["dwells"]
+        ]
+        truth.hourly = [
+            HourlyCount(stop=stop, hour=datetime.fromisoformat(hour), count=float(count))
+            for stop, hour, count in payload["hourly"]
+        ]
+        truth.signal_devices = int(payload["signal_devices"])
+        truth.signal_frames = int(payload["signal_frames"])
+        truth.noise_devices = {k: int(v) for k, v in payload["noise_devices"].items()}
+        truth.noise_frames = {k: int(v) for k, v in payload["noise_frames"].items()}
+        return truth

@@ -371,6 +371,6 @@ def test_criterion_9_cart_split_matches_exhaustive_search():
     y = np.where(X[:, 1] < 10, 0.0, 10.0)
     tree = cart_fit(FeatureMatrix.from_arrays(X, y), CartParams(max_depth=1, min_leaf=1))
     dec, feature, threshold = _exhaustive_best_split(X, y)
-    assert tree.root.feature == feature == 1
-    assert tree.root.threshold == threshold == 9.5
+    assert tree.feature[0] == feature == 1
+    assert tree.threshold[0] == threshold == 9.5
     assert tree.splits[0].decrease == dec == 500.0

@@ -88,10 +88,12 @@ def test_base_trees_use_configured_depth():
     m = matrix()
     model = gbt_fit(m, GbtParams(n_trees=4, depth=2))
 
-    def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+    def depth(tree, i=0):
+        if tree.feature[i] == -1:
+            return 0
+        return 1 + max(depth(tree, i + 1), depth(tree, tree.right[i]))
 
-    assert all(depth(t.root) <= 2 for t in model.trees)
+    assert all(depth(t) <= 2 for t in model.trees)
 
 
 def test_serialization_round_trip():

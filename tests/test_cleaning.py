@@ -224,6 +224,70 @@ def test_accounting_invariant_holds_for_arbitrary_input(rows):
         assert CFG.d_min <= s.duration <= CFG.d_max
 
 
+# ── Metamorphic relations ────────────────────────────────────────────────────
+
+STOPS = ("stop-01", "stop-02", "stop-03")
+
+# (stop, start in seconds after T0, device number, minutes, rssi) per burst of
+# one frame a minute; every third device is randomized. Durations straddle
+# d_min and d_max and rssi straddles rssi_lo, so every counter is exercised.
+BURSTS = st.lists(
+    st.tuples(
+        st.sampled_from(STOPS),
+        st.integers(min_value=0, max_value=2 * 86400 - 1),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=-90, max_value=-40),
+    ),
+    max_size=12,
+)
+
+
+def frames_of(bursts):
+    return [
+        f
+        for stop, sec, dev, minutes, rssi in bursts
+        for f in burst(
+            stop,
+            f"{'02' if dev % 3 == 0 else '00'}:B8:00:00:00:{dev:02X}",
+            T0 + timedelta(seconds=sec),
+            minutes * 60,
+            rssi=rssi,
+        )
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(BURSTS, st.randoms(use_true_random=False))
+def test_clean_ignores_input_order(bursts, rnd):
+    frames = frames_of(bursts)
+    shuffled = list(frames)
+    rnd.shuffle(shuffled)
+    assert clean(shuffled) == clean(frames)
+
+
+@settings(max_examples=50, deadline=None)
+@given(BURSTS, st.integers(min_value=-400, max_value=400))
+def test_clean_commutes_with_whole_day_time_shifts(bursts, days):
+    shift = timedelta(days=days)
+    frames = frames_of(bursts)
+    segments, report = clean(frames)
+    moved, moved_report = clean([replace(f, at=f.at + shift) for f in frames])
+    assert moved == [replace(s, start=s.start + shift, end=s.end + shift) for s in segments]
+    assert moved_report == report
+
+
+@settings(max_examples=50, deadline=None)
+@given(BURSTS, st.lists(st.text(min_size=1), min_size=3, max_size=3, unique=True))
+def test_clean_commutes_with_order_preserving_stop_renaming(bursts, names):
+    rename = dict(zip(STOPS, sorted(names)))
+    frames = frames_of(bursts)
+    segments, report = clean(frames)
+    renamed, renamed_report = clean([replace(f, stop=rename[f.stop]) for f in frames])
+    assert renamed == [replace(s, stop=rename[s.stop]) for s in segments]
+    assert renamed_report == report
+
+
 # ── Config validation and serialization ──────────────────────────────────────
 
 

@@ -21,7 +21,8 @@ from busflux.features import (
     write_joined_csv,
 )
 from busflux.manifest import read_manifest, sha256_file
-from busflux.models import read_history_csv, write_history_csv
+from busflux.models import load_model, read_history_csv, write_history_csv
+from busflux.synth import read_truth_json
 
 
 def run(*argv):
@@ -274,6 +275,44 @@ def test_malformed_segment_csv_exits_2(ws, tmp_path):
     bad = tmp_path / "segments.csv"
     bad.write_text("".join(lines[:2]) + lines[2].rsplit(",", 1)[0] + "\n")
     assert run("aggregate", "--segments", bad, "--out-hourly", tmp_path / "h.csv") == 2
+
+
+JSON_ARTIFACTS = {  # reader, artifact path, a key the reader needs
+    "meta": (read_matrix_meta, lambda ws: ws["meta"], "split"),
+    "model": (load_model, lambda ws: ws["gbt"], "parameters"),
+    "manifest": (read_manifest, lambda ws: ws["root"] / "segments.csv.manifest.json", "outputs"),
+    "truth": (read_truth_json, lambda ws: ws["truth"], "hourly"),
+}
+
+
+@pytest.mark.parametrize("malformed", ["list payload", "missing key"])
+@pytest.mark.parametrize("kind", sorted(JSON_ARTIFACTS))
+def test_malformed_json_artifact_raises_parse_error_naming_the_file(ws, tmp_path, kind, malformed):
+    reader, path, key = JSON_ARTIFACTS[kind]
+    payload = json.loads(path(ws).read_text())
+    if malformed == "list payload":
+        payload = [payload]
+    else:
+        del payload[key]
+    bad = tmp_path / f"{kind}.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=re.escape(str(bad))):
+        reader(bad)
+
+
+def test_malformed_json_artifacts_exit_2(ws, tmp_path):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]")
+    assert run("train", "--model", "lr", "--train", ws["train"], "--meta", listed,
+               "--out-model", tmp_path / "m.json") == 2
+    assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", listed,
+               "--out-report", tmp_path / "r.json") == 2
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"format_version": 2, "arch": "gbt"}))
+    assert run("importance", "--model", bare, "--out", tmp_path / "i.csv") == 2
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**json.loads(ws["gbt"].read_text()), "format_version": 1}))
+    assert run("importance", "--model", old, "--out", tmp_path / "i.csv") == 2
 
 
 def test_stop_names_with_a_comma_survive_clean_aggregate_join(ws, tmp_path):

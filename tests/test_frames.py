@@ -158,6 +158,15 @@ def test_frame_csv_round_trip(tmp_path):
     assert not report.anonymized_input
 
 
+def test_frame_csv_round_trips_a_stop_name_holding_a_comma(tmp_path):
+    path = tmp_path / "frames.csv"
+    records = [frame("Stop A,North", datetime(2017, 4, 5, 8, 0, 0), "00:B8:00:00:00:01", -60)]
+    write_frame_csv(records, path)
+    back, report = parse_frame_csv(path)
+    assert back == records
+    assert report.rows_total == report.rows_ok == 1
+
+
 def test_frame_csv_gzip_round_trip_and_fixed_mtime(tmp_path):
     a, b = tmp_path / "a.csv.gz", tmp_path / "b.csv.gz"
     records = _sample_frames()

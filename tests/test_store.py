@@ -103,7 +103,7 @@ def test_payload_schema_and_determinism(tmp_path):
         "config",
         "seed",
     }
-    assert payload["format_version"] == 1
+    assert payload["format_version"] == 2
     assert payload["arch"] == "wnn"
     assert payload["config"] == to_dict(cfg)
     assert payload["seed"] == model.seed
@@ -124,6 +124,26 @@ def test_unsupported_format_version_is_rejected(tmp_path):
     payload["format_version"] = 999
     dest.write_text(json.dumps(payload))
     with pytest.raises(ParseError):
+        load_model(dest)
+
+
+TREE_CORRUPTIONS = {
+    "right child loops back": lambda t: t["right"].__setitem__(0, 0),
+    "right child past the end": lambda t: t["right"].__setitem__(0, len(t["right"])),
+    "feature out of range": lambda t: t["feature"].__setitem__(0, t["n_features"]),
+    "array one short": lambda t: t["value"].pop(),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(TREE_CORRUPTIONS))
+def test_corrupt_tree_arrays_are_rejected_on_load(tmp_path, corruption):
+    dest = tmp_path / "cart.json"
+    save_model(cart_fit(matrix(), CartParams(max_depth=3, min_leaf=2)), dest)
+    payload = json.loads(dest.read_text())
+    assert payload["parameters"]["feature"][0] != -1
+    TREE_CORRUPTIONS[corruption](payload["parameters"])
+    dest.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="not one preorder tree"):
         load_model(dest)
 
 

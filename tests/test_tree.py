@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from busflux.errors import ConfigError
 from busflux.features import FeatureMatrix
-from busflux.models import CartParams, RegressionTree, cart_fit
+from busflux.models import CartParams, GbtParams, RegressionTree, cart_fit, gbt_fit
 from busflux.models.tree import node_sse
 
 
@@ -66,8 +66,8 @@ def test_root_split_matches_brute_force_on_step_target():
     y = np.where(X[:, 1] < 10, 0.0, 10.0)
     tree = cart_fit(matrix(X, y), CartParams(max_depth=1, min_leaf=1))
     dec, f, t = brute_force_best_split(X, y)
-    assert tree.root.feature == f == 1
-    assert tree.root.threshold == t == 9.5
+    assert tree.feature[0] == f == 1
+    assert tree.threshold[0] == t == 9.5
     assert tree.splits[0].decrease == dec == 500.0
 
 
@@ -75,7 +75,7 @@ def test_threshold_is_midpoint_of_adjacent_values():
     X = np.array([[1.0], [3.0], [10.0], [12.0]])
     y = np.array([0.0, 0.0, 5.0, 5.0])
     tree = cart_fit(matrix(X, y), CartParams(max_depth=1, min_leaf=1))
-    assert tree.root.threshold == 6.5
+    assert tree.threshold[0] == 6.5
 
 
 def test_tie_breaks_to_lowest_feature_then_lowest_threshold():
@@ -85,12 +85,12 @@ def test_tie_breaks_to_lowest_feature_then_lowest_threshold():
     X = np.column_stack([col, col])
     y = np.array([0.0, 0.0, 1.0, 1.0])
     tree = cart_fit(matrix(X, y), CartParams(max_depth=1, min_leaf=1))
-    assert tree.root.feature == 0
+    assert tree.feature[0] == 0
     # Within a feature: y = (0, 1, 1, 0) gives equal decrease at 0.5 and
     # 2.5; the sweep must report the lower threshold.
     y2 = np.array([0.0, 1.0, 1.0, 0.0])
     tree2 = cart_fit(matrix(col, y2), CartParams(max_depth=1, min_leaf=1))
-    assert tree2.root.threshold == 0.5
+    assert tree2.threshold[0] == 0.5
 
 
 @settings(max_examples=40, deadline=None)
@@ -105,9 +105,9 @@ def test_root_split_matches_brute_force_on_random_data(seed):
     tree = cart_fit(matrix(X, y), CartParams(max_depth=1, min_leaf=min_leaf))
     dec, f, t = brute_force_best_split(X, y, min_leaf=min_leaf)
     if f is None or dec <= 0:
-        assert tree.root.is_leaf
+        assert tree.feature[0] == -1
     else:
-        assert (tree.root.feature, tree.root.threshold) == (f, t)
+        assert (tree.feature[0], tree.threshold[0]) == (f, t)
         assert tree.splits[0].decrease == pytest.approx(dec, rel=1e-9)
 
 
@@ -117,8 +117,8 @@ def test_root_split_matches_brute_force_on_random_data(seed):
 def test_constant_target_yields_single_leaf():
     X = np.arange(10, dtype=float)
     tree = cart_fit(matrix(X, np.full(10, 2.5)))
-    assert tree.root.is_leaf
-    assert tree.root.prediction == 2.5
+    assert tree.feature[0] == -1
+    assert tree.value[0] == 2.5
     assert tree.splits == []
 
 
@@ -128,12 +128,12 @@ def test_max_depth_limits_split_levels():
     y = rng.normal(0, 1, 200)
     tree = cart_fit(matrix(X, y), CartParams(max_depth=2, min_leaf=1))
 
-    def depth(node):
-        if node.is_leaf:
+    def depth(i):
+        if tree.feature[i] == -1:
             return 0
-        return 1 + max(depth(node.left), depth(node.right))
+        return 1 + max(depth(i + 1), depth(tree.right[i]))
 
-    assert depth(tree.root) <= 2
+    assert depth(0) <= 2
 
 
 def test_min_leaf_bounds_every_leaf():
@@ -141,7 +141,7 @@ def test_min_leaf_bounds_every_leaf():
     X = rng.normal(0, 1, (120, 2))
     y = rng.normal(0, 1, 120)
     tree = cart_fit(matrix(X, y), CartParams(max_depth=8, min_leaf=7))
-    assert all(leaf.n >= 7 for leaf in tree.leaves())
+    assert np.all(tree.n[tree.feature < 0] >= 7)
 
 
 def test_deeper_trees_never_increase_training_sse():
@@ -149,7 +149,8 @@ def test_deeper_trees_never_increase_training_sse():
     X = rng.normal(0, 1, (150, 3))
     y = X[:, 0] ** 2 + rng.normal(0, 0.1, 150)
     m = matrix(X, y)
-    sse = [cart_fit(m, CartParams(max_depth=d, min_leaf=1)).total_sse() for d in (1, 2, 4, 8)]
+    trees = [cart_fit(m, CartParams(max_depth=d, min_leaf=1)) for d in (1, 2, 4, 8)]
+    sse = [t.sse[t.feature < 0].sum() for t in trees]
     assert all(a >= b for a, b in zip(sse, sse[1:]))
 
 
@@ -176,7 +177,7 @@ def test_rows_at_threshold_go_left():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
     tree = cart_fit(matrix(X, y), CartParams(max_depth=1, min_leaf=1))
-    assert tree.root.threshold == 0.5
+    assert tree.threshold[0] == 0.5
     assert tree.predict(np.array([[0.5]]))[0] == 0.0
 
 
@@ -188,6 +189,126 @@ def test_serialization_round_trip():
     back = RegressionTree.from_dict(tree.to_dict())
     probe = rng.normal(0, 1, (25, 3))
     assert np.array_equal(back.predict(probe), tree.predict(probe))
+
+
+# ── Node layout ──────────────────────────────────────────────────────────────
+
+
+def layout_matrix() -> FeatureMatrix:
+    """24 rows of small integers with targets in {0, 4, 8}."""
+    i = np.arange(24)
+    X = np.column_stack([i % 4, i // 4, (i * 5) % 7])
+    y = 4 * ((i % 4 + i // 4 + (i % 3 == 0)) % 3)
+    return matrix(X, y)
+
+
+def preorder(tree):
+    """(feature, threshold, value) per node in preorder; a leaf is (-1, 0.0, value)."""
+    return list(zip(tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()))
+
+
+def test_depth_3_cart_has_the_pinned_preorder_nodes():
+    tree = cart_fit(layout_matrix(), CartParams(max_depth=3, min_leaf=1))
+    assert preorder(tree) == [
+        (1, 4.5, 5.333333333333333),
+        (0, 0.5, 5.2),
+        (2, 4.5, 4.8),
+        (-1, 0.0, 4.0),
+        (-1, 0.0, 6.0),
+        (0, 2.5, 5.333333333333333),
+        (-1, 0.0, 5.6),
+        (-1, 0.0, 4.8),
+        (2, 1.0, 6.0),
+        (-1, 0.0, 4.0),
+        (2, 4.0, 6.666666666666667),
+        (-1, 0.0, 8.0),
+        (-1, 0.0, 4.0),
+    ]
+
+
+def test_first_two_boosted_trees_have_the_pinned_preorder_nodes():
+    model = gbt_fit(layout_matrix(), GbtParams(n_trees=2, depth=3, shrinkage=0.5))
+    assert [preorder(t) for t in model.trees] == [
+        [
+            (1, 4.5, 2.9605947323337506e-16),
+            (0, 0.5, -0.13333333333333303),
+            (2, 4.5, -0.533333333333333),
+            (-1, 0.0, -1.333333333333333),
+            (-1, 0.0, 0.666666666666667),
+            (0, 2.5, 2.9605947323337506e-16),
+            (-1, 0.0, 0.26666666666666694),
+            (-1, 0.0, -0.533333333333333),
+            (2, 1.0, 0.666666666666667),
+            (-1, 0.0, -1.333333333333333),
+            (2, 4.0, 1.3333333333333337),
+            (-1, 0.0, 2.666666666666667),
+            (-1, 0.0, -1.333333333333333),
+        ],
+        [
+            (1, 1.5, 2.220446049250313e-16),
+            (2, 2.5, -0.2916666666666665),
+            (0, 1.0, -1.0666666666666664),
+            (-1, 0.0, -0.6666666666666661),
+            (-1, 0.0, -1.2),
+            (2, 4.5, 0.4833333333333334),
+            (-1, 0.0, 2.533333333333333),
+            (-1, 0.0, -1.5666666666666664),
+            (2, 1.5, 0.1458333333333336),
+            (1, 2.5, 0.7333333333333334),
+            (-1, 0.0, -1.4666666666666668),
+            (-1, 0.0, 1.4666666666666668),
+            (1, 2.5, -0.04999999999999968),
+            (-1, 0.0, 1.2666666666666668),
+            (-1, 0.0, -0.48888888888888854),
+        ],
+    ]
+
+
+def walk(tree, row) -> float:
+    """Reference predict: follow one row from the root to its leaf."""
+    i = 0
+    while tree.feature[i] != -1:
+        i = i + 1 if row[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return tree.value[i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_node_arrays_form_a_preorder_tree(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    d = int(rng.integers(1, 4))
+    X = np.round(rng.normal(0, 2, (n, d)), 1)
+    y = np.round(rng.normal(0, 3, n), 1)
+    m = matrix(X, y)
+    if rng.integers(2):
+        tree = cart_fit(m, CartParams(max_depth=int(rng.integers(1, 6)), min_leaf=int(rng.integers(1, 4))))
+    else:
+        tree = gbt_fit(m, GbtParams(n_trees=2, depth=int(rng.integers(1, 5)))).trees[1]
+
+    # A depth-first walk taking left before right meets every node once, in order.
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if tree.feature[i] != -1:
+            assert tree.right[i] > i + 1
+            assert tree.n[i] == tree.n[i + 1] + tree.n[tree.right[i]]
+            stack.extend((tree.right[i], i + 1))
+    assert order == list(range(tree.feature.size))
+
+    # Probe rows: the training rows, fresh rows, and rows on each threshold.
+    on_threshold = X[rng.integers(n, size=tree.feature.size)].copy()
+    for i in np.flatnonzero(tree.feature >= 0):
+        on_threshold[i, tree.feature[i]] = tree.threshold[i]
+    probe = np.vstack([X, rng.normal(0, 2, (10, d)), on_threshold])
+    assert np.array_equal(tree.predict(probe), [walk(tree, row) for row in probe])
+
+    back = RegressionTree.from_dict(tree.to_dict())
+    for name in ("feature", "threshold", "right", "value", "n", "sse"):
+        assert np.array_equal(getattr(back, name), getattr(tree, name))
+        assert getattr(back, name).dtype == getattr(tree, name).dtype
+    assert back.n_features == tree.n_features
 
 
 def test_params_validation():
