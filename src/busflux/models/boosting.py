@@ -8,7 +8,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from .config import CartParams, GbtParams
-from .tree import RegressionTree, grow
+from .tree import RegressionTree, ValueCoding, grow
 
 # Boosting relies on depth for capacity control, so the base learner grows
 # with the loosest leaf constraint rather than the standalone-CART default.
@@ -63,6 +63,7 @@ def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsembl
         raise ValueError("cannot fit a boosted ensemble on zero rows")
     params = params or GbtParams()
     X = np.asarray(train.rows, dtype=np.float64)
+    coding = ValueCoding.from_rows(X)  # shared by every tree
     y = np.asarray(train.target, dtype=np.float64)
     base = float(y.mean())
     pred = np.full(y.shape, base, dtype=np.float64)
@@ -71,7 +72,7 @@ def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsembl
     trees: list[RegressionTree] = []
     columns = tuple(train.column_names)
     for _ in range(params.n_trees):
-        tree = grow(X, y - pred, tree_params, columns)
+        tree = grow(coding, y - pred, tree_params, columns)
         trees.append(tree)
         for split in tree.splits:
             raw_importance[split.feature] += split.decrease

@@ -37,7 +37,7 @@ def save_model(
     dest: Union[str, os.PathLike],
     config: TrainConfig | None = None,
 ) -> None:
-    """Write a model as deterministic JSON (sorted keys, fixed indent)."""
+    """Write a model as deterministic compact JSON (sorted keys, no whitespace)."""
     payload = {
         "format_version": FORMAT_VERSION,
         "arch": _arch_of(model),
@@ -46,7 +46,7 @@ def save_model(
         "config": to_dict(config) if config is not None else None,
         "seed": getattr(model, "seed", None),
     }
-    write_json(dest, payload)
+    write_json(dest, payload, compact=True)
 
 
 def load_model(source: Union[str, os.PathLike]):

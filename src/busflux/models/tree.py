@@ -1,11 +1,22 @@
 """Greedy binary regression tree grown by sum-of-squares decrease.
 
-Split search per node: for every feature, sort once and sweep candidate
-boundaries with prefix sums; thresholds sit at midpoints of adjacent
-distinct values. The winning candidate's decrease is then recomputed from
-the raw definition sum((y - mean)^2) on each side, and the split is kept
-only if that exact decrease is strictly positive. Ties prefer the lowest
-feature index, then the lowest threshold.
+Split search is a histogram over value codes. Each feature's distinct
+values are found once per fit and laid end to end in one bin space, so
+every cell of the matrix becomes a bin index. At a node, two bincounts over
+its rows' bins give each bin's row count and its sum of the node's centred
+targets y - mean(y); per-feature prefix sums over the bins present in the
+node then give, at every boundary between two adjacent present values, the
+left side's count n_L and centred sum S_L. The candidate's decrease is
+estimated as S_L**2 * n / (n_L * n_R), and its threshold is the midpoint of
+those two values present in the node.
+
+The tie rule is exact. Every candidate whose estimate lies within
+TIE_RTOL times the node's sum of squares of the best estimate is rescored
+from the raw definition, node_sse(node) - (node_sse(left) + node_sse(right)),
+written so that it does not depend on which side is called left. The split
+goes to the highest exact decrease, ties to the lowest feature index and
+then the lowest threshold, and it is kept only if that decrease is
+strictly positive.
 """
 
 from __future__ import annotations
@@ -16,6 +27,12 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from .config import CartParams
+
+# Rounding in the bin and prefix sums moves an estimated decrease off its
+# exact value by far less than this fraction of the node's sum of squares
+# (at most 8e-15 over every candidate of a 3191 x 38 training matrix), so
+# every candidate that could hold the exact best decrease gets rescored.
+TIE_RTOL = 1e-9
 
 
 def node_sse(y: np.ndarray) -> float:
@@ -33,73 +50,99 @@ class CartSplit:
     decrease: float
 
 
-def _best_candidate(
-    X: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[int, float] | None:
-    """Prefix-sum sweep over all (feature, boundary) candidates.
+@dataclass(frozen=True, slots=True)
+class ValueCoding:
+    """A matrix with each cell's bin: the sorted distinct values of every
+    feature, feature after feature, are the bins, and values[bins[i, j]]
+    equals X[i, j]. feature[b] is the feature that bin b belongs to."""
 
-    Returns the (feature, midpoint threshold) with the largest estimated
-    decrease, or None when no boundary satisfies the min_leaf constraint.
+    X: np.ndarray
+    bins: np.ndarray
+    values: np.ndarray
+    feature: np.ndarray
+
+    @classmethod
+    def from_rows(cls, X: np.ndarray) -> "ValueCoding":
+        X = np.asarray(X, dtype=np.float64)
+        bins = np.empty(X.shape, dtype=np.intp)
+        values, sizes = [], []
+        for j in range(X.shape[1]):
+            v, inverse = np.unique(X[:, j], return_inverse=True)
+            bins[:, j] = sum(sizes) + inverse.reshape(-1)
+            values.append(v)
+            sizes.append(v.size)
+        return cls(
+            X=X,
+            bins=bins,
+            values=np.concatenate([np.zeros(0), *values]),
+            feature=np.repeat(np.arange(len(sizes)), sizes),
+        )
+
+
+def _best_split(
+    coding: ValueCoding, rows: np.ndarray, y: np.ndarray, sse: float, min_leaf: int
+) -> tuple[int, float, np.ndarray] | None:
+    """The node's split as (feature, threshold, left-row mask), or None.
+
+    rows are the node's row indices and y their targets; sse is node_sse(y).
     """
-    n = y.size
+    n = rows.size
+    bins = coding.bins[rows].ravel()
+    count = np.bincount(bins, minlength=coding.values.size)
+    total = np.bincount(
+        bins, weights=np.repeat(y - y.mean(), coding.bins.shape[1]), minlength=count.size
+    )
+    present = np.flatnonzero(count)
+    feature = coding.feature[present]
+    # Every row has one value per feature, so each feature's present bins
+    # hold n rows: subtracting the preceding features' n per feature and
+    # their summed targets turns the running sums into per-feature ones.
+    n_left = np.cumsum(count[present]) - feature * n
+    s_left = np.cumsum(total[present])
+    s_left -= np.concatenate(([0.0], s_left[np.flatnonzero(np.diff(feature))]))[feature]
+    k = np.flatnonzero(
+        (feature[:-1] == feature[1:]) & (n_left[:-1] >= min_leaf) & (n_left[:-1] <= n - min_leaf)
+    )
+    if k.size == 0:
+        return None
+    nl = n_left[k]
+    estimate = s_left[k] ** 2 * n / (nl * (n - nl))
+    best: tuple[int, float, np.ndarray] | None = None
     best_dec = 0.0
-    best: tuple[int, float] | None = None
-    counts = np.arange(1, n, dtype=np.float64)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        if xs[0] == xs[-1]:
-            continue
-        s1 = np.cumsum(ys)
-        s2 = np.cumsum(ys * ys)
-        total1, total2 = s1[-1], s2[-1]
-        left1, left2 = s1[:-1], s2[:-1]
-        with np.errstate(invalid="ignore"):
-            left_sse = left2 - left1 * left1 / counts
-            right_sse = (total2 - left2) - (total1 - left1) ** 2 / (n - counts)
-        # decrease = parent - left - right; parent is constant within the
-        # node, so maximizing -(left + right) picks the same candidate.
-        score = -(left_sse + right_sse)
-        valid = (xs[1:] != xs[:-1]) & (counts >= min_leaf) & (counts <= n - min_leaf)
-        if not valid.any():
-            continue
-        score = np.where(valid, score, -np.inf)
-        a = int(np.argmax(score))  # first max -> lowest threshold in this feature
-        parent = total2 - total1 * total1 / n
-        dec = parent + score[a]
-        if best is None or dec > best_dec:
-            best_dec = dec
-            best = (j, (xs[a] + xs[a + 1]) / 2.0)
+    # Rescored in bin order, so a strict > keeps the lowest feature, then
+    # the lowest threshold, among equal exact decreases.
+    for i in k[estimate >= estimate.max() - TIE_RTOL * sse]:
+        f = int(feature[i])
+        t = float((coding.values[present[i]] + coding.values[present[i + 1]]) / 2.0)
+        left = coding.X[rows, f] <= t
+        dec = sse - (node_sse(y[left]) + node_sse(y[~left]))
+        if dec > best_dec:
+            best_dec, best = dec, (f, t, left)
     return best
 
 
-def grow(X: np.ndarray, y: np.ndarray, params: CartParams, columns) -> "RegressionTree":
-    """Grow a tree on rows X with targets y, laying its nodes out in preorder."""
+def grow(coding: ValueCoding, y: np.ndarray, params: CartParams, columns) -> "RegressionTree":
+    """Grow a tree on the coded rows with targets y, laying its nodes out in preorder."""
     nodes: list[list] = []  # [feature, threshold, right, value, n, sse] per node
 
-    def add_node(X: np.ndarray, y: np.ndarray, depth: int) -> None:
-        node = [-1, 0.0, -1, float(y.mean()), y.size, node_sse(y)]
+    def add_node(rows: np.ndarray, depth: int) -> None:
+        yn = y[rows]
+        node = [-1, 0.0, -1, float(yn.mean()), rows.size, node_sse(yn)]
         nodes.append(node)
-        if depth >= params.max_depth or y.size < 2 * params.min_leaf:
+        # No split decreases a zero sum of squares (and every estimate would tie).
+        if depth >= params.max_depth or rows.size < 2 * params.min_leaf or node[5] == 0.0:
             return
-        candidate = _best_candidate(X, y, params.min_leaf)
-        if candidate is None:
+        split = _best_split(coding, rows, yn, node[5], params.min_leaf)
+        if split is None:
             return
-        mask = X[:, candidate[0]] <= candidate[1]
-        if mask.all() or not mask.any():
-            # Midpoint of two adjacent floats can round onto one of them.
-            return
-        if node[5] - node_sse(y[mask]) - node_sse(y[~mask]) <= 0.0:
-            return
-        node[0], node[1] = candidate
-        add_node(X[mask], y[mask], depth + 1)
+        node[0], node[1], left = split
+        add_node(rows[left], depth + 1)
         node[2] = len(nodes)
-        add_node(X[~mask], y[~mask], depth + 1)
+        add_node(rows[~left], depth + 1)
 
-    add_node(X, y, 0)
+    add_node(np.arange(y.size), 0)
     arrays = dict(zip(_ARRAYS, zip(*nodes)))
-    return RegressionTree.from_dict({**arrays, "n_features": X.shape[1]}, columns=columns)
+    return RegressionTree.from_dict({**arrays, "n_features": coding.X.shape[1]}, columns=columns)
 
 
 _ARRAYS = {
@@ -132,7 +175,7 @@ class RegressionTree:
     def splits(self) -> list[CartSplit]:
         """Split nodes in preorder with their sum-of-squares decrease."""
         i = np.flatnonzero(self.feature >= 0)
-        decrease = self.sse[i] - self.sse[i + 1] - self.sse[self.right[i]]
+        decrease = self.sse[i] - (self.sse[i + 1] + self.sse[self.right[i]])
         return [
             CartSplit(int(f), float(t), float(d))
             for f, t, d in zip(self.feature[i], self.threshold[i], decrease)
@@ -179,7 +222,7 @@ def cart_fit(train: FeatureMatrix, params: CartParams | None = None) -> Regressi
     if train.n_rows == 0:
         raise ValueError("cannot fit a regression tree on zero rows")
     return grow(
-        np.asarray(train.rows, dtype=np.float64),
+        ValueCoding.from_rows(train.rows),
         np.asarray(train.target, dtype=np.float64),
         params or CartParams(),
         tuple(train.column_names),

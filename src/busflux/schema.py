@@ -41,10 +41,18 @@ def real(text: str) -> float:
     raise ValueError(f"non-finite number {text!r}")
 
 
-def write_json(dest: PathLike, payload) -> None:
-    """Write a JSON artifact: sorted keys, one-space indent, final newline."""
+def write_json(dest: PathLike, payload, compact: bool = False) -> None:
+    """Write a JSON artifact: sorted keys, one-space indent, final newline.
+
+    A compact artifact (a model file, mostly long number arrays) has no
+    whitespace between tokens instead of one array element per line.
+    """
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        if compact:
+            # json.dumps runs the C encoder; json.dump and any indent do not.
+            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        else:
+            json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 

@@ -87,6 +87,13 @@ def test_round_trip_preserves_column_metadata(arch, tmp_path):
     assert got == expected
 
 
+def test_model_file_is_compact_json(tmp_path):
+    dest = tmp_path / "cart.model.json"
+    save_model(cart_fit(matrix(), CartParams(max_depth=3, min_leaf=2)), dest)
+    text = dest.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_payload_schema_and_determinism(tmp_path):
     model = one_of_each()["wnn"]
     cfg = small_cfg()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from busflux.errors import ConfigError
@@ -21,7 +21,9 @@ def brute_force_best_split(X, y, min_leaf=1):
     """Enumerate every (feature, midpoint) candidate and score it directly.
 
     Ties break to the lowest threshold within a feature and the lowest
-    feature index across features, mirroring the documented rule.
+    feature index across features, mirroring the documented rule. The
+    decrease is parent - (left + right), so two candidates that cut the
+    rows into the same two sides score the same whichever side is left.
     """
     X, y = np.asarray(X, float), np.asarray(y, float)
     parent = node_sse(y)
@@ -33,7 +35,7 @@ def brute_force_best_split(X, y, min_leaf=1):
             mask = X[:, f] <= t
             if mask.sum() < min_leaf or (~mask).sum() < min_leaf:
                 continue
-            dec = parent - node_sse(y[mask]) - node_sse(y[~mask])
+            dec = parent - (node_sse(y[mask]) + node_sse(y[~mask]))
             if dec > best[0]:
                 best = (dec, f, t)
     return best
@@ -93,8 +95,35 @@ def test_tie_breaks_to_lowest_feature_then_lowest_threshold():
     assert tree2.threshold[0] == 0.5
 
 
+# In each of these seeds two features cut the rows into the same two sides
+# at the best split, so their exact decreases tie and the lower index wins.
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(340)
+@example(1542)
+@example(2030)
+@example(2342)
+@example(2360)
+@example(2529)
+@example(2590)
+@example(2955)
+@example(2981)
+@example(3055)
+@example(3285)
+@example(4210)
+@example(4560)
+@example(4632)
+@example(5257)
+@example(5301)
+@example(6402)
+@example(6659)
+@example(6989)
+@example(6996)
+@example(7952)
+@example(8117)
+@example(8724)
+@example(8730)
+@example(9303)
 def test_root_split_matches_brute_force_on_random_data(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 40))
@@ -109,6 +138,47 @@ def test_root_split_matches_brute_force_on_random_data(seed):
     else:
         assert (tree.feature[0], tree.threshold[0]) == (f, t)
         assert tree.splits[0].decrease == pytest.approx(dec, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_every_split_node_matches_brute_force_on_its_own_rows(seed):
+    # Few distinct values, a one-hot pair and a second binary column, so that
+    # deeper nodes lack some of a column's values and exact ties are common.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    b = rng.integers(0, 2, n).astype(float)
+    X = np.column_stack(
+        [np.round(rng.normal(0, 1.5, n)), b, 1.0 - b, rng.integers(0, 2, n), np.round(rng.normal(0, 2, n), 1)]
+    )[:, rng.permutation(5)]
+    y = np.round(2.0 * b + rng.normal(0, 2, n), 1)
+    min_leaf = int(rng.integers(1, 4))
+    tree = cart_fit(matrix(X, y), CartParams(max_depth=3, min_leaf=min_leaf))
+    stack = [(0, np.arange(n), 0)]
+    while stack:
+        i, rows, depth = stack.pop()
+        if depth == 3:
+            continue
+        dec, f, t = brute_force_best_split(X[rows], y[rows], min_leaf=min_leaf)
+        if tree.feature[i] == -1:
+            assert f is None or dec <= 0
+            continue
+        left = X[rows, tree.feature[i]] <= tree.threshold[i]
+        assert (tree.feature[i], tree.threshold[i]) == (f, t)
+        assert tree.sse[i] - (tree.sse[i + 1] + tree.sse[tree.right[i]]) == dec
+        stack += [(i + 1, rows[left], depth + 1), (tree.right[i], rows[~left], depth + 1)]
+
+
+def test_complementary_one_hot_pair_ties_exactly_and_the_lower_index_wins():
+    # Columns 0 and 1 are a one-hot pair: both put the same rows on the two
+    # sides, so their exact decreases are equal, while prefix-sum estimates
+    # over the two sort orders differ in the last bits.
+    b = np.array([1.0, 1.0, 0.0, 0.0])
+    X = np.column_stack([b, 1.0 - b])
+    y = np.array([2.6, 3.6, 0.6, -1.1])
+    tree = cart_fit(matrix(X, y), CartParams(max_depth=1, min_leaf=1))
+    assert brute_force_best_split(X, y)[1:] == (0, 0.5)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
 
 
 # ── Growth constraints ───────────────────────────────────────────────────────
@@ -218,11 +288,11 @@ def test_depth_3_cart_has_the_pinned_preorder_nodes():
         (0, 2.5, 5.333333333333333),
         (-1, 0.0, 5.6),
         (-1, 0.0, 4.8),
-        (2, 1.0, 6.0),
-        (-1, 0.0, 4.0),
-        (2, 4.0, 6.666666666666667),
+        (0, 0.5, 6.0),
         (-1, 0.0, 8.0),
+        (0, 2.5, 5.333333333333333),
         (-1, 0.0, 4.0),
+        (-1, 0.0, 8.0),
     ]
 
 
@@ -238,11 +308,11 @@ def test_first_two_boosted_trees_have_the_pinned_preorder_nodes():
             (0, 2.5, 2.9605947323337506e-16),
             (-1, 0.0, 0.26666666666666694),
             (-1, 0.0, -0.533333333333333),
-            (2, 1.0, 0.666666666666667),
-            (-1, 0.0, -1.333333333333333),
-            (2, 4.0, 1.3333333333333337),
+            (0, 0.5, 0.666666666666667),
             (-1, 0.0, 2.666666666666667),
+            (0, 2.5, 2.9605947323337506e-16),
             (-1, 0.0, -1.333333333333333),
+            (-1, 0.0, 2.666666666666667),
         ],
         [
             (1, 1.5, 2.220446049250313e-16),
