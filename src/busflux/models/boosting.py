@@ -72,11 +72,11 @@ def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsembl
     trees: list[RegressionTree] = []
     columns = tuple(train.column_names)
     for _ in range(params.n_trees):
-        tree = grow(coding, y - pred, tree_params, columns)
+        tree, fitted = grow(coding, y - pred, tree_params, columns)
         trees.append(tree)
         for split in tree.splits:
             raw_importance[split.feature] += split.decrease
-        pred += params.shrinkage * tree.predict(X)
+        pred += params.shrinkage * fitted
     total = float(raw_importance.sum())
     importance = raw_importance / total if total > 0.0 else raw_importance
     return GbtEnsemble(

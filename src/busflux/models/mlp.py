@@ -3,6 +3,16 @@
 Hidden layers apply ReLU; the output layer is identity so the network can
 emit unbounded real counts. Two stock architectures are exposed: a wide
 net with a single hidden layer and a deep net with three.
+
+Training runs in place. The weights and biases being trained are views of
+one flat parameter vector; each step writes its gradients into a flat
+vector of the same layout, and the update is one multiply and one subtract
+over the whole vector. Each epoch gathers its shuffled rows once and takes
+the batches as slices, and every batch and epoch pass writes into arrays
+allocated once per fit. The floating-point operations and their order are
+those of a fresh gather per batch, freshly allocated gradients and a
+per-array update, so the trained weights and the history are the same bits
+(tests/test_mlp.py keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -49,6 +59,11 @@ class MlpModel:
         )
 
     def check_shapes(self) -> None:
+        if len(self.biases) != len(self.weights):
+            raise ValueError("need one bias vector per weight matrix")
+        for k, (W, b) in enumerate(zip(self.weights, self.biases)):
+            if W.ndim != 2 or b.shape != (W.shape[1],):
+                raise ValueError(f"layer {k} bias does not match its weight matrix")
         for k in range(1, len(self.weights)):
             if self.weights[k].shape[0] != self.weights[k - 1].shape[1]:
                 raise ValueError(f"layer {k} input dim does not chain from layer {k - 1}")
@@ -117,25 +132,79 @@ def mlp_init(
     return MlpModel(weights=weights, biases=biases, arch=arch, seed=seed, columns=columns)
 
 
-def _forward_cached(model: MlpModel, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Forward pass keeping every pre-activation (z) and activation (a)."""
+def _layer_outputs(model: MlpModel, rows: int) -> list[np.ndarray]:
+    """One (rows, width) array per layer, for a forward pass to write into."""
+    return [np.empty((rows, W.shape[1]), dtype=np.float64) for W in model.weights]
+
+
+def _flat_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of flat shaped like model.weights and model.biases, laid out
+    layer after layer as W_0, b_0, W_1, b_1, ..."""
+    weights: list[np.ndarray] = []
+    biases: list[np.ndarray] = []
+    at = 0
+    for W in model.weights:
+        weights.append(flat[at : at + W.size].reshape(W.shape))
+        at += W.size
+        biases.append(flat[at : at + W.shape[1]])
+        at += W.shape[1]
+    return weights, biases
+
+
+@dataclass(slots=True)
+class StepBuffers:
+    """Scratch arrays for loss_and_grads on batches of at most `rows` samples:
+    each layer's output and dL/dz, each hidden layer's ReLU mask, and the
+    gradients as views into one flat vector laid out like the flat parameter
+    vector mlp_train updates."""
+
+    out: list[np.ndarray]
+    delta: list[np.ndarray]
+    mask: list[np.ndarray]
+    grads: np.ndarray
+    grad_w: list[np.ndarray]
+    grad_b: list[np.ndarray]
+
+    @classmethod
+    def for_model(cls, model: MlpModel, rows: int) -> "StepBuffers":
+        grads = np.empty(sum(W.size + W.shape[1] for W in model.weights), dtype=np.float64)
+        grad_w, grad_b = _flat_views(grads, model)
+        return cls(
+            out=_layer_outputs(model, rows),
+            delta=_layer_outputs(model, rows),
+            mask=[np.empty((rows, W.shape[1]), dtype=bool) for W in model.weights[:-1]],
+            grads=grads,
+            grad_w=grad_w,
+            grad_b=grad_b,
+        )
+
+
+def _forward_into(model: MlpModel, X: np.ndarray, out: list[np.ndarray]) -> list[np.ndarray]:
+    """Forward pass writing each layer's activation into the first len(X)
+    rows of its array in out; returns those views. A hidden layer's ReLU is
+    applied in place, which keeps its z > 0 mask: max(z, 0) > 0 iff z > 0."""
+    n = X.shape[0]
+    acts: list[np.ndarray] = []
     a = X
-    zs: list[np.ndarray] = []
-    activations: list[np.ndarray] = [a]
     last = len(model.weights) - 1
-    # Tolerate overflow to inf: training checks the loss for finiteness and
-    # raises a domain error, which beats a warning mid-divergence.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (W, b) in enumerate(zip(model.weights, model.biases)):
-            z = a @ W + b
-            zs.append(z)
-            a = z if k == last else np.maximum(z, 0.0)
-            activations.append(a)
-    return zs, activations
+    for k, (W, b) in enumerate(zip(model.weights, model.biases)):
+        a = np.matmul(a, W, out=out[k][:n])
+        a += b
+        if k < last:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
-def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray | float:
-    """Predict for a single feature vector or a batch (rows = samples)."""
+def mlp_forward(
+    model: MlpModel, x: np.ndarray, *, out: list[np.ndarray] | None = None
+) -> np.ndarray | float:
+    """Predict for a single feature vector or a batch (rows = samples).
+
+    out, if given, holds one array per layer with at least as many rows as
+    the batch and the layer's width; the pass writes into it and the batch
+    result is a view of out[-1]. By default each call allocates its own.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
@@ -143,39 +212,48 @@ def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray | float:
         raise ValueError(
             f"expected {model.input_dim} features, got {X.shape[1]}"
         )
-    _, activations = _forward_cached(model, X)
-    out = activations[-1][:, 0]
-    return float(out[0]) if single else out
+    # Tolerate overflow to inf: training checks the loss for finiteness and
+    # raises a domain error, which beats a warning mid-divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = _forward_into(model, X, out or _layer_outputs(model, X.shape[0]))[-1][:, 0]
+    return float(pred[0]) if single else pred
 
 
 def loss_and_grads(
-    model: MlpModel, X: np.ndarray, y: np.ndarray
+    model: MlpModel, X: np.ndarray, y: np.ndarray, *, buffers: StepBuffers | None = None
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """MSE loss over the batch and its exact gradients by backpropagation.
 
     Loss = mean((pred - y)^2). ReLU uses the z > 0 subgradient at the kink.
     Returned gradient lists are ordered like model.weights / model.biases.
+    With buffers (sized for at least len(X) rows) every intermediate and
+    the gradients are written into them, and the returned lists are views
+    of buffers.grads that the next call overwrites; by default each call
+    allocates its own.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     n = X.shape[0]
-    zs, activations = _forward_cached(model, X)
-    pred = activations[-1]
-    diff = pred - y
-    loss = float((diff * diff).mean())
-
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(model.biases)
+    buffers = buffers or StepBuffers.for_model(model, n)
     # Overflow here is possible while diverging; the caller checks the loss
     # for finiteness, so let the arithmetic proceed quietly.
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = 2.0 * diff / n  # dL/dz for the identity output layer
+        acts = _forward_into(model, X, buffers.out)
+        diff = acts[-1]
+        diff -= y
+        delta = buffers.delta[-1][:n]
+        np.multiply(diff, diff, out=delta)
+        loss = float(delta.mean())
+        np.multiply(diff, 2.0, out=delta)
+        delta /= n  # dL/dz for the identity output layer
         for k in range(len(model.weights) - 1, -1, -1):
-            grad_w[k] = activations[k].T @ delta
-            grad_b[k] = delta.sum(axis=0)
+            np.matmul((acts[k - 1] if k > 0 else X).T, delta, out=buffers.grad_w[k])
+            np.sum(delta, axis=0, out=buffers.grad_b[k])
             if k > 0:
-                delta = (delta @ model.weights[k].T) * (zs[k - 1] > 0.0)
-    return loss, grad_w, grad_b
+                mask = np.greater(acts[k - 1], 0.0, out=buffers.mask[k - 1][:n])
+                delta = np.matmul(delta, model.weights[k].T, out=buffers.delta[k - 1][:n])
+                delta *= mask
+    return loss, buffers.grad_w, buffers.grad_b
 
 
 @dataclass(slots=True)
@@ -188,8 +266,8 @@ class TrainHistory:
         return len(self.train_mse)
 
 
-def _dataset_mse(model: MlpModel, X: np.ndarray, y: np.ndarray) -> float:
-    diff = mlp_forward(model, X) - y
+def _dataset_mse(model: MlpModel, X: np.ndarray, y: np.ndarray, out: list[np.ndarray]) -> float:
+    diff = mlp_forward(model, X, out=out) - y
     return float((diff * diff).mean())
 
 
@@ -204,12 +282,10 @@ def mlp_train(
     Records train/val MSE once per epoch (after that epoch's updates) and
     returns the parameter snapshot from the epoch with the lowest validation
     MSE — selection after the fact, not early stopping, so the history
-    always spans exactly cfg.epochs entries.
+    always spans exactly cfg.epochs entries. Neither the returned model
+    nor the caller's shares memory with the training state.
     """
-    model = model.clone()
     model.check_shapes()
-    if model.columns is None:
-        model.columns = tuple(train.column_names)
     X_tr = np.asarray(train.rows, dtype=np.float64)
     y_tr = np.asarray(train.target, dtype=np.float64)
     X_val = np.asarray(val.rows, dtype=np.float64)
@@ -218,26 +294,38 @@ def mlp_train(
         raise ValueError(
             f"train matrix has {X_tr.shape[1]} features, model expects {model.input_dim}"
         )
+    params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases) for a in pair])
+    weights, biases = _flat_views(params, model)
+    model = MlpModel(
+        weights=weights,
+        biases=biases,
+        arch=model.arch,
+        seed=model.seed,
+        columns=model.columns if model.columns is not None else tuple(train.column_names),
+    )
+    n = X_tr.shape[0]
+    step = StepBuffers.for_model(model, min(cfg.batch_size, n))
+    update = np.empty_like(params)
+    epoch_out = _layer_outputs(model, max(n, X_val.shape[0]))
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
     best = model.clone()
     best_val = np.inf
-    n = X_tr.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        X_epoch, y_epoch = X_tr[order], y_tr[order]
         for lo in range(0, n, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
-            loss, grad_w, grad_b = loss_and_grads(model, X_tr[batch], y_tr[batch])
+            hi = lo + cfg.batch_size
+            loss, _, _ = loss_and_grads(model, X_epoch[lo:hi], y_epoch[lo:hi], buffers=step)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}; lower the learning rate "
                     f"(currently {cfg.learning_rate})"
                 )
-            for k in range(len(model.weights)):
-                model.weights[k] -= cfg.learning_rate * grad_w[k]
-                model.biases[k] -= cfg.learning_rate * grad_b[k]
-        train_mse = _dataset_mse(model, X_tr, y_tr)
-        val_mse = _dataset_mse(model, X_val, y_val)
+            np.multiply(step.grads, cfg.learning_rate, out=update)
+            params -= update
+        train_mse = _dataset_mse(model, X_tr, y_tr, epoch_out)
+        val_mse = _dataset_mse(model, X_val, y_val, epoch_out)
         if not np.isfinite(train_mse) or not np.isfinite(val_mse):
             raise TrainingDivergedError(
                 f"non-finite epoch MSE at epoch {epoch}; lower the learning rate"

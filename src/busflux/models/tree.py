@@ -121,19 +121,25 @@ def _best_split(
     return best
 
 
-def grow(coding: ValueCoding, y: np.ndarray, params: CartParams, columns) -> "RegressionTree":
-    """Grow a tree on the coded rows with targets y, laying its nodes out in preorder."""
+def grow(
+    coding: ValueCoding, y: np.ndarray, params: CartParams, columns
+) -> tuple["RegressionTree", np.ndarray]:
+    """Grow a tree on the coded rows with targets y, laying its nodes out in
+    preorder. Also returns each row's leaf value, which is what the tree's
+    predict gives for that row: rows are routed by the same <= rule."""
     nodes: list[list] = []  # [feature, threshold, right, value, n, sse] per node
+    fitted = np.empty(y.size, dtype=np.float64)
 
     def add_node(rows: np.ndarray, depth: int) -> None:
         yn = y[rows]
         node = [-1, 0.0, -1, float(yn.mean()), rows.size, node_sse(yn)]
         nodes.append(node)
+        split = None
         # No split decreases a zero sum of squares (and every estimate would tie).
-        if depth >= params.max_depth or rows.size < 2 * params.min_leaf or node[5] == 0.0:
-            return
-        split = _best_split(coding, rows, yn, node[5], params.min_leaf)
+        if depth < params.max_depth and rows.size >= 2 * params.min_leaf and node[5] != 0.0:
+            split = _best_split(coding, rows, yn, node[5], params.min_leaf)
         if split is None:
+            fitted[rows] = node[3]
             return
         node[0], node[1], left = split
         add_node(rows[left], depth + 1)
@@ -142,7 +148,8 @@ def grow(coding: ValueCoding, y: np.ndarray, params: CartParams, columns) -> "Re
 
     add_node(np.arange(y.size), 0)
     arrays = dict(zip(_ARRAYS, zip(*nodes)))
-    return RegressionTree.from_dict({**arrays, "n_features": coding.X.shape[1]}, columns=columns)
+    tree = RegressionTree.from_dict({**arrays, "n_features": coding.X.shape[1]}, columns=columns)
+    return tree, fitted
 
 
 _ARRAYS = {
@@ -221,9 +228,10 @@ class RegressionTree:
 def cart_fit(train: FeatureMatrix, params: CartParams | None = None) -> RegressionTree:
     if train.n_rows == 0:
         raise ValueError("cannot fit a regression tree on zero rows")
-    return grow(
+    tree, _ = grow(
         ValueCoding.from_rows(train.rows),
         np.asarray(train.target, dtype=np.float64),
         params or CartParams(),
         tuple(train.column_names),
     )
+    return tree

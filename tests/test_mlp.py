@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+import busflux.models.mlp as mlp_module
 from busflux.errors import ConfigError, TrainingDivergedError
 from busflux.features import FeatureMatrix
 from busflux.models import (
     MlpModel,
     TrainConfig,
+    TrainHistory,
     loss_and_grads,
     mlp_forward,
     mlp_init,
@@ -124,6 +128,14 @@ def test_init_is_seed_deterministic():
     assert not np.array_equal(a.weights[0], c.weights[0])
 
 
+def test_model_with_a_mismatched_bias_is_rejected():
+    good = hand_model().to_dict()
+    for biases in ([[0.5], [0.25]], good["biases"][:1]):  # layer 0 has two units
+        with pytest.raises(ValueError):
+            MlpModel.from_dict({**good, "biases": biases})
+    MlpModel.from_dict(good)
+
+
 def test_custom_arch_requires_widths():
     with pytest.raises(ConfigError):
         mlp_init("custom", 4, 0)
@@ -199,3 +211,155 @@ def test_columns_are_stamped_on_the_trained_model():
     train, val = _toy_matrices()
     model, _ = mlp_train(mlp_init("wnn", 4, 1), train, val, TrainConfig(epochs=2))
     assert model.columns == tuple(train.column_names)
+
+
+# ── In-place training against the straightforward loop ──────────────────────
+
+
+def reference_train(model: MlpModel, train: FeatureMatrix, val: FeatureMatrix, cfg: TrainConfig):
+    """The plain loop that mlp_train must reproduce bit for bit: a fresh
+    gather per batch, freshly allocated activations and gradients, and a
+    per-array update. Returns the best snapshot's weights and biases and the
+    history, or raises TrainingDivergedError with mlp_train's message."""
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+
+    def forward(X):
+        zs, acts = [], [X]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (W, b) in enumerate(zip(weights, biases)):
+                zs.append(acts[-1] @ W + b)
+                acts.append(zs[-1] if k == len(weights) - 1 else np.maximum(zs[-1], 0.0))
+        return zs, acts
+
+    def dataset_mse(X, y):
+        diff = forward(X)[1][-1][:, 0] - y
+        return float((diff * diff).mean())
+
+    X_tr, y_tr = train.rows, train.target
+    rng = np.random.default_rng(cfg.seed)
+    history = TrainHistory()
+    best, best_val = None, np.inf
+    n = X_tr.shape[0]
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            batch = order[lo : lo + cfg.batch_size]
+            X, y = X_tr[batch], y_tr[batch].reshape(-1, 1)
+            zs, acts = forward(X)
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = acts[-1] - y
+                loss = float((diff * diff).mean())
+                grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+                delta = 2.0 * diff / X.shape[0]
+                for k in range(len(weights) - 1, -1, -1):
+                    grad_w[k] = acts[k].T @ delta
+                    grad_b[k] = delta.sum(axis=0)
+                    if k > 0:
+                        delta = (delta @ weights[k].T) * (zs[k - 1] > 0.0)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}; lower the learning rate "
+                    f"(currently {cfg.learning_rate})"
+                )
+            for k in range(len(weights)):
+                weights[k] -= cfg.learning_rate * grad_w[k]
+                biases[k] -= cfg.learning_rate * grad_b[k]
+        train_mse = dataset_mse(X_tr, y_tr)
+        val_mse = dataset_mse(val.rows, val.target)
+        if not np.isfinite(train_mse) or not np.isfinite(val_mse):
+            raise TrainingDivergedError(
+                f"non-finite epoch MSE at epoch {epoch}; lower the learning rate"
+            )
+        history.train_mse.append(train_mse)
+        history.val_mse.append(val_mse)
+        if val_mse < best_val:
+            best_val = val_mse
+            best = ([w.copy() for w in weights], [b.copy() for b in biases])
+            history.best_epoch = epoch
+    return best[0], best[1], history
+
+
+def _matrices(n, d, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n + n // 4, d))
+    y = np.maximum(X[:, 0], 0.0) + 0.5 * X[:, 1] + 0.1 * rng.standard_normal(X.shape[0])
+    return FeatureMatrix.from_arrays(X[:n], y[:n]), FeatureMatrix.from_arrays(X[n:], y[n:])
+
+
+@pytest.mark.parametrize(
+    "arch, widths, n, d, cfg",
+    [
+        # 101 rows: the last batch of each epoch holds 5.
+        ("wnn", None, 101, 4, TrainConfig(epochs=4, batch_size=32, learning_rate=1e-2, seed=3)),
+        # Large enough for multithreaded BLAS on the epoch passes and the steps.
+        ("wnn", None, 1000, 38, TrainConfig(epochs=2, batch_size=32, learning_rate=1e-2, seed=5)),
+        ("dnn", None, 120, 6, TrainConfig(epochs=5, batch_size=16, learning_rate=1e-2, seed=8)),
+        # batch_size >= n: one batch per epoch.
+        ("custom", (7, 5), 90, 3, TrainConfig(epochs=6, batch_size=90, learning_rate=5e-2, seed=1)),
+        ("custom", (7, 5), 90, 3, TrainConfig(epochs=6, batch_size=500, learning_rate=5e-2, seed=1)),
+        ("custom", (6, 4), 50, 5, TrainConfig(epochs=3, batch_size=8, learning_rate=0.0, seed=2)),
+    ],
+)
+def test_training_equals_the_reference_loop_bit_for_bit(arch, widths, n, d, cfg):
+    train, val = _matrices(n, d, seed=n + d)
+    init = mlp_init(arch, d, cfg.seed, cfg=cfg, hidden_widths=widths)
+    model, history = mlp_train(init, train, val, cfg)
+    weights, biases, expected = reference_train(init, train, val, cfg)
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert history.train_mse == expected.train_mse
+    assert history.val_mse == expected.val_mse
+    assert history.best_epoch == expected.best_epoch
+
+
+def test_divergence_is_raised_in_the_reference_loops_epoch():
+    train, val = _matrices(200, 4, seed=0)
+    # At 1e6 the reference loop diverges in epoch 1, at 2.0 in epoch 19.
+    for lr, epochs in ((1e6, 5), (2.0, 40)):
+        cfg = TrainConfig(epochs=epochs, batch_size=16, learning_rate=lr, seed=0)
+        init = mlp_init("custom", 4, 0, hidden_widths=(8, 8))
+        with pytest.raises(TrainingDivergedError) as expected:
+            reference_train(init, train, val, cfg)
+        with pytest.raises(TrainingDivergedError) as got:
+            mlp_train(init, train, val, cfg)
+        assert str(got.value) == str(expected.value)
+
+
+def test_loss_and_grads_is_quiet_on_overflowing_weights():
+    model = hand_model()
+    for w in model.weights:
+        w *= 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loss, grad_w, _ = loss_and_grads(model, np.array([[1.0, 2.0], [3.0, -1.0]]), np.zeros(2))
+    assert not np.isfinite(loss)
+
+
+def test_training_state_shares_no_memory_with_the_models(monkeypatch):
+    train, val = _matrices(70, 4, seed=4)
+    cfg = TrainConfig(epochs=3, batch_size=16)
+    init = mlp_init("custom", 4, 6, hidden_widths=(5, 3))
+    seen: list[np.ndarray] = []
+    calls = {"loss_and_grads": 0, "mlp_forward": 0}
+
+    def spy(name):
+        fn = getattr(mlp_module, name)
+
+        def wrapped(model, *args, **kwargs):
+            calls[name] += 1
+            seen.extend(model.weights + model.biases)
+            for value in kwargs.values():
+                seen.extend([value.grads, *value.out, *value.delta] if name == "loss_and_grads" else value)
+            return fn(model, *args, **kwargs)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(mlp_module, name, spy(name))
+    model, _ = mlp_train(init, train, val, cfg)
+    # The steps and the epoch passes run through the module's own names.
+    assert calls == {"loss_and_grads": 3 * 5, "mlp_forward": 2 * 3}
+    for mine in model.weights + model.biases + init.weights + init.biases:
+        assert not any(np.shares_memory(mine, buffer) for buffer in seen)

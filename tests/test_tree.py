@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from busflux.errors import ConfigError
 from busflux.features import FeatureMatrix
 from busflux.models import CartParams, GbtParams, RegressionTree, cart_fit, gbt_fit
-from busflux.models.tree import node_sse
+from busflux.models.tree import ValueCoding, grow, node_sse
 
 
 def matrix(X, y) -> FeatureMatrix:
@@ -249,6 +249,24 @@ def test_rows_at_threshold_go_left():
     tree = cart_fit(matrix(X, y), CartParams(max_depth=1, min_leaf=1))
     assert tree.threshold[0] == 0.5
     assert tree.predict(np.array([[0.5]]))[0] == 0.0
+
+
+@pytest.mark.parametrize("a", [1.0, np.nextafter(1.0, 2.0), -0.1, 1e-300])
+def test_grown_leaf_values_equal_predict_bit_for_bit(a):
+    # Column 0 holds two adjacent floats. Their midpoint rounds onto one of
+    # them, so a split there has a data value as its threshold (for a = 1.0,
+    # a itself; for the next float up, no split: every row would go left).
+    b = np.nextafter(a, np.inf)
+    rng = np.random.default_rng(5)
+    n = 60
+    X = np.column_stack(
+        [np.where(rng.random(n) < 0.5, a, b), np.round(rng.normal(0, 1, n), 1), rng.integers(0, 2, n)]
+    )
+    y = np.where(X[:, 0] == b, 10.0, 0.0) + rng.normal(0, 1, n)
+    tree, fitted = grow(ValueCoding.from_rows(X), y, CartParams(max_depth=4, min_leaf=1), None)
+    assert fitted.tobytes() == tree.predict(X).tobytes()
+    if a == 1.0:
+        assert (tree.feature[0], tree.threshold[0]) == (0, a)
 
 
 def test_serialization_round_trip():
