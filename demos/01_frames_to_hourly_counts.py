@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from busflux.cleaning import clean
-from busflux.aggregation import hourly_counts, minute_counts
+from busflux.aggregation import segment_hourly_counts
 from busflux.plots import hourly_series, line_chart
 from busflux.synth import default_scenario, generate
 
@@ -45,11 +45,10 @@ kept_devices = {s.device for s in segments}
 planted_devices = {d.device for d in truth.dwells}
 print(f"\nrecovered devices == planted devices: {kept_devices == planted_devices}")
 
-# Aggregate: minute-level distinct-device counts, then hourly averages
+# Aggregate: the hourly mean of minute-level distinct-device counts,
 # zero-filled over the full observed range.
-minutes = minute_counts(segments)
-hours = hourly_counts(minutes)
-print(f"{len(segments)} segments -> {len(minutes)} minute rows -> {len(hours)} hourly rows")
+hours = segment_hourly_counts(segments)
+print(f"{len(segments)} segments -> {len(hours)} hourly rows")
 
 busiest = max(hours, key=lambda h: h.count)
 print(f"busiest hour: {busiest.stop} at {busiest.hour:%Y-%m-%d %H:%M} "

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from busflux.aggregation import hourly_counts, minute_counts
+from busflux.aggregation import segment_hourly_counts
 from busflux.cleaning import clean
 from busflux.config import default_calendar
 from busflux.features import FeatureMatrix, SplitSpec, build_rows, fit_transform
@@ -41,7 +41,7 @@ print(f"  importance sums to {probe.importance.sum():.9f}")
 # Now the real thing: importance over the pipeline's demand features.
 frames, weather, _ = generate(nonlinear_scenario(seed=11))
 segments, _ = clean(frames)
-hours = hourly_counts(minute_counts(segments))
+hours = segment_hourly_counts(segments)
 rows, _ = build_rows(hours, hourly_lookup(weather), default_calendar())
 train, _, _ = fit_transform(rows, SplitSpec(seed=1))
 

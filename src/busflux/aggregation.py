@@ -31,8 +31,8 @@ _EPOCH = datetime(1970, 1, 1)
 _MINUTE = timedelta(minutes=1)
 _HOUR = timedelta(hours=1)
 
-# (stop, first minute index, last minute index, devices per minute)
-_MinuteSpan = tuple[str, int, int, int]
+# (stop, first minute index, last minute index) covered by one device
+_MinuteSpan = tuple[str, int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,27 +65,21 @@ def _segment_spans(segments: Iterable[Segment]) -> Iterator[_MinuteSpan]:
     share a minute: a minute's count is a count of distinct devices.
     """
     for s in segments:
-        yield s.stop, _minute_index(s.start), _minute_index(s.end), 1
-
-
-def _minute_row_spans(minutes: Iterable[MinuteCount]) -> Iterator[_MinuteSpan]:
-    for m in minutes:
-        index = _minute_index(m.minute)
-        yield m.stop, index, index, m.count
+        yield s.stop, _minute_index(s.start), _minute_index(s.end)
 
 
 def _hour_totals(spans: Iterable[_MinuteSpan]) -> dict[tuple[str, int], int]:
     """The hour fold: covered device-minutes per (stop, hour index).
 
-    Each span adds its weight once for every minute index in [first, last],
-    split across the hours it touches by overlap length.
+    Each span adds one for every minute index in [first, last], split
+    across the hours it touches by overlap length.
     """
     totals: dict[tuple[str, int], int] = {}
-    for stop, first, last, weight in spans:
+    for stop, first, last in spans:
         for hour in range(first // 60, last // 60 + 1):
             covered = min(last, hour * 60 + 59) - max(first, hour * 60) + 1
             key = (stop, hour)
-            totals[key] = totals.get(key, 0) + covered * weight
+            totals[key] = totals.get(key, 0) + covered
     return totals
 
 
@@ -116,10 +110,12 @@ def segment_hourly_counts(
     end: datetime | None = None,
     stops: Iterable[str] | None = None,
 ) -> list[HourlyCount]:
-    """Hourly counts straight from segments, without per-minute rows.
+    """Mean of the 60 minute-counts per (stop, hour), zeros included.
 
-    Equal to ``hourly_counts(minute_counts(segments), ...)`` with the same
-    keywords.
+    Hours with no activity emit explicit 0.0 rows inside [start, end] so
+    the models see quiet hours; the range defaults to the span of the
+    input, and the stop set to the stops present in it. No per-minute rows
+    are built.
     """
     return _hourly_rows(_hour_totals(_segment_spans(segments)), start, end, stops)
 
@@ -130,7 +126,7 @@ def minute_counts(segments: Sequence[Segment]) -> list[MinuteCount]:
     Only minutes with count > 0 are emitted, sorted by (stop, minute).
     """
     counts: dict[tuple[str, int], int] = {}
-    for stop, first, last, _ in _segment_spans(segments):
+    for stop, first, last in _segment_spans(segments):
         for m in range(first, last + 1):
             key = (stop, m)
             counts[key] = counts.get(key, 0) + 1
@@ -138,26 +134,6 @@ def minute_counts(segments: Sequence[Segment]) -> list[MinuteCount]:
         MinuteCount(stop=stop, minute=_EPOCH + m * _MINUTE, count=n)
         for (stop, m), n in sorted(counts.items())
     ]
-
-
-def truncate_hour(at: datetime) -> datetime:
-    return at.replace(minute=0, second=0, microsecond=0)
-
-
-def hourly_counts(
-    minutes: Sequence[MinuteCount],
-    *,
-    start: datetime | None = None,
-    end: datetime | None = None,
-    stops: Iterable[str] | None = None,
-) -> list[HourlyCount]:
-    """Mean of the 60 minute-counts per (stop, hour), zeros included.
-
-    Hours with no activity emit explicit 0.0 rows inside [start, end] so
-    the models see quiet hours; the range defaults to the span of the
-    input, and the stop set to the stops present in it.
-    """
-    return _hourly_rows(_hour_totals(_minute_row_spans(minutes)), start, end, stops)
 
 
 def write_minute_csv(minutes: Iterable[MinuteCount], dest: Union[str, os.PathLike]) -> None:

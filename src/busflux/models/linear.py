@@ -1,89 +1,58 @@
-"""Linear regression by normal equations, with a ridge fallback."""
+"""Linear regression: the minimum-norm least-squares solution.
+
+``lr_fit`` solves ``[1, X] @ coef ≈ y`` with ``np.linalg.lstsq`` (SVD,
+numpy's machine-precision ``rcond``). Among all coefficient vectors with
+the least squared error it returns the one of least Euclidean norm, so a
+rank-deficient design has one answer rather than a failure. The default
+features are rank-deficient by construction: each one-hot group is full
+dummy coding beside the intercept, and some columns are functions of
+others. The model records the rank lstsq found.
+"""
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..features import FeatureMatrix
-
-log = logging.getLogger("busflux.models")
-
-# Above this condition number the Gram matrix is treated as singular and a
-# tiny ridge term is added; one-hot dummy groups are exactly collinear with
-# the intercept, so full-vocabulary designs hit this path routinely.
-CONDITION_LIMIT = 1e12
-RIDGE_LAMBDA = 1e-8
 
 
 @dataclass(slots=True)
 class LinearModel:
     theta: np.ndarray
     bias: float
+    rank: int
     columns: tuple[str, ...] | None = None
-    ridge_applied: bool = False
-    condition_number: float = field(default=0.0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return X @ self.theta + self.bias
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta.tolist(),
-            "bias": self.bias,
-            "ridge_applied": self.ridge_applied,
-            "condition_number": self.condition_number,
-        }
+        return {"theta": self.theta.tolist(), "bias": self.bias, "rank": self.rank}
 
     @classmethod
     def from_dict(cls, data: dict, columns=None) -> "LinearModel":
         return cls(
             theta=np.array(data["theta"], dtype=np.float64),
             bias=float(data["bias"]),
+            rank=int(data["rank"]),
             columns=columns,
-            ridge_applied=bool(data.get("ridge_applied", False)),
-            condition_number=float(data.get("condition_number", 0.0)),
         )
 
 
 def lr_fit(train: FeatureMatrix) -> LinearModel:
-    """Least-squares fit via the normal equations.
-
-    When the Gram matrix is singular or nearly so (condition number beyond
-    CONDITION_LIMIT), refit with ridge term RIDGE_LAMBDA on the diagonal and
-    log the condition number rather than failing: the model is still the
-    minimum-norm-ish answer the rest of the pipeline can use.
-    """
+    """Minimum-norm least-squares fit of the target on an intercept and X."""
     if train.n_rows == 0:
         raise ValueError("cannot fit a linear model on zero rows")
     X = np.asarray(train.rows, dtype=np.float64)
     y = np.asarray(train.target, dtype=np.float64)
     A = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
-    gram = A.T @ A
-    moment = A.T @ y
-    cond = float(np.linalg.cond(gram))
-    ridge = cond > CONDITION_LIMIT or not np.isfinite(cond)
-    if ridge:
-        log.warning(
-            "gram matrix condition %.3e exceeds %.1e; adding ridge %.1e",
-            cond,
-            CONDITION_LIMIT,
-            RIDGE_LAMBDA,
-        )
-        gram = gram + RIDGE_LAMBDA * np.eye(gram.shape[0])
-    try:
-        coef = np.linalg.solve(gram, moment)
-    except np.linalg.LinAlgError:
-        # Exactly singular even though the condition estimate looked fine.
-        ridge = True
-        coef = np.linalg.solve(gram + RIDGE_LAMBDA * np.eye(gram.shape[0]), moment)
+    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
     return LinearModel(
         theta=coef[1:],
         bias=float(coef[0]),
+        rank=int(rank),
         columns=tuple(train.column_names),
-        ridge_applied=ridge,
-        condition_number=cond,
     )

@@ -16,9 +16,6 @@ class EvalResult:
     mae: float
     predictions: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {"mse": self.mse, "mae": self.mae}
-
 
 def _check_columns(model, test: FeatureMatrix) -> None:
     expected = getattr(model, "columns", None)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import pytest
 
+import busflux
 from busflux.frames import FrameRecord, MacAddress, anonymize
 
 T0 = datetime(2017, 4, 5, 8, 0, 0)
@@ -20,6 +23,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("verification gates")
         for line in verification_lines:
             terminalreporter.write_line(line)
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """Environment for a child Python process that imports this busflux."""
+    src = str(Path(busflux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **overrides, "PYTHONPATH": path}
 
 
 def mac(text: str) -> MacAddress:

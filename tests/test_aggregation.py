@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 
 from busflux.aggregation import (
     HourlyCount,
-    MinuteCount,
-    hourly_counts,
     minute_counts,
     read_hourly_csv,
     read_minute_csv,
     segment_hourly_counts,
-    truncate_hour,
     write_hourly_csv,
     write_minute_csv,
 )
@@ -115,14 +112,14 @@ def test_minute_count_equals_covering_segments(spans):
 def test_hourly_is_minute_sum_over_sixty():
     # 45 covered minutes in one hour -> 45/60 device-hours
     s = seg("stop-01", T0, T0 + timedelta(minutes=44))
-    hours = hourly_counts(minute_counts([s]))
+    hours = segment_hourly_counts([s])
     assert hours == [HourlyCount("stop-01", T0, 45 / 60.0)]
 
 
 def test_hourly_zero_fills_global_range_for_all_stops():
     early = seg("stop-01", T0, T0 + timedelta(minutes=5), idx=1)
     late = seg("stop-02", T0 + timedelta(hours=2), T0 + timedelta(hours=2, minutes=5), idx=2)
-    hours = hourly_counts(minute_counts([early, late]))
+    hours = segment_hourly_counts([early, late])
     # 3 hours x 2 stops, hour-major then stop ordering
     assert [(h.stop, h.hour) for h in hours] == [
         ("stop-01", T0),
@@ -137,8 +134,8 @@ def test_hourly_zero_fills_global_range_for_all_stops():
 
 def test_hourly_explicit_range_extends_zero_fill():
     s = seg("stop-01", T0, T0 + timedelta(minutes=5))
-    hours = hourly_counts(
-        minute_counts([s]),
+    hours = segment_hourly_counts(
+        [s],
         start=T0 - timedelta(hours=1),
         end=T0 + timedelta(hours=1),
     )
@@ -151,18 +148,13 @@ def test_hourly_explicit_range_extends_zero_fill():
 
 def test_hourly_explicit_stops_add_all_zero_series():
     s = seg("stop-01", T0, T0 + timedelta(minutes=5))
-    hours = hourly_counts(minute_counts([s]), stops=["stop-01", "stop-03"])
+    hours = segment_hourly_counts([s], stops=["stop-01", "stop-03"])
     assert {h.stop for h in hours} == {"stop-01", "stop-03"}
     assert all(h.count == 0.0 for h in hours if h.stop == "stop-03")
 
 
 def test_hourly_of_nothing_is_empty():
-    assert hourly_counts([]) == []
-
-
-def test_truncate_hour():
-    assert truncate_hour(datetime(2017, 4, 5, 8, 59, 59)) == datetime(2017, 4, 5, 8)
-    assert truncate_hour(datetime(2017, 4, 5, 8, 0, 0)) == datetime(2017, 4, 5, 8)
+    assert segment_hourly_counts([]) == []
 
 
 def test_hour_total_equals_minute_total_over_sixty():
@@ -171,8 +163,12 @@ def test_hour_total_equals_minute_total_over_sixty():
         for i in range(10)
     ]
     minutes = minute_counts(segments)
-    hours = hourly_counts(minutes)
+    hours = segment_hourly_counts(segments)
     assert sum(h.count for h in hours) * 60 == pytest.approx(sum(m.count for m in minutes))
+
+
+def hour_of(t: datetime) -> datetime:
+    return t.replace(minute=0, second=0, microsecond=0)
 
 
 def brute_force_hours(segments, start=None, end=None, stops=None) -> list[HourlyCount]:
@@ -181,13 +177,13 @@ def brute_force_hours(segments, start=None, end=None, stops=None) -> list[Hourly
     for s in segments:
         t = s.start.replace(second=0, microsecond=0)
         while t <= s.end:
-            per_hour[(s.stop, truncate_hour(t))] += 1
+            per_hour[(s.stop, hour_of(t))] += 1
             t += timedelta(minutes=1)
     if not per_hour and (start is None or end is None or stops is None):
         return []
     stop_set = sorted(set(stops) if stops is not None else {stop for stop, _ in per_hour})
-    hour = truncate_hour(start) if start is not None else min(h for _, h in per_hour)
-    last = truncate_hour(end) if end is not None else max(h for _, h in per_hour)
+    hour = hour_of(start) if start is not None else min(h for _, h in per_hour)
+    last = hour_of(end) if end is not None else max(h for _, h in per_hour)
     out = []
     while hour <= last:
         out.extend(HourlyCount(stop, hour, per_hour[(stop, hour)] / 60.0) for stop in stop_set)
@@ -227,7 +223,37 @@ def test_segment_hourly_counts_equal_brute_force_minutes(spans, start, end, stop
     )
     expected = brute_force_hours(segments, **window)
     assert segment_hourly_counts(segments, **window) == expected
-    assert hourly_counts(minute_counts(segments), **window) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spans=st.lists(
+        st.tuples(
+            st.sampled_from(STOPS),
+            st.integers(min_value=0, max_value=5 * 3600),
+            st.integers(min_value=0, max_value=3 * 3600),
+        ),
+        max_size=30,
+    ),
+    start=st.integers(min_value=-2 * 3600, max_value=3 * 3600),
+    hours=st.integers(min_value=0, max_value=8),
+    groups=st.lists(st.integers(min_value=0, max_value=2), min_size=4, max_size=4),
+)
+def test_hourly_counts_are_additive_over_disjoint_stop_sets(spans, start, hours, groups):
+    segments = [
+        seg(stop, LATE + timedelta(seconds=a), LATE + timedelta(seconds=a + d), idx=i)
+        for i, (stop, a, d) in enumerate(spans)
+    ]
+    stops = STOPS + ["stop-09"]
+    lo = LATE + timedelta(seconds=start)
+    window = dict(start=lo, end=lo + timedelta(hours=hours))
+    merged = []
+    for group in set(groups):
+        subset = [stop for stop, g in zip(stops, groups) if g == group]
+        part = [s for s in segments if s.stop in subset]
+        merged += segment_hourly_counts(part, stops=subset, **window)
+    merged.sort(key=lambda h: (h.hour, h.stop))
+    assert segment_hourly_counts(segments, stops=stops, **window) == merged
 
 
 # ── CSV round-trips ──────────────────────────────────────────────────────────
@@ -241,7 +267,7 @@ def test_minute_csv_round_trip(tmp_path):
 
 
 def test_hourly_csv_round_trip_preserves_exact_reals(tmp_path):
-    hours = hourly_counts(minute_counts([seg("stop-01", T0, T0 + timedelta(minutes=44))]))
+    hours = segment_hourly_counts([seg("stop-01", T0, T0 + timedelta(minutes=44))])
     path = tmp_path / "hourly.csv"
     write_hourly_csv(hours, path)
     back = read_hourly_csv(path)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import re
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
+import conftest
 import pytest
 
 from busflux.aggregation import read_hourly_csv, read_minute_csv, write_hourly_csv, write_minute_csv
@@ -431,3 +434,10 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("busflux ")
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = "import sys, busflux; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

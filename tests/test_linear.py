@@ -1,13 +1,20 @@
-"""Linear regression via normal equations, with the ridge fallback."""
+"""Linear regression: the minimum-norm least-squares solution and its rank."""
 
 from __future__ import annotations
 
+import json
+import logging
+import subprocess
+import sys
+
+import conftest
 import numpy as np
 import pytest
 
+from busflux.cli import main as cli_main
+from busflux.errors import ParseError
 from busflux.features import FeatureMatrix
-from busflux.models import LinearModel, lr_fit
-from busflux.models.linear import CONDITION_LIMIT, RIDGE_LAMBDA
+from busflux.models import LinearModel, load_model, lr_fit, save_model
 from busflux.synth import LinearScenarioConfig, linear_scenario
 
 
@@ -17,7 +24,7 @@ def test_recovers_planted_coefficients_exactly():
     model = lr_fit(m)
     assert np.max(np.abs(model.theta - np.array(theta))) < 1e-6
     assert model.bias == pytest.approx(0.5, abs=1e-9)
-    assert not model.ridge_applied
+    assert model.rank == len(theta) + 1
 
 
 def test_matches_lstsq_on_noisy_data():
@@ -31,32 +38,43 @@ def test_matches_lstsq_on_noisy_data():
     assert model.theta == pytest.approx(ref[1:], abs=1e-8)
 
 
-def test_collinear_dummies_trigger_ridge_and_stay_finite():
-    # A full one-hot group plus the intercept is rank-deficient by
-    # construction; fitting must fall back to ridge rather than blow up.
-    rng = np.random.default_rng(9)
-    z = rng.integers(0, 3, size=90)
-    X = np.zeros((90, 3))
-    X[np.arange(90), z] = 1.0
-    y = z.astype(float) + 0.1 * rng.standard_normal(90)
+def one_hot_group(n: int = 90, seed: int = 9):
+    """A full one-hot group of three levels: beside the intercept it has
+    four columns of rank three."""
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, 3, size=n)
+    X = np.zeros((n, 3))
+    X[np.arange(n), z] = 1.0
+    y = z.astype(float) + 0.1 * rng.standard_normal(n)
+    return z, X, y
+
+
+def test_full_one_hot_group_gives_the_minimum_norm_solution():
+    z, X, y = one_hot_group()
     model = lr_fit(FeatureMatrix.from_arrays(X, y))
-    assert model.ridge_applied
-    assert model.condition_number > CONDITION_LIMIT
-    assert np.all(np.isfinite(model.theta))
-    # predictions still reproduce the group means almost exactly
+    assert model.rank == 3
+    A = np.hstack([np.ones((len(y), 1)), X])
+    ref = np.linalg.pinv(A) @ y
+    assert np.max(np.abs(np.concatenate([[model.bias], model.theta]) - ref)) < 1e-12
     pred = model.predict(X)
     for g in range(3):
-        assert pred[z == g].mean() == pytest.approx(y[z == g].mean(), abs=1e-3)
+        assert pred[z == g].mean() == pytest.approx(y[z == g].mean(), abs=1e-12)
 
 
-def test_ridge_strength_is_negligible_on_well_posed_problems():
-    # Applying the fallback on a well-conditioned system would shift
-    # coefficients by ~lambda; verify the unridged path is taken.
-    m = linear_scenario(LinearScenarioConfig(theta=(2.0, -1.0), n=50))
-    model = lr_fit(m)
-    assert not model.ridge_applied
-    assert model.condition_number < CONDITION_LIMIT
-    assert RIDGE_LAMBDA < 1e-6  # fallback is a numerical nudge, not a prior
+def test_rank_deficient_fit_logs_nothing(caplog):
+    _, X, y = one_hot_group()
+    with caplog.at_level(logging.DEBUG):
+        lr_fit(FeatureMatrix.from_arrays(X, y))
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_underdetermined_fit_interpolates_its_targets():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((5, 12))
+    y = rng.standard_normal(5)
+    model = lr_fit(FeatureMatrix.from_arrays(X, y))
+    assert model.rank == 5
+    assert np.max(np.abs(model.predict(X) - y)) < 1e-12
 
 
 def test_predict_is_affine():
@@ -74,12 +92,63 @@ def test_serialization_round_trip():
     back = LinearModel.from_dict(model.to_dict())
     assert np.array_equal(back.theta, model.theta)
     assert back.bias == model.bias
-    assert back.ridge_applied == model.ridge_applied
+    assert back.rank == model.rank
     X = np.random.default_rng(0).standard_normal((5, 3))
     assert np.array_equal(back.predict(X), model.predict(X))
+
+
+def test_rank_round_trips_through_the_model_file(tmp_path):
+    _, X, y = one_hot_group()
+    model = lr_fit(FeatureMatrix.from_arrays(X, y))
+    path = tmp_path / "lr.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert back.rank == model.rank == 3
+    assert np.array_equal(back.theta, model.theta)
+    # A model file without a rank is malformed; there is no default.
+    payload = json.loads(path.read_text())
+    del payload["parameters"]["rank"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="rank"):
+        load_model(path)
 
 
 def test_columns_are_recorded_from_the_training_matrix():
     m = linear_scenario(LinearScenarioConfig(theta=(1.0, 2.0), n=30))
     model = lr_fit(m)
     assert model.columns == tuple(m.column_names)
+
+
+def test_model_file_is_identical_at_one_and_two_blas_threads(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": {"days": 6, "seed": 5}}))
+    p = {name: tmp_path / name for name in (
+        "frames.csv", "weather.json", "truth.json", "segments.csv", "report.json",
+        "hourly.csv", "joined.csv", "train.csv", "val.csv", "test.csv", "meta.json")}
+    for step in (
+        ("synth", "--config", cfg, "--out-frames", p["frames.csv"],
+         "--out-weather", p["weather.json"], "--out-truth", p["truth.json"]),
+        ("clean", "--config", cfg, "--frames", p["frames.csv"],
+         "--out-segments", p["segments.csv"], "--out-report", p["report.json"]),
+        ("aggregate", "--segments", p["segments.csv"], "--out-hourly", p["hourly.csv"]),
+        ("join", "--hourly", p["hourly.csv"], "--weather", p["weather.json"],
+         "--out-joined", p["joined.csv"]),
+        ("featurize", "--joined", p["joined.csv"], "--out-train", p["train.csv"],
+         "--out-val", p["val.csv"], "--out-test", p["test.csv"], "--out-meta", p["meta.json"]),
+    ):
+        assert cli_main([str(a) for a in step]) == 0, f"stage {step[0]} failed"
+
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"lr_{threads}.json"
+        env = conftest.child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from busflux.cli import main; sys.exit(main())",
+             "train", "--model", "lr", "--train", str(p["train.csv"]),
+             "--meta", str(p["meta.json"]), "--out-model", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    model = json.loads(outputs[0])
+    assert 0 < model["parameters"]["rank"] < len(model["columns"]) + 1
