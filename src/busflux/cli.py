@@ -171,6 +171,7 @@ def cmd_clean(args) -> int:
                 "rows_ok": parse_report.rows_ok,
                 "rows_bad": parse_report.rows_bad,
                 "anonymized_input": parse_report.anonymized_input,
+                "issues_by_reason": parse_report.issues_by_reason(),
             },
             "cleaning": to_dict(report),
         },

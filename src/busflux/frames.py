@@ -4,24 +4,40 @@ One captured Wi-Fi frame is a (bus stop, UTC timestamp, device, RSSI) row.
 Device identity is a SHA-1 digest of the canonical MAC text; the
 randomization bit check happens on the raw address *before* hashing, so
 nothing downstream ever needs the original bits.
+
+Parsed frames are columnar (FrameColumns): an int32 stop index into a
+table of stop names, int64 UTC epoch seconds, an int32 device index into
+a table of (digest, raw MAC or None, randomized flag) entries, and int16
+RSSI. The parser streams its input, plain or gzipped, through csv.reader,
+converts each row's timestamp to epoch seconds as it goes, and appends
+accepted rows to array.array buffers, so no per-frame Python object
+outlives its row. FrameRecord is the one-frame
+view at the API boundary: iterating FrameColumns yields them, and
+FrameColumns.from_records converts back.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import hashlib
 import io
 import os
 import re
-from dataclasses import dataclass, field
-from datetime import datetime
-from typing import IO, Iterable, Sequence, Union
+from array import array
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from datetime import datetime, timedelta
+from typing import IO, Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .errors import ParseError
 
 FRAME_HEADER = "bus_stop,timestamp_utc,mac,rssi_dbm"
 ANONYMIZED_FLAG = "#anonymized=true"
+_GZIP_MAGIC = b"\x1f\x8b"
 
 # Parse-time physical plausibility gate; the cleaning filter applies the
 # narrower operational range.
@@ -146,20 +162,158 @@ class ParseReport:
     def rows_bad(self) -> int:
         return len(self.issues)
 
+    def issues_by_reason(self) -> dict[str, int]:
+        return dict(Counter(issue.reason for issue in self.issues))
 
-def _open_maybe_gzip(source: PathOrStream) -> IO[bytes]:
-    if hasattr(source, "read"):
-        raw: IO[bytes] = source  # type: ignore[assignment]
-    else:
-        raw = open(source, "rb")
-    head = raw.read(2)
-    rest = raw.read()
-    buf = io.BytesIO(head + rest)
-    if raw is not source:
-        raw.close()
-    if head == b"\x1f\x8b":
-        return gzip.GzipFile(fileobj=buf, mode="rb")  # type: ignore[return-value]
-    return buf
+
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+
+
+def epoch_seconds(at: datetime) -> int:
+    """Whole seconds from the UTC epoch to the naive UTC time ``at``."""
+    seconds, rest = divmod(at - _EPOCH, _SECOND)
+    if rest:
+        raise ValueError(f"frame time has a fraction of a second: {at}")
+    return seconds
+
+
+def utc_datetime(seconds: int) -> datetime:
+    """The naive UTC time ``seconds`` after the epoch."""
+    return _EPOCH + timedelta(seconds=seconds)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameColumns:
+    """Frames as four parallel arrays plus the two tables they index.
+
+    ``stop`` (int32) indexes ``stops``, the stop names. ``device`` (int32)
+    indexes the device table: entry i is the identity ``devices[i]``, the
+    raw address ``macs[i]`` (None in digest form) and ``randomized[i]``,
+    whether that address has the U/L or I/G bit set. ``t`` (int64) holds
+    UTC epoch seconds and ``rssi`` (int16) dBm. An entry is one (digest,
+    address) pair, so two entries share a digest only when one device came
+    both as a raw MAC and as a digest. Tables are in first-seen order and
+    hold exactly what the frames use, until ``take`` selects a subset.
+    Iterating yields FrameRecords; ``from_records`` goes back.
+    """
+
+    stops: tuple[str, ...]
+    devices: tuple[DeviceId, ...]
+    macs: tuple[MacAddress | None, ...]
+    randomized: np.ndarray
+    stop: np.ndarray
+    t: np.ndarray
+    device: np.ndarray
+    rssi: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[FrameRecord]) -> "FrameColumns":
+        columns = _ColumnBuilder()
+        for r in records:
+            columns.stop.append(columns.stop_code(r.stop))
+            columns.t.append(epoch_seconds(r.at))
+            columns.device.append(columns.device_code(r.device, r.mac))
+            columns.rssi.append(r.rssi)
+        return columns.build()
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[FrameRecord]:
+        stops, devices, macs = self.stops, self.devices, self.macs
+        for s, t, d, rssi in zip(self.stop.tolist(), self.t.tolist(), self.device.tolist(),
+                                 self.rssi.tolist()):
+            yield FrameRecord(stops[s], utc_datetime(t), devices[d], rssi, macs[d])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameColumns):
+            return NotImplemented
+        return (
+            (self.stops, self.devices, self.macs) == (other.stops, other.devices, other.macs)
+            and all(
+                a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip(self._arrays(), other._arrays())
+            )
+        )
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.randomized, self.stop, self.t, self.device, self.rssi
+
+    def take(self, rows: np.ndarray) -> "FrameColumns":
+        """The frames at ``rows`` (a boolean mask or indices), sharing the tables."""
+        return replace(self, stop=self.stop[rows], t=self.t[rows], device=self.device[rows],
+                       rssi=self.rssi[rows])
+
+
+class _ColumnBuilder:
+    """array.array buffers for the four frame columns, and the two tables."""
+
+    def __init__(self):
+        self.stops: dict[str, int] = {}
+        self.idents: dict[tuple[DeviceId, MacAddress | None], int] = {}
+        self.stop, self.t, self.device, self.rssi = array("i"), array("q"), array("i"), array("h")
+
+    def stop_code(self, name: str) -> int:
+        return self.stops.setdefault(name, len(self.stops))
+
+    def device_code(self, device: DeviceId, mac: MacAddress | None) -> int:
+        return self.idents.setdefault((device, mac), len(self.idents))
+
+    def build(self) -> FrameColumns:
+        macs = tuple(mac for _, mac in self.idents)
+        return FrameColumns(
+            stops=tuple(self.stops),
+            devices=tuple(device for device, _ in self.idents),
+            macs=macs,
+            randomized=np.array([m is not None and is_randomized(m) for m in macs], dtype=bool),
+            stop=np.asarray(self.stop, dtype=np.int32),
+            t=np.asarray(self.t, dtype=np.int64),
+            device=np.asarray(self.device, dtype=np.int32),
+            rssi=np.asarray(self.rssi, dtype=np.int16),
+        )
+
+
+class _Prefixed(io.RawIOBase):
+    """The bytes ``head`` and then the rest of ``stream``; closing it leaves
+    ``stream`` open."""
+
+    def __init__(self, head: bytes, stream: IO[bytes]):
+        self._head, self._stream = head, stream
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:  # type: ignore[override]
+        if self._head:
+            data, self._head = self._head[: len(buffer)], self._head[len(buffer) :]
+        else:
+            data = self._stream.read(len(buffer))
+            if data is None:
+                return None
+        buffer[: len(data)] = data
+        return len(data)
+
+
+@contextlib.contextmanager
+def _open_text(source: PathOrStream) -> Iterator[io.TextIOWrapper]:
+    """Stream the UTF-8 text of a frame file, gunzipped when it starts with
+    the gzip magic. A path is opened and closed here; a caller's binary
+    stream is read from where it stands and left open."""
+    with contextlib.ExitStack() as stack:
+        if hasattr(source, "read"):
+            raw: IO[bytes] = source  # type: ignore[assignment]
+        else:
+            raw = stack.enter_context(open(source, "rb", buffering=0))
+        # A read may return fewer bytes than asked, so read the magic's
+        # length in full and put it back in front of the stream.
+        head = b""
+        while len(head) < len(_GZIP_MAGIC) and (more := raw.read(len(_GZIP_MAGIC) - len(head))):
+            head += more
+        stream: IO[bytes] = io.BufferedReader(_Prefixed(head, raw))
+        if head == _GZIP_MAGIC:
+            stream = gzip.GzipFile(fileobj=stream, mode="rb")  # type: ignore[assignment]
+        yield io.TextIOWrapper(stream, encoding="utf-8", newline="")  # type: ignore[arg-type]
 
 
 def _parse_timestamp(text: str) -> datetime:
@@ -177,18 +331,21 @@ def _parse_timestamp(text: str) -> datetime:
     return datetime.fromisoformat(text)
 
 
-def parse_frame_csv(source: PathOrStream) -> tuple[list[FrameRecord], ParseReport]:
-    """Parse a frame CSV (optionally gzipped) into records plus an error report.
+def _identity(mac_text: str, anonymized_input: bool) -> tuple[DeviceId, MacAddress | None] | None:
+    """The device identity a MAC field names; None when it names none."""
+    if len(mac_text) == 17 and not anonymized_input:
+        try:
+            mac = MacAddress.from_text(mac_text)
+        except ValueError:
+            return None
+        return anonymize(mac), mac
+    if _DIGEST_RE.match(mac_text):
+        return DeviceId.from_hex(mac_text.lower()), None
+    return None
 
-    Header must be exactly ``bus_stop,timestamp_utc,mac,rssi_dbm``; an
-    optional leading ``#anonymized=true`` comment marks digest-form input.
-    Malformed rows are collected with their line numbers and skipped; a
-    missing or wrong header is fatal.
-    """
-    stream = _open_maybe_gzip(source)
-    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
 
-    report = ParseReport()
+def _read_header(text: IO[str], report: ParseReport) -> int:
+    """Consume the comment lines and the header; returns the lines read."""
     line_no = 0
     header = None
     for line in text:
@@ -204,54 +361,95 @@ def parse_frame_csv(source: PathOrStream) -> tuple[list[FrameRecord], ParseRepor
         raise ParseError(
             f"frame CSV must start with header {FRAME_HEADER!r}, got {header!r}"
         )
+    return line_no
 
-    records: list[FrameRecord] = []
-    ident_cache: dict[str, tuple[DeviceId, MacAddress | None]] = {}
-    append = records.append
 
-    for row in csv.reader(text):
-        line_no += 1
-        if not row:
-            continue
-        report.rows_total += 1
-        if len(row) != 4:
-            report.issues.append(ParseIssue(line_no, "wrong field count", ",".join(row)))
-            continue
-        stop, ts_text, mac_text, rssi_text = row
-        try:
-            at = _parse_timestamp(ts_text)
-        except ValueError:
-            report.issues.append(ParseIssue(line_no, "bad timestamp", ts_text))
-            continue
-        try:
-            rssi = int(rssi_text)
-        except ValueError:
-            report.issues.append(ParseIssue(line_no, "bad rssi", rssi_text))
-            continue
-        if not RSSI_PLAUSIBLE_LO <= rssi <= RSSI_PLAUSIBLE_HI:
-            report.issues.append(ParseIssue(line_no, "rssi out of plausible range", rssi_text))
-            continue
+def parse_frame_csv(source: PathOrStream) -> tuple[FrameColumns, ParseReport]:
+    """Parse a frame CSV (optionally gzipped) into columns plus an error report.
 
-        cached = ident_cache.get(mac_text)
-        if cached is None:
-            if len(mac_text) == 17 and not report.anonymized_input:
-                try:
-                    mac = MacAddress.from_text(mac_text)
-                except ValueError:
-                    report.issues.append(ParseIssue(line_no, "bad mac", mac_text))
-                    continue
-                cached = (anonymize(mac), mac)
-            elif _DIGEST_RE.match(mac_text):
-                cached = (DeviceId.from_hex(mac_text.lower()), None)
-            else:
-                report.issues.append(ParseIssue(line_no, "bad mac", mac_text))
+    ``source`` is a path or a binary stream; either is read as a stream.
+    Header must be exactly ``bus_stop,timestamp_utc,mac,rssi_dbm``; an
+    optional leading ``#anonymized=true`` comment marks digest-form input.
+    A missing or wrong header is fatal. Malformed rows are collected with
+    their line numbers and skipped: a wrong field count, an empty stop code
+    or one padded with whitespace, a timestamp that is not exactly
+    ``YYYY-MM-DD hh:mm:ss``, an RSSI that is not an integer, lies outside
+    [-120, 0] dBm or is not written as ``str(int)`` writes it (no sign,
+    space, underscore or leading zero), and a MAC that is neither an
+    address nor a 40-hex digest. A row that breaks several rules gets the
+    reason of the first in this order: field count, timestamp, RSSI syntax
+    and range, MAC, stop code, RSSI spelling.
+    """
+    report = ParseReport()
+    columns = _ColumnBuilder()
+    issues = report.issues
+    # Validated field texts; a row's stop and device join the tables only
+    # once the whole row has passed.
+    stop_codes = columns.stops
+    device_codes: dict[str, int] = {}
+    rssi_values: dict[str, int] = {}
+    add_stop, add_t = columns.stop.append, columns.t.append
+    add_device, add_rssi = columns.device.append, columns.rssi.append
+    rows_total = 0
+    with _open_text(source) as text:
+        line_no = _read_header(text, report)
+        for row in csv.reader(text):
+            line_no += 1
+            if not row:
                 continue
-            ident_cache[mac_text] = cached
-
-        append(FrameRecord(stop=stop, at=at, device=cached[0], rssi=rssi, mac=cached[1]))
-        report.rows_ok += 1
-
-    return records, report
+            rows_total += 1
+            if len(row) != 4:
+                issues.append(ParseIssue(line_no, "wrong field count", ",".join(row)))
+                continue
+            stop, ts_text, mac_text, rssi_text = row
+            try:
+                t = epoch_seconds(_parse_timestamp(ts_text))
+            except ValueError:
+                issues.append(ParseIssue(line_no, "bad timestamp", ts_text))
+                continue
+            rssi = rssi_values.get(rssi_text)
+            new_rssi = rssi is None
+            if new_rssi:
+                try:
+                    rssi = int(rssi_text)
+                except ValueError:
+                    issues.append(ParseIssue(line_no, "bad rssi", rssi_text))
+                    continue
+                if not RSSI_PLAUSIBLE_LO <= rssi <= RSSI_PLAUSIBLE_HI:
+                    issues.append(ParseIssue(line_no, "rssi out of plausible range", rssi_text))
+                    continue
+            d = device_codes.get(mac_text)
+            if d is None:
+                ident = _identity(mac_text, report.anonymized_input)
+                if ident is None:
+                    issues.append(ParseIssue(line_no, "bad mac", mac_text))
+                    continue
+            # Stop code and RSSI spelling are checked last, so that a row
+            # that also breaks an earlier rule is counted under that rule.
+            s = stop_codes.get(stop)
+            if s is None:
+                if not stop:
+                    issues.append(ParseIssue(line_no, "empty stop code", stop))
+                    continue
+                if stop != stop.strip():
+                    issues.append(ParseIssue(line_no, "stop code padded with whitespace", stop))
+                    continue
+            if new_rssi:
+                if str(rssi) != rssi_text:
+                    issues.append(ParseIssue(line_no, "non-canonical rssi", rssi_text))
+                    continue
+                rssi_values[rssi_text] = rssi
+            if s is None:
+                s = columns.stop_code(stop)
+            if d is None:
+                d = device_codes[mac_text] = columns.device_code(*ident)
+            add_stop(s)
+            add_t(t)
+            add_device(d)
+            add_rssi(rssi)
+    report.rows_total = rows_total
+    report.rows_ok = len(columns.t)
+    return columns.build(), report
 
 
 def format_timestamp(at: datetime) -> str:
@@ -297,5 +495,5 @@ def write_frame_csv(
 
 
 def sorted_frames(frames: Sequence[FrameRecord]) -> list[FrameRecord]:
-    """The mandated (stop, device, time) order used before segmentation."""
+    """The (stop, device, time) order that frame files are written in."""
     return sorted(frames, key=FrameRecord.sort_key)

@@ -5,31 +5,56 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from datetime import timedelta
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from busflux.cleaning import (
+    WINDOW_PER_DAY,
     WINDOW_WHOLE_DATASET,
     CleaningConfig,
+    CleaningReport,
     Segment,
+    SegmentColumns,
     clean,
     filter_duration,
     filter_randomized,
     filter_rssi,
     filter_single_stop,
-    kept_frames,
     read_segment_csv,
     segment,
     write_segment_csv,
 )
 from busflux.errors import ConfigError
-from busflux.frames import parse_frame_csv, write_frame_csv
+from busflux.frames import (
+    FrameColumns,
+    FrameRecord,
+    anonymize,
+    is_randomized,
+    parse_frame_csv,
+    write_frame_csv,
+)
 from busflux.schema import from_dict, to_dict
-from conftest import T0, burst, frame
+from busflux.synth import default_scenario, generate
+from conftest import T0, burst, frame, mac
 
 CFG = CleaningConfig()
+cols = FrameColumns.from_records
+
+
+def kept_frames(frames, segments_kept):
+    """The member frames of kept segments, in input order."""
+    spans = {}
+    for s in segments_kept:
+        spans.setdefault((s.stop, s.device.digest), []).append((s.start, s.end))
+    return [
+        f
+        for f in frames
+        if any(start <= f.at <= end for start, end in spans.get((f.stop, f.device.digest), ()))
+    ]
 
 
 def two_stop_day(mac_text: str = "00:B8:00:00:00:01", duration_s: int = 300):
@@ -45,7 +70,7 @@ def two_stop_day(mac_text: str = "00:B8:00:00:00:01", duration_s: int = 300):
 
 def test_rssi_gate_is_inclusive_at_both_ends():
     frames = [frame(rssi=r) for r in (-81, -80, -79, -31, -30, -29, 0)]
-    kept = filter_rssi(frames, CFG)
+    kept = filter_rssi(cols(frames), CFG)
     assert [f.rssi for f in kept] == [-80, -79, -31, -30]
 
 
@@ -56,7 +81,7 @@ def test_randomized_filter_drops_local_and_group_bits():
         frame(mac_text="01:00:00:00:00:03"),  # group
         frame(mac_text="03:00:00:00:00:04"),  # both bits
     ]
-    kept, applied = filter_randomized(frames)
+    kept, applied = filter_randomized(cols(frames))
     assert applied
     assert [f.mac.canonical()[:2] for f in kept] == ["00"]
 
@@ -72,10 +97,10 @@ def test_randomized_filter_passes_through_digest_only_input(tmp_path):
 
 def test_single_stop_filter_needs_two_stops_within_a_day():
     same_day = two_stop_day()
-    assert filter_single_stop(same_day, CFG) == same_day
+    assert list(filter_single_stop(cols(same_day), CFG)) == same_day
 
     one_stop = burst("stop-01", "00:B8:00:00:00:09", T0, 300)
-    assert filter_single_stop(one_stop, CFG) == []
+    assert list(filter_single_stop(cols(one_stop), CFG)) == []
 
 
 def test_single_stop_window_split_across_days():
@@ -84,9 +109,9 @@ def test_single_stop_window_split_across_days():
     frames = burst("stop-01", "00:B8:00:00:00:01", T0, 300) + burst(
         "stop-02", "00:B8:00:00:00:01", T0 + timedelta(days=1), 300
     )
-    assert filter_single_stop(frames, CFG) == []
+    assert list(filter_single_stop(cols(frames), CFG)) == []
     whole = CleaningConfig(multi_stop_window=WINDOW_WHOLE_DATASET)
-    assert filter_single_stop(frames, whole) == frames
+    assert list(filter_single_stop(cols(frames), whole)) == frames
 
 
 def test_duration_filter_is_inclusive_at_both_ends():
@@ -96,10 +121,17 @@ def test_duration_filter_is_inclusive_at_both_ends():
         "at_max": 1800,
         "above": 1801,
     }
-    segs = [
-        Segment("s", frame().device, T0, T0 + timedelta(seconds=v), 2, -60.0)
-        for v in stamps.values()
-    ]
+    n = len(stamps)
+    segs = SegmentColumns(
+        stops=("s",),
+        devices=(frame().device,),
+        stop=np.zeros(n, dtype=np.int32),
+        device=np.zeros(n, dtype=np.int32),
+        start=np.zeros(n, dtype=np.int64),
+        end=np.array(list(stamps.values()), dtype=np.int64),
+        frame_count=np.full(n, 2),
+        rssi_sum=np.full(n, -120),
+    )
     kept, short, long_ = filter_duration(segs, CFG)
     assert [int(s.duration.total_seconds()) for s in kept] == [120, 1800]
     assert short == 2 and long_ == 2
@@ -115,7 +147,7 @@ def test_gap_splits_only_beyond_threshold():
         frame(at=T0 + timedelta(seconds=300), mac_text=mac_text),  # exactly gap
         frame(at=T0 + timedelta(seconds=601), mac_text=mac_text),  # gap + 1s
     ]
-    segs = segment(frames, CFG)
+    segs = list(segment(cols(frames), CFG))
     assert len(segs) == 2
     assert segs[0].frame_count == 2 and segs[1].frame_count == 1
     assert segs[0].end == T0 + timedelta(seconds=300)
@@ -127,12 +159,12 @@ def test_segment_is_per_stop_and_per_device():
         frame(stop="stop-02", mac_text="00:B8:00:00:00:01"),
         frame(stop="stop-01", mac_text="00:B8:00:00:00:02"),
     ]
-    assert len(segment(frames, CFG)) == 3
+    assert len(segment(cols(frames), CFG)) == 3
 
 
 def test_segment_output_is_input_order_independent():
     frames = two_stop_day()
-    assert segment(frames, CFG) == segment(list(reversed(frames)), CFG)
+    assert list(segment(cols(frames), CFG)) == list(segment(cols(frames[::-1]), CFG))
 
 
 def test_segment_stats():
@@ -140,7 +172,7 @@ def test_segment_stats():
         frame(at=T0, rssi=-50),
         frame(at=T0 + timedelta(seconds=60), rssi=-70),
     ]
-    (s,) = segment(frames, CFG)
+    (s,) = segment(cols(frames), CFG)
     assert s.frame_count == 2
     assert s.mean_rssi == -60.0
     assert s.duration == timedelta(seconds=60)
@@ -286,6 +318,129 @@ def test_clean_commutes_with_order_preserving_stop_renaming(bursts, names):
     renamed, renamed_report = clean([replace(f, stop=rename[f.stop]) for f in frames])
     assert renamed == [replace(s, stop=rename[s.stop]) for s in segments]
     assert renamed_report == report
+
+
+# ── Columnar clean against the record-based reference ───────────────────────
+
+
+def reference_clean(frames, cfg=CFG):
+    """The record-at-a-time clean that the array steps replaced: stage by
+    stage over FrameRecords, with datetimes and a sorted Python run scan."""
+    report = CleaningReport(input_frames=len(frames))
+
+    applied = any(f.mac is not None for f in frames)
+    after_rand = [f for f in frames if f.mac is None or not is_randomized(f.mac)] if applied \
+        else list(frames)
+    report.randomized_filter_applied = applied
+    report.dropped_randomized = len(frames) - len(after_rand)
+
+    def window(f):
+        if cfg.multi_stop_window == WINDOW_PER_DAY:
+            return (f.device.digest, f.at.date())
+        return f.device.digest
+
+    stops_seen = {}
+    for f in after_rand:
+        stops_seen.setdefault(window(f), set()).add(f.stop)
+    after_multi = [f for f in after_rand if len(stops_seen[window(f)]) >= 2]
+    report.dropped_single_stop = len(after_rand) - len(after_multi)
+
+    after_rssi = [f for f in after_multi if cfg.rssi_lo <= f.rssi <= cfg.rssi_hi]
+    report.dropped_rssi = len(after_multi) - len(after_rssi)
+
+    runs = []
+    for f in sorted(after_rssi, key=lambda f: (f.stop, f.device.digest, f.at)):
+        if not runs or (f.stop, f.device.digest) != (runs[-1][-1].stop, runs[-1][-1].device.digest) \
+                or f.at - runs[-1][-1].at > cfg.gap:
+            runs.append([])
+        runs[-1].append(f)
+    segments = sorted(
+        (Segment(run[0].stop, run[0].device, run[0].at, run[-1].at, len(run),
+                 sum(f.rssi for f in run) / len(run)) for run in runs),
+        key=lambda s: (s.stop, s.start, s.device.digest),
+    )
+
+    kept = []
+    for s in segments:
+        if s.duration < cfg.d_min:
+            report.dropped_short += s.frame_count
+        elif s.duration > cfg.d_max:
+            report.dropped_long += s.frame_count
+        else:
+            kept.append(s)
+    report.kept_frames = sum(s.frame_count for s in kept)
+    report.check()
+    return kept, report
+
+
+# First-seen order differs from sort order, and "Stop" sorts before "stop".
+EDGE_STOPS = ("stop-b", "stop-a", "Stop-c")
+# Duplicate times (0), short steps, and gap - 1, gap and gap + 1 s.
+EDGE_STEPS = (0, 1, 60, 299, 300, 301)
+# d_min, d_max and one second past each.
+EDGE_DWELLS = (119, 120, 1800, 1801)
+# rssi_lo and rssi_hi, one past each and one inside each.
+EDGE_RSSI = (-81, -80, -79, -60, -31, -30, -29)
+# Ten minutes before a UTC midnight, so that bursts cross it.
+NEAR_MIDNIGHT = T0.replace(hour=23, minute=50)
+
+
+@st.composite
+def edge_frames(draw):
+    """Shuffled bursts of frames that sit on every boundary the stages test.
+
+    A burst is either a dwell walked in 60 s steps that spans exactly one
+    of EDGE_DWELLS, or a run of EDGE_STEPS. Device 0 has a randomized MAC,
+    and a burst may come in digest form, so one device can appear both ways.
+    """
+    frames = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        dev = draw(st.integers(min_value=0, max_value=4))
+        m = mac(f"{'02' if dev == 0 else '00'}:B8:00:00:00:{dev:02X}")
+        start = NEAR_MIDNIGHT + timedelta(days=draw(st.integers(min_value=0, max_value=1)),
+                                          seconds=draw(st.integers(min_value=0, max_value=1200)))
+        if draw(st.booleans()):
+            dwell = draw(st.sampled_from(EDGE_DWELLS))
+            offsets = [*range(0, dwell, 60), dwell]
+        else:
+            offsets = list(accumulate(draw(st.lists(st.sampled_from(EDGE_STEPS), max_size=6)),
+                                      initial=0))
+        stop = draw(st.sampled_from(EDGE_STOPS))
+        digest_form = draw(st.booleans())
+        for offset in offsets:
+            frames.append(FrameRecord(stop, start + timedelta(seconds=offset), anonymize(m),
+                                      draw(st.sampled_from(EDGE_RSSI)),
+                                      None if digest_form else m))
+    return draw(st.permutations(frames))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_frames(), st.sampled_from([WINDOW_PER_DAY, WINDOW_WHOLE_DATASET]))
+def test_columnar_clean_equals_the_reference(frames, window):
+    cfg = CleaningConfig(multi_stop_window=window)
+    expected = reference_clean(frames, cfg)
+    assert clean(frames, cfg) == expected
+    assert clean(cols(frames), cfg) == expected
+
+
+def test_columnar_clean_equals_the_reference_on_the_default_scenario():
+    frames, _, _ = generate(replace(default_scenario(seed=5), days=3))
+    assert len(frames) > 5_000
+    for window in (WINDOW_PER_DAY, WINDOW_WHOLE_DATASET):
+        cfg = CleaningConfig(multi_stop_window=window)
+        assert clean(frames, cfg) == reference_clean(frames, cfg)
+
+
+def test_whole_second_frames_meet_fractional_bounds_like_the_reference():
+    frames = two_stop_day(duration_s=300) + burst("stop-01", "00:B8:00:00:00:02", T0, 150) \
+        + burst("stop-02", "00:B8:00:00:00:02", T0 + timedelta(hours=1), 300, step_s=150)
+    for cfg in (
+        CleaningConfig(d_min=timedelta(seconds=150.5), d_max=timedelta(seconds=299.5)),
+        CleaningConfig(d_min=timedelta(seconds=149.5), d_max=timedelta(seconds=300.5),
+                       gap=timedelta(seconds=149.5)),
+        CleaningConfig(gap=timedelta(seconds=150.5)),
+    ):
+        assert clean(frames, cfg) == reference_clean(frames, cfg)
 
 
 # ── Config validation and serialization ──────────────────────────────────────

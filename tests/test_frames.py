@@ -3,9 +3,12 @@ and the CSV round-trip."""
 
 from __future__ import annotations
 
+import io
 import struct
+from dataclasses import replace
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,8 +16,10 @@ from hypothesis import strategies as st
 from busflux.errors import ParseError
 from busflux.frames import (
     DeviceId,
+    FrameColumns,
     MacAddress,
     anonymize,
+    epoch_seconds,
     format_timestamp,
     is_randomized,
     parse_frame_csv,
@@ -153,7 +158,7 @@ def test_frame_csv_round_trip(tmp_path):
     records = _sample_frames()
     write_frame_csv(records, path)
     back, report = parse_frame_csv(path)
-    assert back == records
+    assert list(back) == records
     assert report.rows_total == report.rows_ok == 3
     assert not report.anonymized_input
 
@@ -163,7 +168,7 @@ def test_frame_csv_round_trips_a_stop_name_holding_a_comma(tmp_path):
     records = [frame("Stop A,North", datetime(2017, 4, 5, 8, 0, 0), "00:B8:00:00:00:01", -60)]
     write_frame_csv(records, path)
     back, report = parse_frame_csv(path)
-    assert back == records
+    assert list(back) == records
     assert report.rows_total == report.rows_ok == 1
 
 
@@ -174,7 +179,7 @@ def test_frame_csv_gzip_round_trip_and_fixed_mtime(tmp_path):
     write_frame_csv(records, b)
     assert a.read_bytes() == b.read_bytes()  # no timestamp in the gzip header
     back, _ = parse_frame_csv(a)
-    assert back == records
+    assert list(back) == records
 
 
 def test_anonymized_output_drops_raw_macs(tmp_path):
@@ -243,9 +248,131 @@ def test_timestamp_format_is_space_separated_utc(tmp_path):
     body = path.read_text().splitlines()[1]
     assert body.split(",")[1] == "2017-04-05 08:00:00"
     back, _ = parse_frame_csv(path)
-    assert back[0].at == datetime(2017, 4, 5, 8, 0, 0)
+    assert next(iter(back)).at == datetime(2017, 4, 5, 8, 0, 0)
 
 
 @given(st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(2242, 12, 31)))
 def test_format_timestamp_equals_the_strftime_form(at):
     assert format_timestamp(at) == at.strftime("%Y-%m-%d %H:%M:%S")
+
+
+# ── Strict fields at the parse boundary ──────────────────────────────────────
+
+
+_AT = "2017-04-05 08:02:00"
+_MAC = "00:B8:00:00:00:09"
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        (f",{_AT},{_MAC},-58", "empty stop code"),
+        (f" stop-09 ,{_AT},{_MAC},-58", "stop code padded with whitespace"),
+        (f"stop-09,{_AT},{_MAC}, -58", "non-canonical rssi"),
+        (f"stop-09,{_AT},{_MAC},-5_8", "non-canonical rssi"),
+        (f"stop-09,{_AT},{_MAC},+0", "non-canonical rssi"),
+        # A row that also fails an older check keeps the older reason.
+        (f" s ,garbage,{_MAC},-58", "bad timestamp"),
+        (f",{_AT},{_MAC},x", "bad rssi"),
+        (f" s ,{_AT},{_MAC},+5", "rssi out of plausible range"),
+        (f",{_AT},xx,+0", "bad mac"),
+        (f" s ,{_AT},{_MAC},+0", "stop code padded with whitespace"),
+    ],
+)
+def test_parse_rejects_fields_that_only_look_valid(tmp_path, row, reason):
+    path = tmp_path / "frames.csv"
+    write_frame_csv(_sample_frames(), path)
+    with open(path, "a") as fh:
+        fh.write("\n")  # a blank line counts as a line, not as a row
+        fh.write(row + "\n")
+    back, report = parse_frame_csv(path)
+    assert list(back) == _sample_frames()
+    # a rejected row adds nothing to the stop or device tables
+    assert back.stops == ("stop-01", "stop-02") and len(back.devices) == 3
+    assert report.rows_total == 4
+    assert [(i.line, i.reason) for i in report.issues] == [(6, reason)]
+    assert report.issues_by_reason() == {reason: 1}
+
+
+def test_issues_by_reason_counts_every_bad_row(tmp_path):
+    path = tmp_path / "dirty.csv"
+    write_frame_csv(_sample_frames(), path)
+    with open(path, "a") as fh:
+        fh.write("stop-01,2017-04-05 08:00:00,xx,-60\n")
+        fh.write("stop-01,2017-04-05 08:00:00,yy,-60\n")
+        fh.write("stop-01,2017-04-05 08:00:00,00:B8:00:00:00:09,-60,extra\n")
+    _, report = parse_frame_csv(path)
+    assert report.issues_by_reason() == {"bad mac": 2, "wrong field count": 1}
+
+
+# ── Columns and records ──────────────────────────────────────────────────────
+
+
+def test_columns_round_trip_through_records(tmp_path):
+    path = tmp_path / "frames.csv"
+    records = _sample_frames() + [replace(_sample_frames()[0], mac=None)]
+    write_frame_csv(records, path)  # a digest-form record makes the file digest-form
+    columns, _ = parse_frame_csv(path)
+    assert FrameColumns.from_records(columns) == columns
+    mixed = FrameColumns.from_records(records)
+    assert list(mixed) == records
+    assert FrameColumns.from_records(list(mixed)) == mixed
+    # a raw-MAC record and a digest-form record of one device are two entries
+    assert len(mixed.devices) == 4 and len(set(mixed.devices)) == 3
+    assert sorted(zip(map(str, mixed.macs), mixed.randomized.tolist())) == [
+        ("00:B8:00:00:00:01", False),
+        ("00:B8:00:00:00:02", False),
+        ("02:00:00:00:00:03", True),
+        ("None", False),
+    ]
+
+
+def test_columns_have_the_documented_dtypes(tmp_path):
+    path = tmp_path / "frames.csv"
+    write_frame_csv(_sample_frames(), path)
+    columns, _ = parse_frame_csv(path)
+    assert [a.dtype for a in (columns.stop, columns.t, columns.device, columns.rssi)] == [
+        np.int32, np.int64, np.int32, np.int16]
+    assert columns.stops == ("stop-01", "stop-02")
+    assert columns.t.tolist() == [epoch_seconds(f.at) for f in _sample_frames()]
+
+
+def test_from_records_rejects_fractional_seconds():
+    with pytest.raises(ValueError):
+        FrameColumns.from_records([frame(at=datetime(2017, 4, 5, 8, 0, 0, 500))])
+
+
+class _Unseekable(io.RawIOBase):
+    """A read-only byte stream that can neither seek nor peek, and returns
+    at most ``most`` bytes a read, as a pipe may."""
+
+    def __init__(self, data: bytes, most: int | None = None):
+        self._data = io.BytesIO(data)
+        self._most = most
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(memoryview(buffer)[: self._most])
+
+
+@pytest.mark.parametrize("name", ["frames.csv", "frames.csv.gz"])
+def test_paths_and_unseekable_streams_parse_alike(tmp_path, name):
+    path = tmp_path / name
+    records = _sample_frames() * 2
+    write_frame_csv(records, path)
+    expected, expected_report = parse_frame_csv(tmp_path / name)
+    assert list(expected) == records
+    data = path.read_bytes()
+    assert data.startswith(b"\x1f\x8b") == name.endswith(".gz")
+    for stream in (
+        _Unseekable(data),
+        _Unseekable(data, most=1),
+        io.BufferedReader(_Unseekable(data)),
+        io.BufferedReader(_Unseekable(data, most=1)),  # peek(2) would give 1 byte
+    ):
+        assert not stream.seekable()
+        back, report = parse_frame_csv(stream)
+        assert back == expected and report == expected_report
+        assert not stream.closed  # a caller's stream stays open
