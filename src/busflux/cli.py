@@ -5,6 +5,13 @@ honors ``--config`` (JSON) with flags taking precedence, and drops a run
 manifest recording the resolved config, input/output digests, and wall
 timings. Exit codes: 0 success, 1 domain error, 2 missing/undecodable
 input. ``BUSFLUX_LOG`` sets log verbosity and never changes outputs.
+
+Each stage runs on one BLAS thread: the models are small, and a second
+OpenBLAS thread mostly spin-waits between the many small products of a fit,
+costing CPU time and memory without saving wall time. Set
+``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS`` or ``OMP_NUM_THREADS`` to
+choose another count; outputs are byte-identical at any count. Only this
+entry module sets the default; library callers keep their own BLAS policy.
 """
 
 from __future__ import annotations
@@ -18,6 +25,10 @@ import time
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
+
+# Must precede the first package import below, which loads numpy and with
+# it the BLAS thread pool; a user's own thread setting still wins.
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import __version__
 from .aggregation import (

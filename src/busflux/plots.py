@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
-from xml.sax.saxutils import escape
 
 from .aggregation import HourlyCount
 from .errors import ParseError
@@ -45,6 +44,12 @@ class Series:
     def __post_init__(self):
         if len(self.xs) != len(self.ys):
             raise ValueError("series xs and ys must have equal length")
+
+
+def escape(text: str) -> str:
+    """XML-escape character data: ``&``, ``<`` and ``>``, as
+    ``xml.sax.saxutils.escape`` does, without its import cost."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:

@@ -441,3 +441,11 @@ def test_importing_the_package_loads_no_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_network_modules():
+    code = ("import sys, busflux.cli; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

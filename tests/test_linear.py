@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import json
 import logging
-import subprocess
-import sys
 
-import conftest
 import numpy as np
 import pytest
 
-from busflux.cli import main as cli_main
 from busflux.errors import ParseError
 from busflux.features import FeatureMatrix
 from busflux.models import LinearModel, load_model, lr_fit, save_model
@@ -118,37 +114,3 @@ def test_columns_are_recorded_from_the_training_matrix():
     model = lr_fit(m)
     assert model.columns == tuple(m.column_names)
 
-
-def test_model_file_is_identical_at_one_and_two_blas_threads(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": {"days": 6, "seed": 5}}))
-    p = {name: tmp_path / name for name in (
-        "frames.csv", "weather.json", "truth.json", "segments.csv", "report.json",
-        "hourly.csv", "joined.csv", "train.csv", "val.csv", "test.csv", "meta.json")}
-    for step in (
-        ("synth", "--config", cfg, "--out-frames", p["frames.csv"],
-         "--out-weather", p["weather.json"], "--out-truth", p["truth.json"]),
-        ("clean", "--config", cfg, "--frames", p["frames.csv"],
-         "--out-segments", p["segments.csv"], "--out-report", p["report.json"]),
-        ("aggregate", "--segments", p["segments.csv"], "--out-hourly", p["hourly.csv"]),
-        ("join", "--hourly", p["hourly.csv"], "--weather", p["weather.json"],
-         "--out-joined", p["joined.csv"]),
-        ("featurize", "--joined", p["joined.csv"], "--out-train", p["train.csv"],
-         "--out-val", p["val.csv"], "--out-test", p["test.csv"], "--out-meta", p["meta.json"]),
-    ):
-        assert cli_main([str(a) for a in step]) == 0, f"stage {step[0]} failed"
-
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"lr_{threads}.json"
-        env = conftest.child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        subprocess.run(
-            [sys.executable, "-c", "import sys; from busflux.cli import main; sys.exit(main())",
-             "train", "--model", "lr", "--train", str(p["train.csv"]),
-             "--meta", str(p["meta.json"]), "--out-model", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    model = json.loads(outputs[0])
-    assert 0 < model["parameters"]["rank"] < len(model["columns"]) + 1

@@ -5,8 +5,11 @@ from __future__ import annotations
 import csv
 import xml.etree.ElementTree as ET
 from datetime import datetime, timedelta
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from busflux.aggregation import HourlyCount
 from busflux.errors import ParseError
@@ -14,6 +17,7 @@ from busflux.models import ComparisonReport, TrainHistory
 from busflux.plots import (
     Series,
     bar_chart,
+    escape,
     history_series,
     hourly_series,
     line_chart,
@@ -63,6 +67,11 @@ def test_line_chart_escapes_markup_in_names():
     )
     root = parse_svg(text)  # would raise on unescaped < or &
     assert any(t.text == "a<b&c" for t in root.findall(f"{SVG}text"))
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;ampltg\"' x\u00e9\U0001f68c")))
+def test_escape_equals_saxutils_escape(text):
+    assert escape(text) == saxutils.escape(text)
 
 
 def test_line_chart_is_deterministic():
