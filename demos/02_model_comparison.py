@@ -15,17 +15,12 @@ from busflux.aggregation import segment_hourly_counts
 from busflux.cleaning import clean
 from busflux.config import default_calendar
 from busflux.features import SplitSpec, build_rows, fit_transform
-from busflux.models import (
-    ARCH_DNN,
-    ARCH_WNN,
-    TrainConfig,
-    cart_fit,
-    compare,
-    gbt_fit,
-    lr_fit,
-    mlp_init,
-    mlp_train,
-)
+from busflux.models.boosting import gbt_fit
+from busflux.models.config import TrainConfig
+from busflux.models.linear import lr_fit
+from busflux.models.metrics import compare
+from busflux.models.mlp import ARCH_DNN, ARCH_WNN, mlp_init, mlp_train
+from busflux.models.tree import cart_fit
 from busflux.plots import bar_chart, history_series, line_chart, report_bars
 from busflux.synth import generate, nonlinear_scenario
 from busflux.weather import hourly_lookup

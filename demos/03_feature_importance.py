@@ -19,7 +19,8 @@ from busflux.aggregation import segment_hourly_counts
 from busflux.cleaning import clean
 from busflux.config import default_calendar
 from busflux.features import FeatureMatrix, SplitSpec, build_rows, fit_transform
-from busflux.models import GbtParams, gbt_fit
+from busflux.models.boosting import gbt_fit
+from busflux.models.config import GbtParams
 from busflux.plots import bar_chart
 from busflux.synth import generate, nonlinear_scenario
 from busflux.weather import hourly_lookup

@@ -1,10 +1,14 @@
 """Command-line pipeline: one subcommand per stage, batch only.
 
-Each stage reads and writes only the files named on its command line,
-honors ``--config`` (JSON) with flags taking precedence, and drops a run
-manifest recording the resolved config, input/output digests, and wall
-timings. Exit codes: 0 success, 1 domain error, 2 missing/undecodable
-input. ``BUSFLUX_LOG`` sets log verbosity and never changes outputs.
+Each stage reads and writes only the files named on its command line and
+drops a run manifest recording the resolved config, input/output digests,
+and wall timings. A stage's config is resolved once: the ``--config`` JSON
+file, then ``synth --preset``, then the override flags, each later one
+winning. An override flag is a config key (``--learning-rate`` sets
+``train.learning_rate``) and goes through the same loader as the file, so
+its value gets the same type and range checks and an error naming the key.
+Exit codes: 0 success, 1 domain error, 2 missing/undecodable input.
+``BUSFLUX_LOG`` sets log verbosity and never changes outputs.
 
 Each stage runs on one BLAS thread: the models are small, and a second
 OpenBLAS thread mostly spin-waits between the many small products of a fit,
@@ -22,6 +26,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
@@ -39,7 +44,7 @@ from .aggregation import (
     write_minute_csv,
 )
 from .cleaning import clean, read_segment_csv, write_segment_csv
-from .config import PipelineConfig, config_to_dict, load_config
+from .config import PipelineConfig, load_config
 from .errors import BusfluxError, ConfigError, ParseError
 from .features import (
     FeatureCodec,
@@ -54,20 +59,12 @@ from .features import (
 )
 from .frames import parse_frame_csv, sorted_frames, write_frame_csv
 from .manifest import RunManifest, write_manifest
-from .models import (
-    ComparisonReport,
-    GbtEnsemble,
-    cart_fit,
-    compare,
-    gbt_fit,
-    load_model,
-    lr_fit,
-    mlp_init,
-    mlp_train,
-    read_history_csv,
-    save_model,
-    write_history_csv,
-)
+from .models.boosting import GbtEnsemble, gbt_fit
+from .models.linear import lr_fit
+from .models.metrics import ComparisonReport, compare
+from .models.mlp import mlp_init, mlp_train
+from .models.store import load_model, read_history_csv, save_model, write_history_csv
+from .models.tree import cart_fit
 from .plots import (
     Series,
     bar_chart,
@@ -77,7 +74,7 @@ from .plots import (
     report_bars,
     write_series_csv,
 )
-from .schema import to_dict, write_json, write_table
+from .schema import from_dict, to_dict, write_json, write_table
 from .synth import (
     default_scenario,
     generate,
@@ -95,6 +92,9 @@ PRESETS = {
     "nonlinear": nonlinear_scenario,
 }
 
+# The config section whose seed a stage's manifest records.
+SEED_SECTIONS = {"synth": "scenario", "featurize": "split", "train": "train"}
+
 
 def _setup_logging() -> None:
     level_name = os.environ.get("BUSFLUX_LOG", "WARNING").upper()
@@ -106,111 +106,44 @@ def _setup_logging() -> None:
     )
 
 
-def _finish_manifest(
-    args,
-    stage: str,
-    cfg: PipelineConfig,
-    seed: int | None,
-    inputs: list,
-    outputs: list,
-    timings: dict[str, float],
-) -> None:
-    manifest_path = args.manifest or f"{outputs[0]}.manifest.json"
-    base = os.path.dirname(os.path.abspath(manifest_path)) or "."
-    manifest = RunManifest(
-        tool_version=__version__,
-        stage=stage,
-        seed=seed,
-        config=config_to_dict(cfg),
-        timings=timings,
-    )
-    for path in inputs:
-        manifest.add_input(path, base=base)
-    for path in outputs:
-        manifest.add_output(path, base=base)
-    write_manifest(manifest, manifest_path)
-    log.info("%s: wrote manifest %s", stage, manifest_path)
+@contextmanager
+def _timed(timings: dict[str, float], key: str):
+    """Record the wall seconds of the with-block as ``timings[key]``."""
+    start = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - start
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    scenario = PRESETS[args.preset]() if args.preset else cfg.scenario
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    if args.days is not None:
-        scenario = replace(scenario, days=args.days)
-    cfg = replace(cfg, scenario=scenario)
-
-    t0 = time.perf_counter()
-    frames, weather, truth = generate(scenario)
-    t_gen = time.perf_counter() - t0
+def cmd_synth(args, cfg: PipelineConfig, timings: dict[str, float]):
+    with _timed(timings, "generate"):
+        frames, weather, truth = generate(cfg.scenario)
     write_frame_csv(sorted_frames(frames), args.out_frames)
     write_weather_json(weather, args.out_weather)
     write_truth_json(truth, args.out_truth)
-    log.info(
-        "synth: %d frames, %d signal devices, %d weather hours",
-        len(frames),
-        truth.signal_devices,
-        len(weather),
-    )
-    _finish_manifest(
-        args,
-        "synth",
-        cfg,
-        scenario.seed,
-        [],
-        [args.out_frames, args.out_weather, args.out_truth],
-        {"generate": t_gen},
-    )
-    return 0
+    log.info("synth: %d frames, %d signal devices, %d weather hours",
+             len(frames), truth.signal_devices, len(weather))
+    return [], [args.out_frames, args.out_weather, args.out_truth]
 
 
-def cmd_clean(args) -> int:
-    cfg = load_config(args.config)
-    t0 = time.perf_counter()
-    frames, parse_report = parse_frame_csv(args.frames)
-    t_parse = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    segments, report = clean(frames, cfg.cleaning)
-    t_clean = time.perf_counter() - t0
+def cmd_clean(args, cfg: PipelineConfig, timings: dict[str, float]):
+    with _timed(timings, "parse"):
+        frames, parse_report = parse_frame_csv(args.frames)
+    with _timed(timings, "clean"):
+        segments, report = clean(frames, cfg.cleaning)
     write_segment_csv(segments, args.out_segments)
-    write_json(
-        args.out_report,
-        {
-            "parse": {
-                "rows_total": parse_report.rows_total,
-                "rows_ok": parse_report.rows_ok,
-                "rows_bad": parse_report.rows_bad,
-                "anonymized_input": parse_report.anonymized_input,
-                "issues_by_reason": parse_report.issues_by_reason(),
-            },
-            "cleaning": to_dict(report),
-        },
-    )
-    log.info(
-        "clean: %d frames in, %d segments, %d frames kept",
-        report.input_frames,
-        len(segments),
-        report.kept_frames,
-    )
-    _finish_manifest(
-        args,
-        "clean",
-        cfg,
-        None,
-        [args.frames],
-        [args.out_segments, args.out_report],
-        {"parse": t_parse, "clean": t_clean},
-    )
-    return 0
+    parse = {k: getattr(parse_report, k)
+             for k in ("rows_total", "rows_ok", "rows_bad", "anonymized_input")}
+    parse["issues_by_reason"] = parse_report.issues_by_reason()
+    write_json(args.out_report, {"parse": parse, "cleaning": to_dict(report)})
+    log.info("clean: %d frames in, %d segments, %d frames kept",
+             report.input_frames, len(segments), report.kept_frames)
+    return [args.frames], [args.out_segments, args.out_report]
 
 
-def cmd_aggregate(args) -> int:
-    cfg = load_config(args.config)
-    t0 = time.perf_counter()
-    segments = read_segment_csv(args.segments)
-    hours = segment_hourly_counts(segments, start=args.start, end=args.end)
-    t_agg = time.perf_counter() - t0
+def cmd_aggregate(args, cfg: PipelineConfig, timings: dict[str, float]):
+    with _timed(timings, "aggregate"):
+        segments = read_segment_csv(args.segments)
+        hours = segment_hourly_counts(segments, start=args.start, end=args.end)
     outputs = []
     if args.out_minutes:
         write_minute_csv(minute_counts(segments), args.out_minutes)
@@ -218,132 +151,78 @@ def cmd_aggregate(args) -> int:
     write_hourly_csv(hours, args.out_hourly)
     outputs.append(args.out_hourly)
     log.info("aggregate: %d segments -> %d hourly rows", len(segments), len(hours))
-    _finish_manifest(args, "aggregate", cfg, None, [args.segments], outputs, {"aggregate": t_agg})
-    return 0
+    return [args.segments], outputs
 
 
-def cmd_join(args) -> int:
-    cfg = load_config(args.config)
-    t0 = time.perf_counter()
-    hours = read_hourly_csv(args.hourly)
-    observations, weather_report = parse_weather(args.weather)
-    rows, join_report = build_rows(hours, hourly_lookup(observations), cfg.calendar)
-    t_join = time.perf_counter() - t0
+def cmd_join(args, cfg: PipelineConfig, timings: dict[str, float]):
+    with _timed(timings, "join"):
+        hours = read_hourly_csv(args.hourly)
+        observations, weather_report = parse_weather(args.weather)
+        rows, join_report = build_rows(hours, hourly_lookup(observations), cfg.calendar)
     write_joined_csv(rows, args.out_joined)
     outputs = [args.out_joined]
     if args.out_report:
-        write_json(
-            args.out_report,
-            {
-                "weather": {
-                    "rows_total": weather_report.rows_total,
-                    "rows_ok": weather_report.rows_ok,
-                    "duplicate_dt": weather_report.duplicate_dt,
-                    "sorted_input": weather_report.sorted_input,
-                },
-                "join": to_dict(join_report),
-            },
-        )
+        weather = {k: getattr(weather_report, k)
+                   for k in ("rows_total", "rows_ok", "duplicate_dt", "sorted_input")}
+        write_json(args.out_report, {"weather": weather, "join": to_dict(join_report)})
         outputs.append(args.out_report)
-    log.info(
-        "join: %d hourly rows -> %d feature rows (%d no weather, %d pre-semester)",
-        join_report.rows_in,
-        join_report.rows_out,
-        join_report.dropped_no_weather,
-        join_report.rejected_pre_semester,
-    )
-    _finish_manifest(args, "join", cfg, None, [args.hourly, args.weather], outputs, {"join": t_join})
-    return 0
+    log.info("join: %d hourly rows -> %d feature rows (%d no weather, %d pre-semester)",
+             join_report.rows_in, join_report.rows_out,
+             join_report.dropped_no_weather, join_report.rejected_pre_semester)
+    return [args.hourly, args.weather], outputs
 
 
-def cmd_featurize(args) -> int:
-    cfg = load_config(args.config)
-    split = cfg.split
-    if args.seed is not None:
-        split = replace(split, seed=args.seed)
-    cfg = replace(cfg, split=split)
-    t0 = time.perf_counter()
-    rows = read_joined_csv(args.joined)
-    train_rows, val_rows, test_rows = split_rows(rows, split)
-    codec = FeatureCodec.fit(train_rows)
-    matrices = {
-        args.out_train: codec.transform(train_rows),
-        args.out_val: codec.transform(val_rows),
-        args.out_test: codec.transform(test_rows),
-    }
-    t_fit = time.perf_counter() - t0
+def cmd_featurize(args, cfg: PipelineConfig, timings: dict[str, float]):
+    with _timed(timings, "featurize"):
+        rows = read_joined_csv(args.joined)
+        train_rows, val_rows, test_rows = split_rows(rows, cfg.split)
+        codec = FeatureCodec.fit(train_rows)
+        matrices = {
+            args.out_train: codec.transform(train_rows),
+            args.out_val: codec.transform(val_rows),
+            args.out_test: codec.transform(test_rows),
+        }
     for path, matrix in matrices.items():
         save_matrix(matrix, path)
-    write_matrix_meta(codec, split, args.out_meta)
+    write_matrix_meta(codec, cfg.split, args.out_meta)
     if codec.dropped_constant:
         log.info("featurize: dropped constant columns %s", codec.dropped_constant)
-    log.info(
-        "featurize: %d rows -> %d train / %d val / %d test, %d columns",
-        len(rows),
-        len(train_rows),
-        len(val_rows),
-        len(test_rows),
-        len(codec.columns),
-    )
-    _finish_manifest(
-        args,
-        "featurize",
-        cfg,
-        split.seed,
-        [args.joined],
-        [args.out_train, args.out_val, args.out_test, args.out_meta],
-        {"featurize": t_fit},
-    )
-    return 0
+    log.info("featurize: %d rows -> %d train / %d val / %d test, %d columns",
+             len(rows), len(train_rows), len(val_rows), len(test_rows), len(codec.columns))
+    return [args.joined], [args.out_train, args.out_val, args.out_test, args.out_meta]
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+def cmd_train(args, cfg: PipelineConfig, timings: dict[str, float]):
     tcfg = cfg.train
-    if args.seed is not None:
-        tcfg = replace(tcfg, seed=args.seed)
-    if args.epochs is not None:
-        tcfg = replace(tcfg, epochs=args.epochs)
-    if args.batch_size is not None:
-        tcfg = replace(tcfg, batch_size=args.batch_size)
-    if args.learning_rate is not None:
-        tcfg = replace(tcfg, learning_rate=args.learning_rate)
-    cfg = replace(cfg, train=tcfg)
-
     codec, _ = read_matrix_meta(args.meta)
     train = load_matrix(args.train, codec)
     inputs = [args.train, args.meta]
     history = None
-
-    t0 = time.perf_counter()
-    if args.model == "lr":
-        model = lr_fit(train)
-    elif args.model in ("wnn", "dnn"):
-        if not args.val:
-            raise ConfigError(f"--val is required to train a {args.model} model")
-        val = load_matrix(args.val, codec)
-        inputs.append(args.val)
-        init = mlp_init(args.model, train.rows.shape[1], tcfg.seed, cfg=tcfg)
-        model, history = mlp_train(init, train, val, tcfg)
-    elif args.model == "cart":
-        model = cart_fit(train, tcfg.cart)
-    else:
-        model = gbt_fit(train, tcfg.gbt)
-    t_train = time.perf_counter() - t0
-
+    with _timed(timings, "train"):
+        if args.model == "lr":
+            model = lr_fit(train)
+        elif args.model in ("wnn", "dnn"):
+            if not args.val:
+                raise ConfigError(f"--val is required to train a {args.model} model")
+            val = load_matrix(args.val, codec)
+            inputs.append(args.val)
+            init = mlp_init(args.model, train.rows.shape[1], tcfg.seed, cfg=tcfg)
+            model, history = mlp_train(init, train, val, tcfg)
+        elif args.model == "cart":
+            model = cart_fit(train, tcfg.cart)
+        else:
+            model = gbt_fit(train, tcfg.gbt)
     save_model(model, args.out_model, config=tcfg)
     outputs = [args.out_model]
     if history is not None and args.out_history:
         write_history_csv(history, args.out_history)
         outputs.append(args.out_history)
         log.info("train: best validation epoch %d", history.best_epoch + 1)
-    log.info("train: %s fitted in %.2fs", args.model, t_train)
-    _finish_manifest(args, "train", cfg, tcfg.seed, inputs, outputs, {"train": t_train})
-    return 0
+    log.info("train: %s fitted in %.2fs", args.model, timings["train"])
+    return inputs, outputs
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_evaluate(args, cfg: PipelineConfig, timings: dict[str, float]):
     codec, _ = read_matrix_meta(args.meta)
     test = load_matrix(args.test, codec)
     models = {}
@@ -352,44 +231,27 @@ def cmd_evaluate(args) -> int:
         if name in models:
             raise ConfigError(f"two model files share the name {name!r}; rename one")
         models[name] = load_model(path)
-    t0 = time.perf_counter()
-    report = compare(models, test)
-    t_eval = time.perf_counter() - t0
+    with _timed(timings, "evaluate"):
+        report = compare(models, test)
     write_json(args.out_report, report.to_dict())
     for entry in report.ranking:
         log.info("evaluate: %s mse=%.6g mae=%.6g", entry["name"], entry["mse"], entry["mae"])
-    _finish_manifest(
-        args,
-        "evaluate",
-        cfg,
-        None,
-        [args.test, args.meta, *args.model],
-        [args.out_report],
-        {"evaluate": t_eval},
-    )
-    return 0
+    return [args.test, args.meta, *args.model], [args.out_report]
 
 
-def cmd_importance(args) -> int:
-    cfg = load_config(args.config)
+def cmd_importance(args, cfg: PipelineConfig, timings: dict[str, float]):
     model = load_model(args.model)
     if not isinstance(model, GbtEnsemble):
-        raise BusfluxError(
-            "feature importance needs a gradient-boosted model file"
-        )
-    names = (
-        list(model.columns)
-        if model.columns is not None
-        else [f"x{i}" for i in range(model.importance.size)]
-    )
+        raise BusfluxError("feature importance needs a gradient-boosted model file")
+    names = model.columns
+    if names is None:
+        names = [f"x{i}" for i in range(model.importance.size)]
     ranked = sorted(zip(names, model.importance.tolist()), key=lambda kv: (-kv[1], kv[0]))
     write_table(args.out, ("feature", "importance"), ranked)
-    _finish_manifest(args, "importance", cfg, None, [args.model], [args.out], {})
-    return 0
+    return [args.model], [args.out]
 
 
-def cmd_plot(args) -> int:
-    cfg = load_config(args.config)
+def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
     out_csv = args.out_csv or str(Path(args.out).with_suffix(".csv"))
     try:
         if args.history:
@@ -405,9 +267,7 @@ def cmd_plot(args) -> int:
             with open(args.mse_report, "r", encoding="utf-8") as fh:
                 report = ComparisonReport.from_dict(json.load(fh))
             labels, values = report_bars(report)
-            series = [
-                Series(name="mse", xs=tuple(range(len(values))), ys=tuple(values))
-            ]
+            series = [Series(name="mse", xs=tuple(range(len(values))), ys=tuple(values))]
             svg = bar_chart(labels, values, title="Model test MSE", y_label="mse")
     except (ParseError, KeyError, json.JSONDecodeError) as exc:
         # The file exists but does not hold the expected artifact.
@@ -415,8 +275,48 @@ def cmd_plot(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
     write_series_csv(series, out_csv)
-    _finish_manifest(args, "plot", cfg, None, [source], [args.out, out_csv], {})
-    return 0
+    return [source], [args.out, out_csv]
+
+
+def _resolve_config(args) -> PipelineConfig:
+    """The config file, then ``--preset``, then the override flags given."""
+    cfg = load_config(args.config)
+    if getattr(args, "preset", None):
+        cfg = replace(cfg, scenario=PRESETS[args.preset]())
+    flags: dict[str, dict] = {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
+            flags.setdefault(section, {})[key] = value
+    return from_dict(PipelineConfig, flags, cfg)
+
+
+def _run_stage(args) -> None:
+    """Resolve the config, run the stage's handler and write its manifest.
+
+    A handler takes (args, cfg, timings), records its timings through
+    ``_timed`` and returns the (inputs, outputs) the manifest lists; the
+    first output names the manifest by default.
+    """
+    cfg = _resolve_config(args)
+    timings: dict[str, float] = {}
+    inputs, outputs = args.func(args, cfg, timings)
+    manifest_path = args.manifest or f"{outputs[0]}.manifest.json"
+    base = os.path.dirname(os.path.abspath(manifest_path)) or "."
+    section = SEED_SECTIONS.get(args.command)
+    manifest = RunManifest(
+        tool_version=__version__,
+        stage=args.command,
+        seed=getattr(cfg, section).seed if section else None,
+        config=to_dict(cfg),
+        timings=timings,
+    )
+    for path in inputs:
+        manifest.add_input(path, base=base)
+    for path in outputs:
+        manifest.add_output(path, base=base)
+    write_manifest(manifest, manifest_path)
+    log.info("%s: wrote manifest %s", args.command, manifest_path)
 
 
 def utc_timestamp(text: str) -> datetime:
@@ -432,6 +332,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--manifest", help="run manifest path (default: <first output>.manifest.json)")
 
 
+def _add_override(sub: argparse.ArgumentParser, flag: str, key: str, type, help=None) -> None:
+    """A flag that overrides config key ``key`` (its argparse dest)."""
+    metavar = flag.lstrip("-").upper().replace("-", "_")
+    sub.add_argument(flag, dest=key, metavar=metavar, type=type, help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="busflux",
@@ -442,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", help="generate a seeded scenario with planted ground truth")
     p.add_argument("--preset", choices=sorted(PRESETS), help="scenario preset (overrides config)")
-    p.add_argument("--seed", type=int, help="scenario seed override")
-    p.add_argument("--days", type=int, help="scenario length override")
+    _add_override(p, "--seed", "scenario.seed", int, help="scenario seed override")
+    _add_override(p, "--days", "scenario.days", int, help="scenario length override")
     p.add_argument("--out-frames", required=True)
     p.add_argument("--out-weather", required=True)
     p.add_argument("--out-truth", required=True)
@@ -476,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("featurize", help="encode joined rows and split train/val/test")
     p.add_argument("--joined", required=True)
-    p.add_argument("--seed", type=int, help="split seed override")
+    _add_override(p, "--seed", "split.seed", int, help="split seed override")
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-val", required=True)
     p.add_argument("--out-test", required=True)
@@ -489,10 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training matrix CSV")
     p.add_argument("--val", help="validation matrix CSV (wnn/dnn)")
     p.add_argument("--meta", required=True, help="matrix metadata JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
+    _add_override(p, "--seed", "train.seed", int)
+    _add_override(p, "--epochs", "train.epochs", int)
+    _add_override(p, "--batch-size", "train.batch_size", int)
+    _add_override(p, "--learning-rate", "train.learning_rate", float)
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", help="per-epoch loss CSV (wnn/dnn)")
     _add_common(p)
@@ -533,7 +439,8 @@ def main(argv=None) -> int:
         parser.print_help(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        _run_stage(args)
+        return 0
     except ParseError as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)

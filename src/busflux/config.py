@@ -1,12 +1,13 @@
 """Pipeline configuration file: one JSON document, one section per stage.
 
 Every section and key is optional and falls back to the stage defaults,
-so a config file only needs to spell out what it changes. Unknown keys
-and values of the wrong type are rejected with a ConfigError naming the
-dotted key, so a misspelt key cannot silently leave a default in place.
-The scenario's ``cleaning`` section, when the file leaves it out, is the
-pipeline's ``cleaning`` section. Command-line flags override file values;
-the fully resolved config is what run manifests snapshot.
+so a config file only needs to spell out what it changes. Unknown keys,
+values of the wrong type and non-finite numbers are rejected with a
+ConfigError naming the dotted key, so a misspelt key cannot silently leave
+a default in place. The scenario's ``cleaning`` section, when the file
+leaves it out, is the pipeline's ``cleaning`` section. Command-line flags
+override file values through the same loader; the fully resolved config
+is what run manifests snapshot.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class PipelineConfig:
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
 
 
-def config_to_dict(cfg: PipelineConfig) -> dict:
-    return to_dict(cfg)
-
-
 def config_from_dict(data: dict) -> PipelineConfig:
     cfg = from_dict(PipelineConfig, data, PipelineConfig())
     if "cleaning" not in data.get("scenario", {}):
@@ -63,4 +60,4 @@ def load_config(path: Union[str, os.PathLike, None]) -> PipelineConfig:
 
 
 def write_config(cfg: PipelineConfig, dest: Union[str, os.PathLike]) -> None:
-    write_json(dest, config_to_dict(cfg))
+    write_json(dest, to_dict(cfg))

@@ -1,54 +1,1 @@
 """Seeded, from-scratch regression models and their evaluation tooling."""
-
-from .boosting import GbtEnsemble, gbt_fit
-from .config import CartParams, GbtParams, TrainConfig
-from .linear import LinearModel, lr_fit
-from .metrics import (
-    ComparisonReport,
-    EvalResult,
-    compare,
-    evaluate,
-    improvement_percent,
-)
-from .mlp import (
-    ARCH_DNN,
-    ARCH_WNN,
-    MlpModel,
-    TrainHistory,
-    loss_and_grads,
-    mlp_forward,
-    mlp_init,
-    mlp_train,
-)
-from .store import load_model, read_history_csv, save_model, write_history_csv
-from .tree import CartSplit, RegressionTree, cart_fit
-
-__all__ = [
-    "ARCH_DNN",
-    "ARCH_WNN",
-    "CartParams",
-    "CartSplit",
-    "ComparisonReport",
-    "EvalResult",
-    "GbtEnsemble",
-    "GbtParams",
-    "LinearModel",
-    "MlpModel",
-    "RegressionTree",
-    "TrainConfig",
-    "TrainHistory",
-    "cart_fit",
-    "compare",
-    "evaluate",
-    "gbt_fit",
-    "improvement_percent",
-    "load_model",
-    "loss_and_grads",
-    "lr_fit",
-    "mlp_forward",
-    "mlp_init",
-    "mlp_train",
-    "read_history_csv",
-    "save_model",
-    "write_history_csv",
-]

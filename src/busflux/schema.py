@@ -12,8 +12,9 @@ Every JSON artifact is written by ``write_json``; those that carry a
 ``to_dict`` / ``from_dict`` convert config (and report) dataclasses,
 driven by their fields and type hints: a nested dataclass is a JSON
 object, a ``timedelta`` field ``x`` is the integer key ``x_seconds``, a
-``date`` is an ISO string and a tuple is a list. Unknown keys and values
-of the wrong type raise a ConfigError naming the dotted key.
+``date`` is an ISO string and a tuple is a list. Unknown keys, values of
+the wrong type and non-finite numbers (JSON's ``NaN`` and ``Infinity``)
+raise a ConfigError naming the dotted key.
 """
 
 from __future__ import annotations
@@ -188,7 +189,10 @@ def _value(hint, value, base, key: str):
         except ValueError:
             pass
     elif hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return real(value)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{_where(key)} needs a finite number, got {value!r}") from None
     elif hint in (int, timedelta) and isinstance(value, int) and not isinstance(value, bool):
         return timedelta(seconds=value) if hint is timedelta else value
     elif hint in (str, bool) and isinstance(value, hint):

@@ -108,22 +108,41 @@ def _validate(values: dict) -> str | None:
     return None
 
 
-def _build(raw: dict, index: int, report: WeatherParseReport) -> WeatherObservation | None:
+# The JSON types a field of each kind may hold; a bool is never a number.
+_JSON_TYPES = {int: int, float: (int, float), str: str}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _field(raw: dict, name: str, kind: type, text: bool):
+    """Field ``name`` of a row as ``kind``. A CSV row's cells are text and
+    are converted; a JSON row's value must already be of the JSON type."""
+    value = raw[name]
+    if isinstance(value, str if text else _JSON_TYPES[kind]) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} needs {_KIND_NAMES[kind]}, got {value!r}")
+
+
+def _build(
+    raw: dict, index: int, report: WeatherParseReport, text: bool
+) -> WeatherObservation | None:
     values: dict = {}
     try:
-        values["dt"] = int(raw["dt"])
+        values["dt"] = _field(raw, "dt", int, text)
         for name in NUMERIC_FIELDS:
             if name in raw and raw[name] not in (None, ""):
-                values[name] = float(raw[name])
+                values[name] = _field(raw, name, float, text)
             elif name in OPTIONAL_FIELDS:
                 values[name] = 0.0
                 report.absent_defaults[name] += 1
             else:
                 raise KeyError(name)
-        values["weather_id"] = int(raw["weather_id"])
-        values["weather_main"] = str(raw["weather_main"])
-        values["weather_description"] = str(raw["weather_description"])
-    except (KeyError, TypeError, ValueError) as exc:
+        values["weather_id"] = _field(raw, "weather_id", int, text)
+        for name in ("weather_main", "weather_description"):
+            values[name] = _field(raw, name, str, text)
+    except (KeyError, ValueError) as exc:
         report.rejected.append((index, f"missing or malformed field: {exc}"))
         return None
 
@@ -143,8 +162,11 @@ def parse_weather(
     Optional fields (rain_*, snow_*, sea_level, grnd_level) default to 0
     with a per-field absence counter. Duplicate dt keeps the first
     occurrence; out-of-order input is sorted. Both are warnings, not
-    errors. Rows holding a non-finite number or violating range
-    invariants are rejected into the report.
+    errors. Rows holding a non-finite number, a field of the wrong type or
+    a value violating range invariants are rejected into the report: ``dt``
+    and ``weather_id`` must be integers (a JSON integer, or integer text in
+    CSV), the other numbers JSON numbers or number text but never
+    booleans, and ``weather_main`` and ``weather_description`` strings.
     """
     if hasattr(source, "read"):
         data = source.read()
@@ -185,7 +207,7 @@ def parse_weather(
         if not isinstance(raw, dict):
             report.rejected.append((index, "not an object"))
             continue
-        obs = _build(raw, index, report)
+        obs = _build(raw, index, report, fmt == "csv")
         if obs is None:
             continue
         if obs.dt in seen:

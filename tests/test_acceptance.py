@@ -29,23 +29,12 @@ from busflux.features import (
     split_rows,
 )
 from busflux.manifest import combined_digest_list, read_manifest
-from busflux.models import (
-    ARCH_DNN,
-    ARCH_WNN,
-    CartParams,
-    GbtParams,
-    TrainConfig,
-    cart_fit,
-    evaluate,
-    gbt_fit,
-    improvement_percent,
-    loss_and_grads,
-    lr_fit,
-    mlp_init,
-    mlp_train,
-)
-from busflux.models.mlp import ARCH_CUSTOM
-from busflux.models.tree import node_sse
+from busflux.models.boosting import gbt_fit
+from busflux.models.config import CartParams, GbtParams, TrainConfig
+from busflux.models.linear import lr_fit
+from busflux.models.metrics import evaluate, improvement_percent
+from busflux.models.mlp import ARCH_CUSTOM, ARCH_DNN, ARCH_WNN, loss_and_grads, mlp_init, mlp_train
+from busflux.models.tree import cart_fit, node_sse
 from busflux.synth import (
     NOISE_CLASSES,
     LinearScenarioConfig,

@@ -7,7 +7,8 @@ import pytest
 
 from busflux.errors import ConfigError
 from busflux.features import FeatureMatrix
-from busflux.models import GbtEnsemble, GbtParams, gbt_fit
+from busflux.models.boosting import GbtEnsemble, gbt_fit
+from busflux.models.config import GbtParams
 
 
 def matrix(seed=0, n=160, d=5):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 import shutil
@@ -14,7 +15,8 @@ import pytest
 
 from busflux.aggregation import read_hourly_csv, read_minute_csv, write_hourly_csv, write_minute_csv
 from busflux.cleaning import read_segment_csv, write_segment_csv
-from busflux.cli import main
+from busflux.cli import build_parser, main
+from busflux.config import PipelineConfig
 from busflux.errors import ParseError
 from busflux.features import (
     load_matrix,
@@ -24,7 +26,8 @@ from busflux.features import (
     write_joined_csv,
 )
 from busflux.manifest import read_manifest, sha256_file
-from busflux.models import load_model, read_history_csv, write_history_csv
+from busflux.models.store import load_model, read_history_csv, write_history_csv
+from busflux.schema import from_dict
 from busflux.synth import read_truth_json
 
 
@@ -353,6 +356,123 @@ def test_aggregate_rejects_a_utc_offset(ws, tmp_path):
         run("aggregate", "--segments", ws["segments"], "--out-hourly", tmp_path / "h.csv",
             "--start", "2017-04-05T23:00+00:00")
     assert exc.value.code == 2
+
+
+# ── config flags and manifests ───────────────────────────────────────────
+
+# Every override flag: (stage, flag) -> its config key, and a value that
+# differs from both the default and the fixture's config file.
+OVERRIDES = {
+    ("synth", "--seed"): ("scenario.seed", "4"),
+    ("synth", "--days"): ("scenario.days", "1"),
+    ("featurize", "--seed"): ("split.seed", "5"),
+    ("train", "--seed"): ("train.seed", "2"),
+    ("train", "--epochs"): ("train.epochs", "2"),
+    ("train", "--batch-size"): ("train.batch_size", "16"),
+    ("train", "--learning-rate"): ("train.learning_rate", "0.01"),
+}
+
+
+def _override_actions():
+    """(stage, flag, action) for every option whose dest is a dotted config key."""
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(stage, action.option_strings[0], action)
+            for stage, sub in subs.choices.items()
+            for action in sub._actions if "." in action.dest]
+
+
+def test_every_dotted_flag_dest_resolves_through_the_config_loader():
+    found = _override_actions()
+    assert {(stage, flag): action.dest for stage, flag, action in found} == {
+        k: key for k, (key, _) in OVERRIDES.items()}
+    for stage, flag, action in found:
+        section, key = action.dest.split(".")
+        value = action.type(OVERRIDES[stage, flag][1])
+        cfg = from_dict(PipelineConfig, {section: {key: value}}, PipelineConfig())
+        assert getattr(getattr(cfg, section), key) == value
+
+
+def _stage_argv(ws, stage, out):
+    if stage == "synth":
+        return ["synth", "--out-frames", out / "frames.csv",
+                "--out-weather", out / "weather.json", "--out-truth", out / "truth.json"]
+    if stage == "featurize":
+        return ["featurize", "--joined", ws["joined"], "--out-train", out / "train.csv",
+                "--out-val", out / "val.csv", "--out-test", out / "test.csv",
+                "--out-meta", out / "meta.json"]
+    return ["train", "--model", "wnn", "--train", ws["train"], "--val", ws["val"],
+            "--meta", ws["meta"], "--out-model", out / "wnn.json",
+            "--out-history", out / "history.csv"]
+
+
+@pytest.mark.parametrize("stage, flag", sorted(OVERRIDES))
+def test_a_flag_equals_the_same_value_in_the_config_file(ws, tmp_path, stage, flag):
+    key, text = OVERRIDES[stage, flag]
+    section, name = key.split(".")
+    (action,) = [a for s, f, a in _override_actions() if (s, f) == (stage, flag)]
+    doc = json.loads(ws["cfg"].read_text())
+    doc.setdefault(section, {})[name] = action.type(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    for out, extra in ((by_flag, ["--config", ws["cfg"], flag, text]), (by_file, ["--config", cfg])):
+        out.mkdir()
+        assert run(*_stage_argv(ws, stage, out), *extra) == 0
+    files = sorted(p.name for p in by_flag.iterdir())
+    assert files == sorted(p.name for p in by_file.iterdir())
+    for file in files:
+        if file.endswith(".manifest.json"):
+            a, b = read_manifest(by_flag / file), read_manifest(by_file / file)
+            assert (a.config, a.seed, a.outputs) == (b.config, b.seed, b.outputs)
+            assert a.config[section][name] == action.type(text)
+        else:
+            assert (by_flag / file).read_bytes() == (by_file / file).read_bytes(), file
+
+
+# Each stage's manifest in the fixture run: stage, seed, timings keys.
+STAGE_MANIFESTS = {
+    "frames.csv": ("synth", 9, {"generate"}),
+    "segments.csv": ("clean", None, {"parse", "clean"}),
+    "minutes.csv": ("aggregate", None, {"aggregate"}),
+    "joined.csv": ("join", None, {"join"}),
+    "train.csv": ("featurize", 7, {"featurize"}),
+    "lr.json": ("train", 7, {"train"}),
+    "gbt.json": ("train", 7, {"train"}),
+    "wnn.json": ("train", 7, {"train"}),
+    "eval_report.json": ("evaluate", None, {"evaluate"}),
+    "importance.csv": ("importance", None, set()),
+    "demand.svg": ("plot", None, set()),
+}
+
+
+@pytest.mark.parametrize("first_output", sorted(STAGE_MANIFESTS))
+def test_stage_manifests_pin_stage_seed_and_timing_keys(ws, first_output):
+    m = read_manifest(ws["root"] / f"{first_output}.manifest.json")
+    assert (m.stage, m.seed, set(m.timings)) == STAGE_MANIFESTS[first_output]
+    assert all(seconds >= 0 for seconds in m.timings.values())
+    assert first_output in m.outputs
+
+
+def test_linear_training_records_no_history_file(ws, tmp_path):
+    assert run("train", "--model", "lr", "--train", ws["train"], "--meta", ws["meta"],
+               "--out-model", tmp_path / "lr.json", "--out-history", tmp_path / "h.csv") == 0
+    assert not (tmp_path / "h.csv").exists()
+    assert set(read_manifest(tmp_path / "lr.json.manifest.json").outputs) == {"lr.json"}
+
+
+def test_non_finite_config_values_exit_1(ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"scenario": {"days": 1, "demand": {"base_rate": NaN}}}')
+    assert run("synth", "--config", cfg, "--out-frames", tmp_path / "f.csv",
+               "--out-weather", tmp_path / "w.json", "--out-truth", tmp_path / "t.json") == 1
+    assert "config key 'scenario.demand.base_rate' needs a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_flag_values_exit_1(ws, tmp_path, capsys):
+    assert run("train", "--model", "lr", "--train", ws["train"], "--meta", ws["meta"],
+               "--learning-rate", "nan", "--out-model", tmp_path / "m.json") == 1
+    assert "config key 'train.learning_rate' needs a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 # ── exit codes ───────────────────────────────────────────────────────────

@@ -13,13 +13,12 @@ from busflux.config import (
     DEFAULT_SEMESTER_START,
     PipelineConfig,
     config_from_dict,
-    config_to_dict,
     load_config,
     write_config,
 )
 from busflux.errors import ConfigError, ParseError
 from busflux.features import SplitSpec
-from busflux.models import TrainConfig
+from busflux.models.config import TrainConfig
 from busflux.schema import to_dict
 from busflux.synth import NoiseMix, ScenarioConfig
 
@@ -159,7 +158,7 @@ def test_scenario_cleaning_can_diverge_when_spelled_out():
 def test_config_dict_is_json_complete():
     """Serializing and re-parsing the dict form is lossless for defaults."""
     cfg = PipelineConfig()
-    data = json.loads(json.dumps(config_to_dict(cfg)))
+    data = json.loads(json.dumps(to_dict(cfg)))
     assert config_from_dict(data) == cfg
 
 
@@ -168,7 +167,7 @@ def test_default_dicts_are_pinned():
     def dump(data):
         return json.dumps(data, sort_keys=True)
 
-    assert dump(config_to_dict(PipelineConfig())) == dump(DEFAULT_CONFIG_DICT)
+    assert dump(to_dict(PipelineConfig())) == dump(DEFAULT_CONFIG_DICT)
     assert dump(to_dict(TrainConfig())) == dump(DEFAULT_TRAIN_DICT)
 
 
@@ -193,6 +192,23 @@ def test_float_fields_accept_integers():
     cfg = config_from_dict({"train": {"learning_rate": 1}, "split": {"test_fraction": 0.5}})
     assert cfg.train.learning_rate == 1.0
     assert isinstance(cfg.train.learning_rate, float)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"scenario": {"demand": {"base_rate": NaN}}}', "scenario.demand.base_rate"),
+        ('{"train": {"learning_rate": Infinity}}', "train.learning_rate"),
+        ('{"split": {"test_fraction": -Infinity}}', "split.test_fraction"),
+        ('{"scenario": {"demand": {"hour_shape": [1, NaN]}}}', "scenario.demand.hour_shape[1]"),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, text, key):
+    # Python's json reads NaN and Infinity; the loader must not pass them on.
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"config key {key!r} needs a finite number")):
+        load_config(path)
 
 
 def test_written_file_is_deterministic(tmp_path):

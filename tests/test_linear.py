@@ -10,7 +10,8 @@ import pytest
 
 from busflux.errors import ParseError
 from busflux.features import FeatureMatrix
-from busflux.models import LinearModel, load_model, lr_fit, save_model
+from busflux.models.linear import LinearModel, lr_fit
+from busflux.models.store import load_model, save_model
 from busflux.synth import LinearScenarioConfig, linear_scenario
 
 

@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 
 from busflux.errors import ColumnMismatchError
 from busflux.features import FeatureMatrix
-from busflux.models import (
-    ComparisonReport,
-    compare,
-    evaluate,
-    improvement_percent,
-    lr_fit,
-)
+from busflux.models.linear import lr_fit
+from busflux.models.metrics import ComparisonReport, compare, evaluate, improvement_percent
 
 
 class ConstantModel:

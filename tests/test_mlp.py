@@ -10,9 +10,9 @@ import pytest
 import busflux.models.mlp as mlp_module
 from busflux.errors import ConfigError, TrainingDivergedError
 from busflux.features import FeatureMatrix
-from busflux.models import (
+from busflux.models.config import TrainConfig
+from busflux.models.mlp import (
     MlpModel,
-    TrainConfig,
     TrainHistory,
     loss_and_grads,
     mlp_forward,

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from busflux.aggregation import HourlyCount
 from busflux.errors import ParseError
-from busflux.models import ComparisonReport, TrainHistory
+from busflux.models.metrics import ComparisonReport
+from busflux.models.mlp import TrainHistory
 from busflux.plots import (
     Series,
     bar_chart,

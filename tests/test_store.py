@@ -9,23 +9,12 @@ import pytest
 
 from busflux.errors import ParseError
 from busflux.features import FeatureMatrix
-from busflux.models import (
-    ARCH_DNN,
-    ARCH_WNN,
-    CartParams,
-    GbtParams,
-    TrainConfig,
-    TrainHistory,
-    cart_fit,
-    gbt_fit,
-    load_model,
-    lr_fit,
-    mlp_init,
-    mlp_train,
-    read_history_csv,
-    save_model,
-    write_history_csv,
-)
+from busflux.models.boosting import gbt_fit
+from busflux.models.config import CartParams, GbtParams, TrainConfig
+from busflux.models.linear import lr_fit
+from busflux.models.mlp import ARCH_DNN, ARCH_WNN, TrainHistory, mlp_init, mlp_train
+from busflux.models.store import load_model, read_history_csv, save_model, write_history_csv
+from busflux.models.tree import cart_fit
 from busflux.schema import from_dict, to_dict
 
 

@@ -12,7 +12,7 @@ from busflux.aggregation import segment_hourly_counts
 from busflux.cleaning import clean
 from busflux.errors import ConfigError
 from busflux.frames import is_randomized
-from busflux.models import lr_fit
+from busflux.models.linear import lr_fit
 from busflux.synth import (
     NOISE_CLASSES,
     DemandModel,

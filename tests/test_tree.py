@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from busflux.errors import ConfigError
 from busflux.features import FeatureMatrix
-from busflux.models import CartParams, GbtParams, RegressionTree, cart_fit, gbt_fit
-from busflux.models.tree import ValueCoding, grow, node_sse
+from busflux.models.boosting import gbt_fit
+from busflux.models.config import CartParams, GbtParams
+from busflux.models.tree import RegressionTree, ValueCoding, cart_fit, grow, node_sse
 
 
 def matrix(X, y) -> FeatureMatrix:

@@ -135,6 +135,41 @@ def test_non_finite_csv_values_reject_rows(tmp_path, text):
     assert report.rejected == [(0, f"non-finite pressure: {float(text)}")]
 
 
+def _csv_line(o: WeatherObservation, **cells) -> str:
+    names = CSV_HEADER.split(",")
+    return ",".join(cells.get(name, str(getattr(o, name))) for name in names) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, field, value, reason",
+    [
+        ("json", "weather_main", None, "weather_main needs a string, got None"),
+        ("json", "weather_main", 7, "weather_main needs a string, got 7"),
+        ("json", "weather_main", ["x"], "weather_main needs a string, got ['x']"),
+        ("json", "weather_description", 1.5, "weather_description needs a string, got 1.5"),
+        ("json", "dt", 1491350400.9, "dt needs an integer, got 1491350400.9"),
+        ("json", "dt", True, "dt needs an integer, got True"),
+        ("json", "dt", "1491350400", "dt needs an integer, got '1491350400'"),
+        ("json", "weather_id", 800.7, "weather_id needs an integer, got 800.7"),
+        ("json", "pressure", True, "pressure needs a number, got True"),
+        ("json", "pressure", "1013", "pressure needs a number, got '1013'"),
+        ("csv", "dt", "1491350400.9", "dt needs an integer, got '1491350400.9'"),
+        ("csv", "weather_id", "800.7", "weather_id needs an integer, got '800.7'"),
+        ("csv", "pressure", "True", "pressure needs a number, got 'True'"),
+    ],
+)
+def test_wrong_typed_fields_reject_the_row(tmp_path, fmt, field, value, reason):
+    good = obs(dt=DT_8AM + 3600)
+    if fmt == "json":
+        path = write_json(tmp_path, [row(**{field: value}), row(dt=DT_8AM + 3600)])
+    else:
+        path = tmp_path / "wx.csv"
+        path.write_text(CSV_HEADER + "\n" + _csv_line(obs(), **{field: value}) + _csv_line(good))
+    observations, report = parse_weather(path)
+    assert observations == [good]
+    assert report.rejected == [(0, f"missing or malformed field: {reason}")]
+
+
 def test_duplicate_dt_keeps_first(tmp_path):
     path = write_json(tmp_path, [row(temp=10.0), row(temp=9.0, temp_min=8.0)])
     observations, report = parse_weather(path)
