@@ -88,6 +88,8 @@ class SplitSpec:
     val_fraction_of_train: float = 0.2
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("split seed must be a nonnegative integer")
         if not 0 < self.test_fraction < 1 or not 0 <= self.val_fraction_of_train < 1:
             raise ConfigError("split fractions must lie in (0,1)")
 

@@ -54,6 +54,8 @@ class TrainConfig:
     gbt: GbtParams = field(default_factory=GbtParams)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("train seed must be a nonnegative integer")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:

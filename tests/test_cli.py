@@ -475,6 +475,21 @@ def test_non_finite_flag_values_exit_1(ws, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("stage", [
+    ("featurize", "--out-train", "train.csv", "--out-val", "val.csv", "--out-test", "test.csv",
+     "--out-meta", "meta.json"),
+    ("train", "--model", "lr", "--out-model", "m.json"),
+    ("train", "--model", "wnn", "--out-model", "m.json"),
+], ids=["featurize", "train-lr", "train-wnn"])
+def test_negative_seed_flags_exit_1(ws, tmp_path, capsys, stage):
+    inputs = {"featurize": ("--joined", ws["joined"]),
+              "train": ("--train", ws["train"], "--val", ws["val"], "--meta", ws["meta"])}
+    outputs = [tmp_path / a if a.endswith((".csv", ".json")) else a for a in stage[1:]]
+    assert run(stage[0], *inputs[stage[0]], "--seed", "-1", *outputs) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 # ── exit codes ───────────────────────────────────────────────────────────
 
 

@@ -138,6 +138,14 @@ def test_section_values_are_validated(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section", ["split", "train", "scenario"])
+def test_negative_seeds_are_rejected(tmp_path, section):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {"seed": -1}}))
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        load_config(path)
+
+
 def test_scenario_inherits_pipeline_cleaning_when_unspecified():
     cfg = config_from_dict({"cleaning": {"gap_seconds": 600}})
     assert cfg.scenario.cleaning.gap == timedelta(seconds=600)

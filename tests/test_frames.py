@@ -3,21 +3,30 @@ and the CSV round-trip."""
 
 from __future__ import annotations
 
+import csv
+import gzip
 import io
+import re
 import struct
 from dataclasses import replace
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import busflux.frames as frames_module
 from busflux.errors import ParseError
 from busflux.frames import (
+    ANONYMIZED_FLAG,
+    FRAME_HEADER,
     DeviceId,
     FrameColumns,
     MacAddress,
+    _epoch_seconds_of,
+    _parse_timestamp,
     anonymize,
     epoch_seconds,
     format_timestamp,
@@ -26,6 +35,7 @@ from busflux.frames import (
     sorted_frames,
     write_frame_csv,
 )
+from busflux.synth import default_scenario, generate
 from conftest import frame, mac
 
 # ── MAC parsing and canonical form ──────────────────────────────────────────
@@ -376,3 +386,311 @@ def test_paths_and_unseekable_streams_parse_alike(tmp_path, name):
         back, report = parse_frame_csv(stream)
         assert back == expected and report == expected_report
         assert not stream.closed  # a caller's stream stays open
+
+
+# ── Chunked canonical parse against the record-at-a-time reference ─────────
+
+
+def _reference_timestamp(text):
+    if len(text) != 19 or text[4] + text[7] + text[10] + text[13] + text[16] != "-- ::":
+        return None
+    try:
+        return epoch_seconds(datetime.fromisoformat(text))
+    except ValueError:
+        return None
+
+
+def reference_parse(data: bytes):
+    """The csv.reader loop that the chunked parse must equal: one record at
+    a time, every check in the documented order, tables in first-seen order
+    of accepted rows. Returns the table and column lists and the report."""
+    if data.startswith(b"\x1f\x8b"):
+        data = gzip.decompress(data)
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    anonymized, line_no = False, 0
+    for line in lines:
+        line_no += 1
+        line = line.rstrip("\r\n")
+        if line.startswith("#"):
+            anonymized = anonymized or line.strip().lower() == "#anonymized=true"
+            continue
+        assert line == "bus_stop,timestamp_utc,mac,rssi_dbm"
+        break
+    stops, idents, rows, issues, rows_total = {}, {}, [], [], 0
+    for row in csv.reader(lines):
+        line_no += 1
+        if not row:
+            continue
+        rows_total += 1
+        if len(row) != 4:
+            issues.append((line_no, "wrong field count", ",".join(row)))
+            continue
+        stop, ts, mac_text, rssi_text = row
+        t = _reference_timestamp(ts)
+        if t is None:
+            issues.append((line_no, "bad timestamp", ts))
+            continue
+        try:
+            rssi = int(rssi_text)
+        except ValueError:
+            issues.append((line_no, "bad rssi", rssi_text))
+            continue
+        if not -120 <= rssi <= 0:
+            issues.append((line_no, "rssi out of plausible range", rssi_text))
+            continue
+        if len(mac_text) == 17 and not anonymized:
+            try:
+                ident = (anonymize(MacAddress.from_text(mac_text)), MacAddress.from_text(mac_text))
+            except ValueError:
+                ident = None
+        elif re.match(r"^[0-9a-fA-F]{40}$", mac_text):
+            ident = (DeviceId.from_hex(mac_text.lower()), None)
+        else:
+            ident = None
+        if ident is None:
+            issues.append((line_no, "bad mac", mac_text))
+            continue
+        if not stop:
+            issues.append((line_no, "empty stop code", stop))
+            continue
+        if stop != stop.strip():
+            issues.append((line_no, "stop code padded with whitespace", stop))
+            continue
+        if str(rssi) != rssi_text:
+            issues.append((line_no, "non-canonical rssi", rssi_text))
+            continue
+        rows.append((stops.setdefault(stop, len(stops)), t,
+                     idents.setdefault(ident, len(idents)), rssi))
+    tables = (tuple(stops), tuple(d for d, _ in idents), tuple(m for _, m in idents))
+    return tables, rows, (rows_total, len(rows), anonymized, issues)
+
+
+def _as_reference(columns, report):
+    tables = (columns.stops, columns.devices, columns.macs)
+    rows = list(zip(columns.stop.tolist(), columns.t.tolist(), columns.device.tolist(),
+                    columns.rssi.tolist()))
+    issues = [(i.line, i.reason, i.raw) for i in report.issues]
+    assert columns.randomized.tolist() == [m is not None and is_randomized(m) for m in columns.macs]
+    assert [a.dtype for a in (columns.stop, columns.t, columns.device, columns.rssi)] == [
+        np.int32, np.int64, np.int32, np.int16]
+    return tables, rows, (report.rows_total, report.rows_ok, report.anonymized_input, issues)
+
+
+_MACS = ["00:B8:00:00:00:01", "00:b8:00:00:00:01", "02:00:00:00:00:03", "01:1A:2B:3C:4D:5E"]
+_DIGESTS = [anonymize(mac(m)).hex for m in _MACS[1:]] + ["ABCDEF0123456789abcdef0123456789ABCDEF01"]
+_CANONICAL_STOPS = ["stop-01", "stop-02", "Stop B", "Haltestelle Süd", "-58"]
+
+_stamps = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31)).map(
+    format_timestamp)
+
+
+def _canonical(identities):
+    return st.tuples(
+        st.sampled_from(_CANONICAL_STOPS), _stamps, st.sampled_from(identities),
+        st.integers(-120, 0).map(str),
+    ).map(",".join)
+
+
+_MALFORMED_ROWS = [
+    # each class of test_parse_rejects_fields_that_only_look_valid
+    f",{_AT},{_MAC},-58",
+    f" stop-09 ,{_AT},{_MAC},-58",
+    f"stop-09,{_AT},{_MAC}, -58",
+    f"stop-09,{_AT},{_MAC},-5_8",
+    f"stop-09,{_AT},{_MAC},+0",
+    f" s ,garbage,{_MAC},-58",
+    f",{_AT},{_MAC},x",
+    f" s ,{_AT},{_MAC},+5",
+    f",{_AT},xx,+0",
+    f" s ,{_AT},{_MAC},+0",
+    # timestamps only the per-row path may judge
+    f"stop-09,2017-04-05 24:00:00,{_MAC},-58",
+    f"stop-09,2017-04-05 08:02:60,{_MAC},-58",
+    f"stop-09,1900-02-29 08:02:00,{_MAC},-58",
+    f"stop-09,0000-01-01 00:00:00,{_MAC},-58",
+    f"stop-09,2017-04-0٥ 08:02:00,{_MAC},-58",
+    # quoting, and the one-field line before a seven-field line
+    f'"Stop A,North",{_AT},{_MAC},-58',
+    f'"Stop\nC",{_AT},{_MAC},-58',
+    f'"stop-01",{_AT},{_MAC},-58',
+    f'stop-01,{_AT},"{_MAC}",-58',
+    f"stop-01\n{_AT},{_MAC},-58,stop-02,{_AT},{_MAC},-58",
+    f"stop-01,{_AT},{_MAC},-58,extra",
+    # a blank line, a CRLF line end and a NUL
+    "",
+    f"stop-01,{_AT},{_MAC},-58\r",
+    f"stop-01\0,{_AT},{_MAC},-58",
+    f"stop\r-01,{_AT},{_MAC},-58",
+]
+_malformed = st.sampled_from(_MALFORMED_ROWS)
+
+
+@st.composite
+def _frame_files(draw):
+    """A canonical run, so that the chunked path gets far, then a mix of
+    canonical and malformed rows with LF or CRLF ends."""
+    digest_form = draw(st.booleans())
+    canonical = _canonical(_DIGESTS if digest_form else _MACS + _DIGESTS)
+    head = draw(st.lists(canonical, min_size=6, max_size=30))
+    mixed = _malformed | _canonical(_MACS + _DIGESTS)
+    tail = [draw(_malformed)] + draw(st.lists(mixed, max_size=15))
+    if digest_form:
+        tail = [r.replace(_MAC, _DIGESTS[0]) for r in tail]
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]), min_size=len(tail),
+                         max_size=len(tail)))
+    body = "".join(r + "\n" for r in head) + "".join(r + e for r, e in zip(tail, ends))
+    if body and draw(st.booleans()):
+        body = body.rstrip("\r\n")  # no newline at the end of the file
+    flag = ANONYMIZED_FLAG + "\n" if digest_form else ""
+    return (flag + FRAME_HEADER + "\n" + body).encode("utf-8")
+
+
+def _outcome(parse, *args):
+    """What a parse returns, or the csv error it raises (csv before Python
+    3.11 rejects a NUL)."""
+    try:
+        return parse(*args)
+    except csv.Error as exc:
+        return str(exc)
+
+
+def _assert_parses_as_the_reference(data, chunk_chars):
+    expected = _outcome(reference_parse, data)
+    with mock.patch.object(frames_module, "_CHUNK_CHARS", chunk_chars):
+        for stream in (io.BytesIO(data), io.BytesIO(gzip.compress(data, mtime=0)),
+                       _Unseekable(data, most=1)):
+            assert _outcome(lambda: _as_reference(*parse_frame_csv(stream))) == expected
+
+
+def test_a_field_over_the_csv_limit_is_left_to_csv():
+    stop = "s" * (csv.field_size_limit() + 1)
+    data = f"{FRAME_HEADER}\nstop-01,{_AT},{_MAC},-58\n{stop},{_AT},{_MAC},-58\n".encode()
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        parse_frame_csv(io.BytesIO(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_frame_files(), chunk_chars=st.integers(1, 8) | st.integers(80, 240))
+def test_chunked_parse_equals_the_record_at_a_time_reference(data, chunk_chars):
+    _assert_parses_as_the_reference(data, chunk_chars)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 100, 160, 1 << 15])
+@pytest.mark.parametrize("row", _MALFORMED_ROWS)
+def test_each_malformed_row_between_canonical_runs(row, chunk_chars):
+    run = [f"stop-0{i % 3},2017-04-05 08:{i:02}:00,{_MACS[i % 4]},-{50 + i}" for i in range(8)]
+    data = "\n".join([FRAME_HEADER, *run, row, *run, ""]).encode("utf-8")
+    _assert_parses_as_the_reference(data, chunk_chars)
+
+
+def test_a_hand_off_mid_file_keeps_line_numbers_and_tables(tmp_path):
+    records = [
+        frame(f"stop-{i % 3}", datetime(2017, 4, 5, 8, i), f"00:B8:00:00:00:{i:02X}")
+        for i in range(40)
+    ]
+    path = tmp_path / "frames.csv"
+    write_frame_csv(records, path)
+    with open(path, "a") as fh:
+        fh.write('"stop-9",2017-04-05 09:00:00,00:B8:00:00:00:01,-60\n')
+        fh.write("stop-1,2017-04-05 09:01:00,xx,-60\n")
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return datetime.fromisoformat(text)
+
+    with mock.patch.object(frames_module, "_CHUNK_CHARS", 200), \
+            mock.patch.object(frames_module, "_parse_timestamp", counted):
+        columns, report = parse_frame_csv(path)
+    assert 0 < len(calls) < 42  # the first chunks went column-wise
+    assert list(columns)[:40] == records
+    assert columns.stops == ("stop-0", "stop-1", "stop-2", "stop-9")
+    assert (report.rows_total, report.rows_ok) == (42, 41)
+    assert [(i.line, i.reason) for i in report.issues] == [(43, "bad mac")]
+
+
+@pytest.mark.parametrize("anonymized", [False, True])
+@pytest.mark.parametrize("name", ["frames.csv", "frames.csv.gz"])
+def test_canonical_files_never_reach_the_per_row_path(tmp_path, monkeypatch, anonymized, name):
+    frames, _, _ = generate(replace(default_scenario(seed=3), days=1))
+    records = sorted_frames(frames)
+    path = tmp_path / name
+    write_frame_csv(records, path, anonymize_output=anonymized)
+
+    def refuse(text):
+        raise AssertionError(f"per-row parse of {text!r}")
+
+    monkeypatch.setattr(frames_module, "_parse_timestamp", refuse)
+    columns, report = parse_frame_csv(path)
+    assert report.rows_ok == report.rows_total == len(records) > 1000
+    if anonymized:
+        records = [replace(r, mac=None) for r in records]
+    assert list(columns) == records
+
+
+def _converted(text):
+    seconds = _epoch_seconds_of([text])
+    return None if seconds is None else int(seconds[0])
+
+
+def _per_row(text):
+    try:
+        return epoch_seconds(_parse_timestamp(text))
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("text, accepted", [
+    ("1900-02-29 00:00:00", False),
+    ("2000-02-29 00:00:00", True),
+    ("2016-02-29 23:59:59", True),
+    ("2017-02-29 00:00:00", False),
+    ("2017-02-28 00:00:00", True),
+    ("2017-04-31 00:00:00", False),
+    ("2017-13-01 00:00:00", False),
+    ("2017-00-01 00:00:00", False),
+    ("2017-01-00 00:00:00", False),
+    ("0000-01-01 00:00:00", False),
+    ("0001-01-01 00:00:00", True),
+    ("9999-12-31 23:59:59", True),
+    ("1969-12-31 23:59:59", True),
+    ("2017-04-05 23:59:60", False),
+    ("2017-04-05 23:60:00", False),
+    ("2017-04-05T08:00:00", False),
+    ("2017/04/05 08:00:00", False),
+])
+def test_timestamp_converter_equals_the_per_row_parse(text, accepted):
+    assert _converted(text) == _per_row(text)
+    assert (_converted(text) is not None) == accepted
+
+
+@pytest.mark.parametrize("text", [
+    "2017-04-05 24:00:00",
+    "2017-04-0٥ 08:00:00",  # ARABIC-INDIC DIGIT FIVE
+    "２017-04-05 08:00:00",  # FULLWIDTH DIGIT TWO
+    "+017-04-05 08:00:00",
+    "2017-04-05 08:00:0 ",
+])
+def test_timestamp_converter_leaves_the_rest_to_the_per_row_parse(text):
+    assert len(text) == 19 and _converted(text) is None
+
+
+_STAMP_CHARS = "0123456789-: T+٥"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_STAMP_CHARS), min_size=19, max_size=19).map("".join)
+       | _stamps)
+def test_timestamp_converter_accepts_only_what_the_per_row_parse_accepts(text):
+    converted = _converted(text)
+    assert converted is None or converted == _per_row(text)
+    if _per_row(text) is None or not text.isascii():
+        assert converted is None
+
+
+def test_timestamp_converter_rejects_a_batch_with_one_bad_or_misaligned_text():
+    good = ["2017-04-05 08:00:00"] * 3
+    assert _epoch_seconds_of(good).tolist() == [_per_row(good[0])] * 3
+    assert _epoch_seconds_of([*good, "2017-02-29 00:00:00"]) is None
+    # an 18- and a 20-character text joined would look like two good ones
+    assert _epoch_seconds_of(["2017-04-05 08:00:0", "12017-04-05 08:00:00"]) is None

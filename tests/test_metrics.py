@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from busflux.errors import ColumnMismatchError
@@ -94,10 +96,14 @@ def test_improvement_percent_zero_reference():
     a=st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
     b=st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
 )
+@example(a=854493.9086740747, b=4.2e-06)  # off by 0.0508 after correct rounding
 def test_improvement_percent_is_rounded_to_one_decimal(a, b):
     value = improvement_percent(a, b)
+    exact = (1.0 - a / b) * 100.0
     assert value == round(value, 1)
-    assert value == pytest.approx((1.0 - a / b) * 100.0, abs=0.05 + 1e-9)
+    # Rounding moves a value by at most 0.05, plus one float spacing of
+    # the value itself, which is 0.004 at |exact| ≈ 2e13.
+    assert value == pytest.approx(exact, abs=0.05 + math.ulp(exact))
 
 
 # ── compare ──────────────────────────────────────────────────────────────
