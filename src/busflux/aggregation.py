@@ -21,7 +21,7 @@ from datetime import datetime, timedelta
 from typing import Iterable, Iterator, Sequence, Union
 
 from .cleaning import Segment
-from .frames import format_timestamp
+from .frames import format_timestamp, parse_timestamp
 from .schema import read_table, real, write_table
 
 MINUTE_HEADER = ("bus_stop", "timestamp_utc", "count")
@@ -145,7 +145,7 @@ def write_minute_csv(minutes: Iterable[MinuteCount], dest: Union[str, os.PathLik
 def read_minute_csv(source: Union[str, os.PathLike]) -> list[MinuteCount]:
     return [
         MinuteCount(*row)
-        for row in read_table(source, MINUTE_HEADER, (str, datetime.fromisoformat, int))
+        for row in read_table(source, MINUTE_HEADER, (str, parse_timestamp, int))
     ]
 
 
@@ -156,5 +156,5 @@ def write_hourly_csv(hours: Iterable[HourlyCount], dest: Union[str, os.PathLike]
 def read_hourly_csv(source: Union[str, os.PathLike]) -> list[HourlyCount]:
     return [
         HourlyCount(*row)
-        for row in read_table(source, HOURLY_HEADER, (str, datetime.fromisoformat, real))
+        for row in read_table(source, HOURLY_HEADER, (str, parse_timestamp, real))
     ]

@@ -30,11 +30,18 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError
-from .frames import DeviceId, FrameColumns, FrameRecord, format_timestamp, utc_datetime
+from .frames import (
+    DeviceId,
+    FrameColumns,
+    FrameRecord,
+    format_timestamp,
+    parse_timestamp,
+    utc_datetime,
+)
 from .schema import read_table, real, write_table
 
 SEGMENT_HEADER = ("bus_stop", "device", "start_utc", "end_utc", "frame_count", "mean_rssi")
-_SEGMENT_TYPES = (str, DeviceId.from_hex, datetime.fromisoformat, datetime.fromisoformat, int, real)
+_SEGMENT_TYPES = (str, DeviceId.from_hex, parse_timestamp, parse_timestamp, int, real)
 
 WINDOW_PER_DAY = "per-day"
 WINDOW_WHOLE_DATASET = "whole-dataset"

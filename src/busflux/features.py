@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregation import HourlyCount
 from .errors import BusfluxError, ConfigError
-from .frames import format_timestamp
+from .frames import format_timestamp, parse_timestamp
 from .schema import read_json, read_table, real, to_dict, write_json, write_table
 from .weather import WeatherObservation
 
@@ -30,7 +30,7 @@ WEEKDAY_NAMES = (
     "Sunday",
 )
 
-NUMERIC_FEATURES = (
+_WEATHER_FEATURES = (
     "temp",
     "feels_like",
     "temp_min",
@@ -44,9 +44,8 @@ NUMERIC_FEATURES = (
     "snow_1h",
     "snow_3h",
     "clouds_all",
-    "week_of_semester",
-    "hour_of_day",
 )
+NUMERIC_FEATURES = _WEATHER_FEATURES + ("week_of_semester", "hour_of_day")
 # weather_id stays out of the numeric block: it is a condition code, and its
 # information already enters through the weather_main/description dummies.
 CATEGORICAL_FEATURES = (
@@ -126,23 +125,9 @@ def derive_features(
     week = (local_date - cal.semester_start).days // 7 + 1
     weekday = local.weekday()
 
-    numeric = {
-        "temp": wx.temp,
-        "feels_like": wx.feels_like,
-        "temp_min": wx.temp_min,
-        "temp_max": wx.temp_max,
-        "pressure": wx.pressure,
-        "humidity": wx.humidity,
-        "wind_speed": wx.wind_speed,
-        "wind_deg": wx.wind_deg,
-        "rain_1h": wx.rain_1h,
-        "rain_3h": wx.rain_3h,
-        "snow_1h": wx.snow_1h,
-        "snow_3h": wx.snow_3h,
-        "clouds_all": wx.clouds_all,
-        "week_of_semester": float(week),
-        "hour_of_day": float(local.hour),
-    }
+    numeric = {name: getattr(wx, name) for name in _WEATHER_FEATURES}
+    numeric["week_of_semester"] = float(week)
+    numeric["hour_of_day"] = float(local.hour)
     categorical = {
         "bus_stop": count.stop,
         "weather_main": wx.weather_main,
@@ -366,7 +351,7 @@ JOINED_HEADER = (
     + ("target",)
 )
 _JOINED_TYPES = (
-    (str, datetime.fromisoformat)
+    (str, parse_timestamp)
     + (real,) * len(NUMERIC_FEATURES)
     + (str,) * len(CATEGORICAL_FEATURES)
     + (real,)
@@ -435,7 +420,7 @@ def load_matrix(
     rows = read_table(
         source,
         [*JOINED_KEY_COLUMNS, *names, "target"],
-        [str, datetime.fromisoformat] + [real] * (len(names) + 1),
+        [str, parse_timestamp] + [real] * (len(names) + 1),
     )
     X = np.array([row[2:-1] for row in rows], dtype=np.float64).reshape(len(rows), len(names))
     return FeatureMatrix(

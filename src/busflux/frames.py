@@ -11,11 +11,12 @@ a table of (digest, raw MAC or None, randomized flag) entries, and int16
 RSSI. The parser streams its input, plain or gzipped, in chunks of whole
 lines and appends accepted rows to array.array buffers, so no per-frame
 Python object outlives its chunk. A chunk of canonical rows, as
-write_frame_csv writes them, is converted a column at a time: numpy digit
-arithmetic for the timestamps, and one check per distinct stop, MAC and
-RSSI text. From the first chunk that is not canonical, csv.reader takes
-the rest a row at a time; that per-row path is the one authority on
-quoting and on every malformed row's reason and line. FrameRecord is the
+write_frame_csv writes them, is converted a column at a time: a shape
+check and numpy's ISO-8601 parser for the timestamps, and one check per
+distinct stop, MAC and RSSI text. From the first chunk that is not
+canonical, csv.reader takes the rest a row at a time; that per-row path
+is the one authority on quoting and on every malformed row's reason and
+line. Both paths apply the same rule function per field. FrameRecord is the
 one-frame view at the API boundary: iterating FrameColumns yields them,
 and FrameColumns.from_records converts back.
 """
@@ -49,8 +50,8 @@ _GZIP_MAGIC = b"\x1f\x8b"
 RSSI_PLAUSIBLE_LO = -120
 RSSI_PLAUSIBLE_HI = 0
 
-_MAC_RE = re.compile(r"^[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}$")
-_DIGEST_RE = re.compile(r"^[0-9a-fA-F]{40}$")
+_MAC_RE = re.compile(r"[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}")
+_DIGEST_RE = re.compile(r"[0-9a-fA-F]{40}")
 
 PathOrStream = Union[str, os.PathLike, IO[bytes]]
 
@@ -67,7 +68,7 @@ class MacAddress:
 
     @classmethod
     def from_text(cls, text: str) -> "MacAddress":
-        if not _MAC_RE.match(text):
+        if not _MAC_RE.fullmatch(text):
             raise ValueError(f"not a MAC address: {text!r}")
         return cls(bytes(int(part, 16) for part in text.split(":")))
 
@@ -111,7 +112,7 @@ class DeviceId:
 
     @classmethod
     def from_hex(cls, text: str) -> "DeviceId":
-        if not _DIGEST_RE.match(text):
+        if not _DIGEST_RE.fullmatch(text):
             raise ValueError(f"not a 40-char hex digest: {text!r}")
         return cls(bytes.fromhex(text))
 
@@ -321,21 +322,6 @@ def _open_text(source: PathOrStream) -> Iterator[io.TextIOWrapper]:
         yield io.TextIOWrapper(stream, encoding="utf-8", newline="")  # type: ignore[arg-type]
 
 
-def _parse_timestamp(text: str) -> datetime:
-    # Exactly `YYYY-MM-DD hh:mm:ss`, UTC. fromisoformat is much faster than
-    # strptime but accepts more shapes, so pin the separators first.
-    if (
-        len(text) != 19
-        or text[4] != "-"
-        or text[7] != "-"
-        or text[10] != " "
-        or text[13] != ":"
-        or text[16] != ":"
-    ):
-        raise ValueError(f"bad timestamp: {text!r}")
-    return datetime.fromisoformat(text)
-
-
 # Characters read per chunk. Larger chunks amortise the per-chunk numpy
 # calls but hold more field strings at once: 1 MiB chunks raised the peak
 # RSS of `busflux clean` on 60 days of gzipped digest-form frames from 53
@@ -344,75 +330,68 @@ def _parse_timestamp(text: str) -> datetime:
 # that can hold a field over that limit.
 _CHUNK_CHARS = 1 << 15
 
-# The constants below are built from Python values: a numpy ufunc call at
-# import would cost every stage that imports this module ≈0.3 MB of peak
-# RSS. A timestamp minus this template is 0..9 at each digit and 0 at
-# each separator; uint8 arithmetic wraps anything else above that.
+# Built from Python values: a numpy ufunc call at import would cost every
+# stage that imports this module ≈0.3 MB of peak RSS. A timestamp minus
+# this template is 0..9 at each digit and 0 at each separator; uint8
+# arithmetic wraps anything else above that.
 _TS_TEMPLATE = np.frombuffer(b"0000-00-00 00:00:00", np.uint8)
 _TS_MAX = np.array([9 if c == "0" else 0 for c in "0000-00-00 00:00:00"])
-# The offsets of the tens and the ones of each two-digit group (century,
-# year of the century, month, day, hour, minute, second), and its range.
-_TS_TENS = [0, 2, 5, 8, 11, 14, 17]
-_TS_ONES = [1, 3, 6, 9, 12, 15, 18]
-_TS_LO = np.array([0, 0, 1, 1, 0, 0, 0])
-_TS_HI = np.array([99, 99, 12, 31, 23, 59, 59])
-# Per month 1..12: its length in a common year, and the days from 1 March
-# to its first day.
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_MARCH_DAYS = np.array([(153 * ((m + 9) % 12) + 2) // 5 for m in range(13)])
 
 
 def _epoch_seconds_of(texts: list[str]) -> np.ndarray | None:
     """The int64 epoch seconds of ``texts``, when every one is exactly
     `YYYY-MM-DD hh:mm:ss` in ASCII digits and names a real second; None
-    otherwise, leaving the verdict to ``_parse_timestamp``."""
+    otherwise, leaving the verdict to ``parse_timestamp``. The shape is
+    checked here, and numpy's ISO-8601 parser checks the ranges, the leap
+    days and counts the days."""
     joined = "".join(texts)
     if set(map(len, texts)) != {19} or not joined.isascii():
         return None
     digits = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, 19) - _TS_TEMPLATE
-    if (digits.max(axis=0) > _TS_MAX).any():
+    # numpy accepts the year 0, which datetime does not.
+    if (digits.max(axis=0) > _TS_MAX).any() or not digits[:, :4].any(axis=1).all():
         return None
-    groups = (digits[:, _TS_TENS] * 10 + digits[:, _TS_ONES]).astype(np.int64)
-    if (groups.min(axis=0) < _TS_LO).any() or (groups.max(axis=0) > _TS_HI).any():
+    try:
+        return np.array(texts, dtype="datetime64[s]").view(np.int64)
+    except ValueError:
         return None
-    century, y, mo, d, h, mi, s = groups.T
-    y = century * 100 + y
-    if not y.all():
-        return None
-    past_end = d > _MONTH_DAYS[mo]
-    if past_end.any():
-        leap = (y % 4 == 0) & ((y % 100 != 0) | (y % 400 == 0))
-        if (past_end & ~(leap & (mo == 2) & (d == 29))).any():
-            return None
-    # Days since 1970-01-01, counting years from March so that the leap
-    # day ends its year.
-    y = y - (mo <= 2)
-    days = 365 * y + y // 4 - y // 100 + y // 400 + _MARCH_DAYS[mo] + d - 719469
-    return days * 86400 + h * 3600 + mi * 60 + s
 
 
-def _rssi_value(text: str) -> int | None:
-    """The dBm value of a plausible, canonically written RSSI text."""
+_RSSI_SPELLING = "non-canonical rssi"  # checked after the MAC and stop rules
+
+
+def _rssi(text: str) -> tuple[int, str | None]:
+    """The dBm value of an RSSI text, and the first RSSI rule it breaks:
+    syntax, plausible range, then spelling."""
     try:
         rssi = int(text)
     except ValueError:
-        return None
-    if RSSI_PLAUSIBLE_LO <= rssi <= RSSI_PLAUSIBLE_HI and str(rssi) == text:
-        return rssi
+        return 0, "bad rssi"
+    if not RSSI_PLAUSIBLE_LO <= rssi <= RSSI_PLAUSIBLE_HI:
+        return rssi, "rssi out of plausible range"
+    if str(rssi) != text:
+        return rssi, _RSSI_SPELLING
+    return rssi, None
+
+
+def _stop_issue(stop: str) -> str | None:
+    """The stop-code rule that ``stop`` breaks, if any."""
+    if not stop:
+        return "empty stop code"
+    if stop != stop.strip():
+        return "stop code padded with whitespace"
     return None
 
 
 def _identity(mac_text: str, anonymized_input: bool) -> tuple[DeviceId, MacAddress | None] | None:
     """The device identity a MAC field names; None when it names none."""
-    if len(mac_text) == 17 and not anonymized_input:
-        try:
+    try:
+        if len(mac_text) == 17 and not anonymized_input:
             mac = MacAddress.from_text(mac_text)
-        except ValueError:
-            return None
-        return anonymize(mac), mac
-    if _DIGEST_RE.match(mac_text):
-        return DeviceId(bytes.fromhex(mac_text)), None
-    return None
+            return anonymize(mac), mac
+        return DeviceId.from_hex(mac_text), None
+    except ValueError:
+        return None
 
 
 def _read_header(text: IO[str], report: ParseReport) -> int:
@@ -428,10 +407,8 @@ def _read_header(text: IO[str], report: ParseReport) -> int:
             continue
         header = stripped
         break
-    if header is None or header != FRAME_HEADER:
-        raise ParseError(
-            f"frame CSV must start with header {FRAME_HEADER!r}, got {header!r}"
-        )
+    if header != FRAME_HEADER:
+        raise ParseError(f"frame CSV must start with header {FRAME_HEADER!r}, got {header!r}")
     return line_no
 
 
@@ -466,19 +443,19 @@ class _FrameParser:
         if t is None:
             return 0
         columns, device_codes, rssi_values = self.columns, self.device_codes, self.rssi_values
-        new_rssi = {r: _rssi_value(r) for r in dict.fromkeys(rssis) if r not in rssi_values}
+        new_rssi = {r: _rssi(r) for r in dict.fromkeys(rssis) if r not in rssi_values}
         new_stops = [s for s in dict.fromkeys(stops) if s not in columns.stops]
         anonymized = self.report.anonymized_input
         new_devices = {
             m: _identity(m, anonymized) for m in dict.fromkeys(macs) if m not in device_codes
         }
         if (
-            None in new_rssi.values()
+            any(issue for _, issue in new_rssi.values())
             or None in new_devices.values()
-            or any(not s or s != s.strip() for s in new_stops)
+            or any(map(_stop_issue, new_stops))
         ):
             return 0
-        rssi_values.update(new_rssi)
+        rssi_values.update((r, rssi) for r, (rssi, _) in new_rssi.items())
         for s in new_stops:
             columns.stop_code(s)
         for m, ident in new_devices.items():
@@ -508,20 +485,16 @@ class _FrameParser:
                 continue
             stop, ts_text, mac_text, rssi_text = row
             try:
-                t = epoch_seconds(_parse_timestamp(ts_text))
+                t = epoch_seconds(parse_timestamp(ts_text))
             except ValueError:
                 issues.append(ParseIssue(line_no, "bad timestamp", ts_text))
                 continue
             rssi = rssi_values.get(rssi_text)
-            new_rssi = rssi is None
-            if new_rssi:
-                try:
-                    rssi = int(rssi_text)
-                except ValueError:
-                    issues.append(ParseIssue(line_no, "bad rssi", rssi_text))
-                    continue
-                if not RSSI_PLAUSIBLE_LO <= rssi <= RSSI_PLAUSIBLE_HI:
-                    issues.append(ParseIssue(line_no, "rssi out of plausible range", rssi_text))
+            rssi_issue = None
+            if rssi is None:
+                rssi, rssi_issue = _rssi(rssi_text)
+                if rssi_issue and rssi_issue != _RSSI_SPELLING:
+                    issues.append(ParseIssue(line_no, rssi_issue, rssi_text))
                     continue
             d = device_codes.get(mac_text)
             if d is None:
@@ -532,18 +505,13 @@ class _FrameParser:
             # Stop code and RSSI spelling are checked last, so that a row
             # that also breaks an earlier rule is counted under that rule.
             s = stop_codes.get(stop)
-            if s is None:
-                if not stop:
-                    issues.append(ParseIssue(line_no, "empty stop code", stop))
-                    continue
-                if stop != stop.strip():
-                    issues.append(ParseIssue(line_no, "stop code padded with whitespace", stop))
-                    continue
-            if new_rssi:
-                if str(rssi) != rssi_text:
-                    issues.append(ParseIssue(line_no, "non-canonical rssi", rssi_text))
-                    continue
-                rssi_values[rssi_text] = rssi
+            if s is None and (stop_issue := _stop_issue(stop)):
+                issues.append(ParseIssue(line_no, stop_issue, stop))
+                continue
+            if rssi_issue:
+                issues.append(ParseIssue(line_no, rssi_issue, rssi_text))
+                continue
+            rssi_values[rssi_text] = rssi
             if s is None:
                 s = columns.stop_code(stop)
             if d is None:
@@ -574,9 +542,10 @@ def parse_frame_csv(source: PathOrStream) -> tuple[FrameColumns, ParseReport]:
     The body is read in chunks of whole lines. A chunk whose every line is
     canonical, as write_frame_csv writes it (no quote, CR, NUL or blank
     line, four fields, ASCII timestamps), is converted a column at a time,
-    each distinct field text checked once by the rules above. From the
-    first chunk that is not, csv.reader parses the rest a row at a time;
-    that path alone decides every issue, so both give the same result.
+    each distinct field text checked once by the same rule functions the
+    per-row path calls. From the first chunk that is not, csv.reader
+    parses the rest a row at a time; that path alone decides every issue,
+    so both give the same result.
     """
     report = ParseReport()
     parser = _FrameParser(report)
@@ -595,6 +564,16 @@ def parse_frame_csv(source: PathOrStream) -> tuple[FrameColumns, ParseReport]:
             report.rows_total += rows
     report.rows_ok = len(parser.columns.t)
     return parser.columns.build(), report
+
+
+def parse_timestamp(text: str) -> datetime:
+    """The naive UTC time that ``text`` names in the one timestamp shape of
+    busflux's files, exactly `YYYY-MM-DD hh:mm:ss`."""
+    # fromisoformat is much faster than strptime but accepts more shapes,
+    # so pin the separators first.
+    if len(text) != 19 or text[4] + text[7] + text[10] + text[13] + text[16] != "-- ::":
+        raise ValueError(f"bad timestamp: {text!r}")
+    return datetime.fromisoformat(text)
 
 
 def format_timestamp(at: datetime) -> str:

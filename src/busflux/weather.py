@@ -155,9 +155,9 @@ def _build(
 
 def parse_weather(
     source: Union[str, os.PathLike, IO[bytes], IO[str]],
-    fmt: str = "auto",
 ) -> tuple[list[WeatherObservation], WeatherParseReport]:
-    """Parse observations from a JSON array or CSV.
+    """Parse observations from a JSON array or CSV, told apart by the
+    first character that is not whitespace.
 
     Optional fields (rain_*, snow_*, sea_level, grnd_level) default to 0
     with a per-field absence counter. Duplicate dt keeps the first
@@ -175,21 +175,10 @@ def parse_weather(
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
 
-    if fmt == "auto":
-        head = text.lstrip()[:1]
-        fmt = "json" if head in ("[", "{") else "csv"
-
+    from_csv = text.lstrip()[:1] not in ("[", "{")
     report = WeatherParseReport()
     rows: list[dict]
-    if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"weather JSON unreadable: {exc}") from exc
-        if not isinstance(payload, list):
-            raise ParseError("weather JSON must be an array of hourly objects")
-        rows = payload
-    elif fmt == "csv":
+    if from_csv:
         buf = io.StringIO(text)
         header = buf.readline().rstrip("\r\n")
         if header != CSV_HEADER:
@@ -197,7 +186,13 @@ def parse_weather(
         names = header.split(",")
         rows = [dict(zip(names, row)) for row in csv.reader(buf) if row]
     else:
-        raise ParseError(f"unknown weather format: {fmt!r}")
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"weather JSON unreadable: {exc}") from exc
+        if not isinstance(payload, list):
+            raise ParseError("weather JSON must be an array of hourly objects")
+        rows = payload
 
     observations: list[WeatherObservation] = []
     seen: set[int] = set()
@@ -207,7 +202,7 @@ def parse_weather(
         if not isinstance(raw, dict):
             report.rejected.append((index, "not an object"))
             continue
-        obs = _build(raw, index, report, fmt == "csv")
+        obs = _build(raw, index, report, from_csv)
         if obs is None:
             continue
         if obs.dt in seen:

@@ -283,6 +283,36 @@ def test_malformed_segment_csv_exits_2(ws, tmp_path):
     assert run("aggregate", "--segments", bad, "--out-hourly", tmp_path / "h.csv") == 2
 
 
+def _edit_rows(src, dest, edit):
+    """Copy the table ``src`` to ``dest`` with ``edit`` applied to the
+    fields of every row below the header."""
+    header, *rows = src.read_text().splitlines()
+    dest.write_text("\n".join([header] + [",".join(edit(r.split(","))) for r in rows]) + "\n")
+
+
+def test_a_device_cell_with_a_trailing_newline_exits_2(ws, tmp_path, capsys):
+    bad = tmp_path / "segments.csv"
+    _edit_rows(ws["segments"], bad, lambda f: [f[0], f'"{f[1]}\n"', *f[2:]])
+    assert run("aggregate", "--segments", bad, "--out-hourly", tmp_path / "h.csv") == 2
+    assert f"error: {bad}:3: not a 40-char hex digest" in capsys.readouterr().err
+
+
+def test_segment_times_with_a_utc_offset_exit_2(ws, tmp_path, capsys):
+    bad = tmp_path / "segments.csv"
+    _edit_rows(ws["segments"], bad, lambda f: [*f[:2], f[2] + "+05:00", f[3] + "+05:00", *f[4:]])
+    assert run("aggregate", "--segments", bad, "--out-hourly", tmp_path / "h.csv") == 2
+    assert f"error: {bad}:2: bad timestamp" in capsys.readouterr().err
+
+
+def test_hourly_times_with_a_utc_offset_exit_2(ws, tmp_path, capsys):
+    bad = tmp_path / "hourly.csv"
+    _edit_rows(ws["hourly"], bad, lambda f: [f[0], f[1] + "+00:00", *f[2:]])
+    joined = tmp_path / "joined.csv"
+    assert run("join", "--hourly", bad, "--weather", ws["weather"], "--out-joined", joined) == 2
+    assert f"error: {bad}:2: bad timestamp" in capsys.readouterr().err
+    assert not joined.exists()
+
+
 JSON_ARTIFACTS = {  # reader, artifact path, a key the reader needs
     "meta": (read_matrix_meta, lambda ws: ws["meta"], "split"),
     "model": (load_model, lambda ws: ws["gbt"], "parameters"),

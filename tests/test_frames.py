@@ -26,12 +26,12 @@ from busflux.frames import (
     FrameColumns,
     MacAddress,
     _epoch_seconds_of,
-    _parse_timestamp,
     anonymize,
     epoch_seconds,
     format_timestamp,
     is_randomized,
     parse_frame_csv,
+    parse_timestamp,
     sorted_frames,
     write_frame_csv,
 )
@@ -50,6 +50,14 @@ def test_mac_rejects_bad_text():
     for text in ("", "aa:bb:cc:dd:ee", "aa:bb:cc:dd:ee:ff:00", "zz:bb:cc:dd:ee:ff", "aa bb cc dd ee ff"):
         with pytest.raises(ValueError):
             MacAddress.from_text(text)
+
+
+@pytest.mark.parametrize("text", ["00:B8:00:00:00:01\n", "ab" * 20 + "\n"])
+def test_mac_and_digest_reject_a_trailing_newline(text):
+    with pytest.raises(ValueError):
+        MacAddress.from_text(text)
+    with pytest.raises(ValueError):
+        DeviceId.from_hex(text)
 
 
 def test_mac_canonical_is_uppercase_colon_form():
@@ -233,6 +241,17 @@ def test_parse_collects_bad_rows_instead_of_failing(tmp_path):
         "rssi out of plausible range",
     ]
     assert [i.line for i in report.issues] == [5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("anonymized", [False, True])
+def test_a_quoted_mac_field_with_a_trailing_newline_is_a_bad_mac(tmp_path, anonymized):
+    digest = "ab" * 20
+    flag = ANONYMIZED_FLAG + "\n" if anonymized else ""
+    path = tmp_path / "frames.csv"
+    path.write_text(f'{flag}{FRAME_HEADER}\nstop-01,2017-04-05 08:00:00,"{digest}\n",-60\n')
+    back, report = parse_frame_csv(path)
+    assert (len(back), report.rows_total, report.rows_ok) == (0, 1, 0)
+    assert [(i.reason, i.raw) for i in report.issues] == [("bad mac", digest + "\n")]
 
 
 def test_parse_missing_header_is_parse_error(tmp_path):
@@ -600,7 +619,7 @@ def test_a_hand_off_mid_file_keeps_line_numbers_and_tables(tmp_path):
         return datetime.fromisoformat(text)
 
     with mock.patch.object(frames_module, "_CHUNK_CHARS", 200), \
-            mock.patch.object(frames_module, "_parse_timestamp", counted):
+            mock.patch.object(frames_module, "parse_timestamp", counted):
         columns, report = parse_frame_csv(path)
     assert 0 < len(calls) < 42  # the first chunks went column-wise
     assert list(columns)[:40] == records
@@ -620,7 +639,7 @@ def test_canonical_files_never_reach_the_per_row_path(tmp_path, monkeypatch, ano
     def refuse(text):
         raise AssertionError(f"per-row parse of {text!r}")
 
-    monkeypatch.setattr(frames_module, "_parse_timestamp", refuse)
+    monkeypatch.setattr(frames_module, "parse_timestamp", refuse)
     columns, report = parse_frame_csv(path)
     assert report.rows_ok == report.rows_total == len(records) > 1000
     if anonymized:
@@ -635,7 +654,7 @@ def _converted(text):
 
 def _per_row(text):
     try:
-        return epoch_seconds(_parse_timestamp(text))
+        return epoch_seconds(parse_timestamp(text))
     except ValueError:
         return None
 
