@@ -192,10 +192,18 @@ def cmd_featurize(args, cfg: PipelineConfig, timings: dict[str, float]):
     return [args.joined], [args.out_train, args.out_val, args.out_test, args.out_meta]
 
 
+def _load_rows(path, codec: FeatureCodec, why_empty: str = ""):
+    """The matrix at ``path``; a matrix with no rows is a domain error."""
+    matrix = load_matrix(path, codec)
+    if matrix.n_rows == 0:
+        raise BusfluxError(f"{path}: the matrix has no rows{why_empty}")
+    return matrix
+
+
 def cmd_train(args, cfg: PipelineConfig, timings: dict[str, float]):
     tcfg = cfg.train
     codec, _ = read_matrix_meta(args.meta)
-    train = load_matrix(args.train, codec)
+    train = _load_rows(args.train, codec)
     inputs = [args.train, args.meta]
     history = None
     with _timed(timings, "train"):
@@ -204,7 +212,8 @@ def cmd_train(args, cfg: PipelineConfig, timings: dict[str, float]):
         elif args.model in ("wnn", "dnn"):
             if not args.val:
                 raise ConfigError(f"--val is required to train a {args.model} model")
-            val = load_matrix(args.val, codec)
+            val = _load_rows(args.val, codec, "; featurize writes an empty validation "
+                             "matrix when split.val_fraction_of_train is 0")
             inputs.append(args.val)
             init = mlp_init(args.model, train.rows.shape[1], tcfg.seed, cfg=tcfg)
             model, history = mlp_train(init, train, val, tcfg)
@@ -224,7 +233,7 @@ def cmd_train(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 def cmd_evaluate(args, cfg: PipelineConfig, timings: dict[str, float]):
     codec, _ = read_matrix_meta(args.meta)
-    test = load_matrix(args.test, codec)
+    test = _load_rows(args.test, codec)
     models = {}
     for path in args.model:
         name = Path(path).stem

@@ -8,6 +8,7 @@ one-hot vocabularies are fit on the training partition only.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from typing import Sequence, Union
@@ -403,29 +404,43 @@ def save_matrix(matrix: FeatureMatrix, dest: Union[str, os.PathLike]) -> None:
     """Matrix CSV: key columns, encoded features, target.
 
     Only matrices from ``FeatureCodec.transform``, which carry row keys,
-    are saved.
+    are saved. Each row's floats are made as it is written, so only one
+    row exists as Python objects at a time.
     """
-    rows = zip(matrix.keys, matrix.rows.tolist(), matrix.target.tolist())
+    X, y = matrix.rows, matrix.target
     write_table(
         dest,
         [*JOINED_KEY_COLUMNS, *matrix.column_names, "target"],
-        ([stop, format_timestamp(hour), *values, y] for (stop, hour), values, y in rows),
+        (
+            [stop, format_timestamp(hour), *X[i].tolist(), y[i].item()]
+            for i, (stop, hour) in enumerate(matrix.keys)
+        ),
     )
 
 
 def load_matrix(
     source: Union[str, os.PathLike], codec: FeatureCodec
 ) -> FeatureMatrix:
+    """The matrix CSV written by ``save_matrix``, under ``codec``'s columns.
+
+    Each row's features and target go into one flat float64 buffer as the
+    row is read, so the file is never held as Python floats; ``rows`` and
+    ``target`` come out as C-contiguous float64 arrays of their own.
+    """
     names = [c.name for c in codec.columns]
-    rows = read_table(
+    cells = array("d")
+    keys: list[tuple[str, datetime]] = []
+    for row in read_table(
         source,
         [*JOINED_KEY_COLUMNS, *names, "target"],
         [str, parse_timestamp] + [real] * (len(names) + 1),
-    )
-    X = np.array([row[2:-1] for row in rows], dtype=np.float64).reshape(len(rows), len(names))
+    ):
+        keys.append((row[0], row[1]))
+        cells.extend(row[2:])
+    table = np.frombuffer(cells, dtype=np.float64).reshape(len(keys), len(names) + 1)
     return FeatureMatrix(
         columns=list(codec.columns),
-        rows=X,
-        target=np.array([row[-1] for row in rows], dtype=np.float64),
-        keys=[(row[0], row[1]) for row in rows],
+        rows=table[:, :-1].copy(),
+        target=table[:, -1].copy(),
+        keys=keys,
     )

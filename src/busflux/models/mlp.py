@@ -7,12 +7,12 @@ net with a single hidden layer and a deep net with three.
 Training runs in place. The weights and biases being trained are views of
 one flat parameter vector; each step writes its gradients into a flat
 vector of the same layout, and the update is one multiply and one subtract
-over the whole vector. Each epoch gathers its shuffled rows once and takes
-the batches as slices, and every batch and epoch pass writes into arrays
-allocated once per fit. The floating-point operations and their order are
-those of a fresh gather per batch, freshly allocated gradients and a
-per-array update, so the trained weights and the history are the same bits
-(tests/test_mlp.py keeps that loop as the reference).
+over the whole vector. Each batch gathers its own shuffled rows, so no
+step holds more than one batch's copy of the training matrix, and every
+batch and epoch pass writes into arrays allocated once per fit. The
+floating-point operations and their order are those of freshly allocated
+gradients and a per-array update, so the trained weights and the history
+are the same bits (tests/test_mlp.py keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -313,10 +313,9 @@ def mlp_train(
     best_val = np.inf
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        X_epoch, y_epoch = X_tr[order], y_tr[order]
         for lo in range(0, n, cfg.batch_size):
-            hi = lo + cfg.batch_size
-            loss, _, _ = loss_and_grads(model, X_epoch[lo:hi], y_epoch[lo:hi], buffers=step)
+            rows = order[lo : lo + cfg.batch_size]
+            loss, _, _ = loss_and_grads(model, X_tr[rows], y_tr[rows], buffers=step)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}; lower the learning rate "

@@ -78,8 +78,10 @@ def write_history_csv(history: TrainHistory, dest: Union[str, os.PathLike]) -> N
 
 
 def read_history_csv(source: Union[str, os.PathLike]) -> TrainHistory:
-    rows = read_table(source, HISTORY_HEADER, (int, real, real))
-    history = TrainHistory(train_mse=[tr for _, tr, _ in rows], val_mse=[va for _, _, va in rows])
+    history = TrainHistory()
+    for _, train_mse, val_mse in read_table(source, HISTORY_HEADER, (int, real, real)):
+        history.train_mse.append(train_mse)
+        history.val_mse.append(val_mse)
     if history.val_mse:
         history.best_epoch = int(np.argmin(history.val_mse))
     return history

@@ -2,10 +2,13 @@
 
 Every CSV table busflux writes for itself goes through ``write_table`` and
 comes back through ``read_table``. A table is a header plus one converter
-per column. Its own artifacts fail fast: a wrong header, a wrong field
-count, a cell that does not convert, or a non-finite number raises a
-ParseError naming the file and line. Floats are written as their
-shortest round-trip ``repr``, so a read-write cycle reproduces the bytes.
+per column. ``read_table`` yields the converted rows one at a time: each
+reader builds its own objects as rows arrive, so it holds one row of
+cells at a time, never the whole table, and consumes the table before it
+returns. Its own artifacts fail fast: a wrong header, a wrong field count,
+a cell that does not convert, or a non-finite number raises a ParseError
+naming the file and line. Floats are written as their shortest round-trip
+``repr``, so a read-write cycle reproduces the bytes.
 Every JSON artifact is written by ``write_json``; those that carry a
 ``format_version`` are read back through ``read_json``.
 
@@ -89,16 +92,20 @@ def write_table(dest: PathLike, header: Sequence[str], rows: Iterable[Sequence])
 
 def read_table(
     source: PathLike, header: Sequence[str], types: Sequence[Callable[[str], Any]]
-) -> list[list]:
-    """Rows of a table written by ``write_table``, each cell converted by
-    its column's converter. Blank lines are skipped."""
+) -> Iterator[list]:
+    """Yield the rows of a table written by ``write_table``, each cell
+    converted by its column's converter. Blank lines are skipped.
+
+    Only the row being yielded is held, so a caller that builds its own
+    objects row by row never holds the table as lists of cells. The file
+    stays open until the iterator is exhausted or closed.
+    """
     width = len(header)
     with open(source, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         got = next(reader, None)
         if got != list(header):
             raise ParseError(f"{source}: header must be {','.join(header)!r}, got {got!r}")
-        rows = []
         for row in reader:
             if len(row) != width:
                 if not row:
@@ -107,10 +114,10 @@ def read_table(
                     f"{source}:{reader.line_num}: expected {width} fields, got {len(row)}"
                 )
             try:
-                rows.append([convert(cell) for convert, cell in zip(types, row)])
+                cells = [convert(cell) for convert, cell in zip(types, row)]
             except ValueError as exc:
                 raise ParseError(f"{source}:{reader.line_num}: {exc}") from None
-    return rows
+            yield cells
 
 
 def to_dict(obj) -> dict:

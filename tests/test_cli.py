@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import conftest
@@ -555,6 +556,45 @@ def test_domain_errors_exit_1(ws, tmp_path):
     cfg.write_text(json.dumps({"train": {"epochs": 0}}))
     assert run("train", "--config", cfg, "--model", "lr", "--train", ws["train"],
                "--meta", ws["meta"], "--out-model", tmp_path / "m.json") == 1
+
+
+def _header_only(src, dest):
+    dest.write_text(src.read_text().splitlines(keepends=True)[0])
+    return dest
+
+
+@pytest.mark.parametrize("model", ["lr", "cart", "gbt"])
+def test_training_on_a_matrix_with_no_rows_exits_1(ws, tmp_path, capsys, model):
+    empty = _header_only(ws["train"], tmp_path / "train.csv")
+    assert run("train", "--model", model, "--train", empty, "--meta", ws["meta"],
+               "--out-model", tmp_path / "m.json") == 1
+    assert f"error: {empty}: the matrix has no rows" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_an_empty_validation_matrix_exits_1_naming_the_split_key(ws, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"split": {"val_fraction_of_train": 0}}))
+    out = {k: tmp_path / f"{k}.csv" for k in ("train", "val", "test")}
+    assert run("featurize", "--config", cfg, "--joined", ws["joined"],
+               "--out-train", out["train"], "--out-val", out["val"], "--out-test", out["test"],
+               "--out-meta", tmp_path / "meta.json") == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("train", "--model", "dnn", "--epochs", "1", "--train", out["train"],
+                   "--val", out["val"], "--meta", tmp_path / "meta.json",
+                   "--out-model", tmp_path / "m.json") == 1
+    err = capsys.readouterr().err
+    assert f"error: {out['val']}: the matrix has no rows" in err
+    assert "split.val_fraction_of_train" in err
+
+
+def test_evaluating_on_a_matrix_with_no_rows_exits_1(ws, tmp_path, capsys):
+    empty = _header_only(ws["test"], tmp_path / "test.csv")
+    assert run("evaluate", "--test", empty, "--meta", ws["meta"], "--model", ws["lr"],
+               "--out-report", tmp_path / "eval.json") == 1
+    assert f"error: {empty}: the matrix has no rows" in capsys.readouterr().err
+    assert not (tmp_path / "eval.json").exists()
 
 
 @pytest.mark.parametrize("doc", [

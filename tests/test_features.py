@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import gc
+import io
+import tracemalloc
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -10,12 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from busflux.aggregation import HourlyCount
-from busflux.errors import BusfluxError, ConfigError
+from busflux.errors import BusfluxError, ConfigError, ParseError
 from busflux.features import (
     CATEGORICAL_FEATURES,
+    JOINED_KEY_COLUMNS,
     NUMERIC_FEATURES,
     CampusCalendar,
+    ColumnMeta,
     FeatureCodec,
+    FeatureMatrix,
     RowRejected,
     SplitSpec,
     build_rows,
@@ -29,6 +36,8 @@ from busflux.features import (
     write_joined_csv,
     write_matrix_meta,
 )
+from busflux.frames import format_timestamp, parse_timestamp
+from busflux.schema import read_table, real
 from busflux.weather import WeatherObservation
 
 SEMESTER = date(2017, 1, 9)  # a Monday
@@ -308,6 +317,151 @@ def test_matrix_save_load_round_trip(tmp_path):
     assert np.array_equal(back.target, matrix.target)
     assert back.keys == matrix.keys
     assert back.column_names == matrix.column_names
+
+
+def test_a_matrix_with_no_rows_round_trips_with_its_width(tmp_path):
+    codec = _numeric_codec(5)
+    empty = FeatureMatrix(columns=list(codec.columns), rows=np.empty((0, 5)),
+                          target=np.empty(0), keys=[])
+    path = tmp_path / "empty.csv"
+    save_matrix(empty, path)
+    back = load_matrix(path, codec)
+    assert back.rows.shape == (0, 5)
+    assert back.target.shape == (0,)
+    assert back.keys == []
+
+
+# ── Matrix CSV: memory, and equivalence with the list-based reader ──────────
+
+
+def _numeric_codec(d: int) -> FeatureCodec:
+    return FeatureCodec(
+        columns=[ColumnMeta(name=f"c{j}", kind="numeric", mean=0.0, std=1.0) for j in range(d)]
+    )
+
+
+def _random_matrix(n: int, d: int) -> FeatureMatrix:
+    """A matrix shaped like the 30-day train matrix: about 3,000 keyed rows
+    of 37 encoded columns."""
+    rng = np.random.default_rng(0)
+    codec = _numeric_codec(d)
+    base = datetime(2017, 1, 9)
+    return FeatureMatrix(
+        columns=list(codec.columns),
+        rows=rng.standard_normal((n, d)),
+        target=rng.random(n) * 5,
+        keys=[(f"stop-{i % 12:02}", base + timedelta(hours=i // 12)) for i in range(n)],
+    )
+
+
+def _traced(call):
+    """call()'s result, the traced bytes it still holds, and the traced peak."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_load_matrix_peak_stays_under_twice_what_the_result_keeps(tmp_path):
+    matrix = _random_matrix(3000, 37)
+    path = tmp_path / "train.csv"
+    save_matrix(matrix, path)
+    codec = _numeric_codec(37)
+    back, kept, peak = _traced(lambda: load_matrix(path, codec))
+    assert back.rows.shape == (3000, 37)
+    assert kept >= back.rows.nbytes + back.target.nbytes
+    assert peak < 2 * kept, f"peak {peak} B, kept {kept} B"
+
+
+def test_save_matrix_peak_stays_under_half_the_matrix_bytes(tmp_path):
+    matrix = _random_matrix(3000, 37)
+    _, _, peak = _traced(lambda: save_matrix(matrix, tmp_path / "train.csv"))
+    assert peak < 0.5 * matrix.rows.nbytes, f"peak {peak} B, matrix {matrix.rows.nbytes} B"
+
+
+def reference_load_matrix(source, codec: FeatureCodec) -> FeatureMatrix:
+    """load_matrix as it was when it held every row as a list of Python
+    floats: the reference that the streaming reader must reproduce."""
+    names = [c.name for c in codec.columns]
+    rows = list(read_table(
+        source,
+        [*JOINED_KEY_COLUMNS, *names, "target"],
+        [str, parse_timestamp] + [real] * (len(names) + 1),
+    ))
+    X = np.array([row[2:-1] for row in rows], dtype=np.float64).reshape(len(rows), len(names))
+    return FeatureMatrix(
+        columns=list(codec.columns),
+        rows=X,
+        target=np.array([row[-1] for row in rows], dtype=np.float64),
+        keys=[(row[0], row[1]) for row in rows],
+    )
+
+
+def _outcome(load, path, codec):
+    """What a reader gives: its arrays as (dtype, shape, C order, bytes)
+    and its keys, or the ParseError text."""
+    try:
+        m = load(path, codec)
+    except ParseError as exc:
+        return ("ParseError", str(exc))
+    return [
+        (a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (m.rows, m.target)
+    ] + [m.keys, m.column_names]
+
+
+_CORRUPTIONS = {
+    "wrong header": None,
+    "wrong field count": lambda fields, j: fields[:-1],
+    "non-numeric cell": lambda fields, j: fields[:j] + ["abc"] + fields[j + 1 :],
+    "nan": lambda fields, j: fields[:j] + ["nan"] + fields[j + 1 :],
+    "inf": lambda fields, j: fields[:j] + ["-inf"] + fields[j + 1 :],
+}
+
+
+@st.composite
+def _matrix_files(draw):
+    """(width, CSV text) of a matrix file: quoted stop names holding a
+    comma, a quote or a newline, blank lines between records, and at most
+    one corruption."""
+    d = draw(st.integers(0, 4))
+    header = [*JOINED_KEY_COLUMNS, *(f"c{j}" for j in range(d)), "target"]
+    records = [
+        [
+            draw(st.text(alphabet="ab ,\n\"-", max_size=6)),
+            format_timestamp(datetime(2017, 1, 9) + timedelta(hours=draw(st.integers(0, 9999)))),
+            *map(repr, draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=d + 1, max_size=d + 1))),
+        ]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    corruption = draw(st.sampled_from([None, *_CORRUPTIONS]))
+    if corruption == "wrong header":
+        header = draw(st.permutations(header).filter(lambda h: h != header))
+    elif corruption is not None and records:
+        i = draw(st.integers(0, len(records) - 1))
+        records[i] = _CORRUPTIONS[corruption](records[i], draw(st.integers(2, d + 2)))
+    lines = []
+    for fields in [header, *records]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(fields)
+        lines.append(buf.getvalue())
+    for at in draw(st.lists(st.integers(1, len(lines)), max_size=3)):
+        lines.insert(at, "\n")
+    return d, "".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_matrix_files())
+def test_load_matrix_equals_the_list_based_reference(tmp_path_factory, case):
+    d, text = case
+    path = tmp_path_factory.mktemp("matrix") / "m.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    codec = _numeric_codec(d)
+    assert _outcome(load_matrix, path, codec) == _outcome(reference_load_matrix, path, codec)
 
 
 def test_fit_transform_encodes_all_three_partitions():
