@@ -14,7 +14,7 @@ from pathlib import Path
 from busflux.aggregation import segment_hourly_counts
 from busflux.cleaning import clean
 from busflux.config import default_calendar
-from busflux.features import SplitSpec, build_rows, fit_transform
+from busflux.features import FeatureCodec, SplitSpec, build_rows, split_rows
 from busflux.models.boosting import gbt_fit
 from busflux.models.config import TrainConfig
 from busflux.models.linear import lr_fit
@@ -37,7 +37,9 @@ print(f"{len(frames)} frames -> {len(hours)} hourly rows -> {len(rows)} feature 
 
 # Encode once: z-scored numerics plus one-hot calendar/weather groups,
 # fitted on the training partition only.
-train, val, test = fit_transform(rows, SplitSpec(seed=1))
+train_rows, val_rows, test_rows = split_rows(rows, SplitSpec(seed=1))
+codec = FeatureCodec.fit(train_rows)
+train, val, test = (codec.transform(part) for part in (train_rows, val_rows, test_rows))
 print(f"split: {train.n_rows} train / {val.n_rows} val / {test.n_rows} test, "
       f"{len(train.columns)} columns")
 

@@ -18,7 +18,7 @@ import numpy as np
 from busflux.aggregation import segment_hourly_counts
 from busflux.cleaning import clean
 from busflux.config import default_calendar
-from busflux.features import FeatureMatrix, SplitSpec, build_rows, fit_transform
+from busflux.features import FeatureCodec, FeatureMatrix, SplitSpec, build_rows, split_rows
 from busflux.models.boosting import gbt_fit
 from busflux.models.config import GbtParams
 from busflux.plots import bar_chart
@@ -44,7 +44,8 @@ frames, weather, _ = generate(nonlinear_scenario(seed=11))
 segments, _ = clean(frames)
 hours = segment_hourly_counts(segments)
 rows, _ = build_rows(hours, hourly_lookup(weather), default_calendar())
-train, _, _ = fit_transform(rows, SplitSpec(seed=1))
+train_rows, _, _ = split_rows(rows, SplitSpec(seed=1))
+train = FeatureCodec.fit(train_rows).transform(train_rows)
 
 model = gbt_fit(train, GbtParams())
 ranked = sorted(

@@ -1,8 +1,10 @@
 """Design matrix assembly: weather join, calendar features, encoding, splits.
 
 Feature derivation happens in local campus time (configured UTC offset);
-everything else in the pipeline stays UTC. Normalization statistics and
-one-hot vocabularies are fit on the training partition only.
+everything else in the pipeline stays UTC. Joined rows live in one
+columnar ``JoinedTable``, which the split subsets by index and the codec
+encodes a column at a time. Normalization statistics and one-hot
+vocabularies are fit on the training partition only.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ import os
 from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from typing import Sequence, Union
+from itertools import pairwise
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -58,6 +61,22 @@ CATEGORICAL_FEATURES = (
     "is_morning",
 )
 
+# A joined row holds the cells of JOINED_HEADER, with the hour as a datetime.
+JOINED_KEY_COLUMNS = ("bus_stop", "hour_utc")
+JOINED_HEADER = (
+    JOINED_KEY_COLUMNS
+    + tuple(f"num:{n}" for n in NUMERIC_FEATURES)
+    + tuple(f"cat:{c}" for c in CATEGORICAL_FEATURES)
+    + ("target",)
+)
+_JOINED_TYPES = (
+    (str, parse_timestamp)
+    + (real,) * len(NUMERIC_FEATURES)
+    + (str,) * len(CATEGORICAL_FEATURES)
+    + (real,)
+)
+_FIRST_CATEGORICAL = len(JOINED_KEY_COLUMNS) + len(NUMERIC_FEATURES)
+
 
 class RowRejected(BusfluxError):
     """A (stop, hour) row cannot become a feature row; carries the reason."""
@@ -77,9 +96,6 @@ class CampusCalendar:
         if not 0 <= self.morning_end_hour <= 23:
             raise ConfigError("morning_end_hour must be a valid hour")
 
-    def to_local(self, at: datetime) -> datetime:
-        return at + timedelta(hours=self.utc_offset_hours)
-
 
 @dataclass(frozen=True, slots=True)
 class SplitSpec:
@@ -90,34 +106,21 @@ class SplitSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("split seed must be a nonnegative integer")
-        if not 0 < self.test_fraction < 1 or not 0 <= self.val_fraction_of_train < 1:
-            raise ConfigError("split fractions must lie in (0,1)")
+        if not 0 < self.test_fraction < 1:
+            raise ConfigError("test_fraction must lie in (0, 1)")
+        if not 0 <= self.val_fraction_of_train < 1:
+            raise ConfigError("val_fraction_of_train must lie in [0, 1)")
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureRow:
-    """One joined (stop, hour) observation before encoding."""
-
-    stop: str
-    hour: datetime
-    numeric: dict[str, float]
-    categorical: dict[str, str]
-    target: float
-
-    def key(self):
-        return (self.stop, self.hour)
-
-
-def derive_features(
-    count: HourlyCount, wx: WeatherObservation, cal: CampusCalendar
-) -> FeatureRow:
-    """Join one hourly count with its weather hour and derive calendar features.
+def derive_features(count: HourlyCount, wx: WeatherObservation, cal: CampusCalendar) -> list:
+    """Join one hourly count with its weather hour and derive calendar
+    features: the joined row, in ``JOINED_HEADER`` order.
 
     week_of_semester = floor(days(local_date - semester_start) / 7) + 1, so
     the semester start date itself lands in week 1. Hours before the
     semester are rejected.
     """
-    local = cal.to_local(count.hour)
+    local = count.hour + timedelta(hours=cal.utc_offset_hours)
     local_date = local.date()
     if local_date < cal.semester_start:
         raise RowRejected(
@@ -125,25 +128,75 @@ def derive_features(
         )
     week = (local_date - cal.semester_start).days // 7 + 1
     weekday = local.weekday()
+    return [
+        count.stop, count.hour,
+        *(getattr(wx, name) for name in _WEATHER_FEATURES), float(week), float(local.hour),
+        count.stop, wx.weather_main, wx.weather_description, WEEKDAY_NAMES[weekday],
+        "true" if weekday >= 5 else "false",
+        "true" if local.hour < cal.morning_end_hour else "false",
+        count.count,
+    ]
 
-    numeric = {name: getattr(wx, name) for name in _WEATHER_FEATURES}
-    numeric["week_of_semester"] = float(week)
-    numeric["hour_of_day"] = float(local.hour)
-    categorical = {
-        "bus_stop": count.stop,
-        "weather_main": wx.weather_main,
-        "weather_description": wx.weather_description,
-        "weekday_name": WEEKDAY_NAMES[weekday],
-        "is_weekend": "true" if weekday >= 5 else "false",
-        "is_morning": "true" if local.hour < cal.morning_end_hour else "false",
-    }
-    return FeatureRow(
-        stop=count.stop,
-        hour=count.hour,
-        numeric=numeric,
-        categorical=categorical,
-        target=count.count,
-    )
+
+@dataclass(slots=True)
+class JoinedTable:
+    """Joined (stop, hour) rows as columns.
+
+    ``numeric`` has one column per ``NUMERIC_FEATURES`` name. Column g of
+    ``codes`` indexes ``vocab[g]``, the values of categorical group
+    ``CATEGORICAL_FEATURES[g]`` in the order they were first seen. A subset
+    made by ``take`` shares its parent's vocabularies.
+    """
+
+    keys: list[tuple[str, datetime]]
+    numeric: np.ndarray
+    codes: np.ndarray
+    vocab: tuple[list[str], ...]
+    target: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence]) -> "JoinedTable":
+        """The joined rows, each appended to flat buffers as it arrives, so
+        that no row is kept as Python objects beyond its key."""
+        keys: list[tuple[str, datetime]] = []
+        numeric = array("d")
+        codes = array("q")
+        target = array("d")
+        seen: list[dict[str, int]] = [{} for _ in CATEGORICAL_FEATURES]
+        for row in rows:
+            keys.append((row[0], row[1]))
+            numeric.extend(row[len(JOINED_KEY_COLUMNS) : _FIRST_CATEGORICAL])
+            for lookup, value in zip(seen, row[_FIRST_CATEGORICAL:-1]):
+                codes.append(lookup.setdefault(value, len(lookup)))
+            target.append(row[-1])
+        n = len(keys)
+        return cls(keys, np.frombuffer(numeric).reshape(n, len(NUMERIC_FEATURES)),
+                   np.frombuffer(codes, dtype=np.int64).reshape(n, len(CATEGORICAL_FEATURES)),
+                   tuple(list(lookup) for lookup in seen), np.frombuffer(target))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    n_rows = property(__len__)
+
+    def __iter__(self) -> Iterator[list]:
+        """Each joined row, made as it is yielded."""
+        for i, (stop, hour) in enumerate(self.keys):
+            categorical = (vocab[c] for vocab, c in zip(self.vocab, self.codes[i].tolist()))
+            yield [stop, hour, *self.numeric[i].tolist(), *categorical, self.target[i].item()]
+
+    def take(self, index: np.ndarray) -> "JoinedTable":
+        """The rows at ``index``, in that order."""
+        return JoinedTable([self.keys[i] for i in index.tolist()], self.numeric[index],
+                           self.codes[index], self.vocab, self.target[index])
+
+    def sorted_by_key(self) -> "JoinedTable":
+        """The rows in (stop, hour) order, equal keys in input order; the
+        table itself when it is already in that order."""
+        if all(a <= b for a, b in pairwise(self.keys)):
+            return self
+        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        return self.take(np.array(order, dtype=np.intp))
 
 
 @dataclass(slots=True)
@@ -162,24 +215,28 @@ def build_rows(
     counts: Sequence[HourlyCount],
     weather_by_hour: dict[datetime, WeatherObservation],
     cal: CampusCalendar,
-) -> tuple[list[FeatureRow], JoinReport]:
+) -> tuple[JoinedTable, JoinReport]:
     """Join all hourly counts against weather; missing hours are dropped,
     not interpolated, and the loss is surfaced in the report."""
     report = JoinReport(rows_in=len(counts))
-    rows: list[FeatureRow] = []
-    for count in counts:
-        wx = weather_by_hour.get(count.hour)
-        if wx is None:
-            report.dropped_no_weather += 1
-            continue
-        try:
-            rows.append(derive_features(count, wx, cal))
-        except RowRejected:
-            report.rejected_pre_semester += 1
-            continue
-        report.rows_out += 1
+
+    def joined() -> Iterator[list]:
+        for count in counts:
+            wx = weather_by_hour.get(count.hour)
+            if wx is None:
+                report.dropped_no_weather += 1
+                continue
+            try:
+                row = derive_features(count, wx, cal)
+            except RowRejected:
+                report.rejected_pre_semester += 1
+                continue
+            report.rows_out += 1
+            yield row
+
+    table = JoinedTable.from_rows(joined())
     report.check()
-    return rows, report
+    return table, report
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,13 +291,15 @@ class FeatureCodec:
     dropped_constant: list[str] = field(default_factory=list)
 
     @classmethod
-    def fit(cls, train_rows: Sequence[FeatureRow]) -> "FeatureCodec":
+    def fit(cls, train_rows: JoinedTable) -> "FeatureCodec":
         if not train_rows:
             raise BusfluxError("cannot fit a feature codec on zero rows")
         columns: list[ColumnMeta] = []
         dropped: list[str] = []
         for name in sorted(NUMERIC_FEATURES):
-            values = np.array([r.numeric[name] for r in train_rows], dtype=np.float64)
+            # A contiguous copy: a strided reduction may sum in another
+            # order and so change the bits of the mean or std.
+            values = np.ascontiguousarray(train_rows.numeric[:, NUMERIC_FEATURES.index(name)])
             mean = float(values.mean())
             std = float(values.std())
             if std == 0.0:
@@ -248,19 +307,13 @@ class FeatureCodec:
                 continue
             columns.append(ColumnMeta(name=name, kind="numeric", mean=mean, std=std))
         for group in sorted(CATEGORICAL_FEATURES):
-            vocab = sorted({r.categorical[group] for r in train_rows})
-            for value in vocab:
-                columns.append(
-                    ColumnMeta(
-                        name=f"{group}_{value}",
-                        kind="onehot",
-                        group=group,
-                        value=value,
-                    )
-                )
+            g = CATEGORICAL_FEATURES.index(group)
+            vocab = train_rows.vocab[g]
+            for value in sorted(vocab[c] for c in np.unique(train_rows.codes[:, g]).tolist()):
+                columns.append(ColumnMeta(f"{group}_{value}", "onehot", group=group, value=value))
         return cls(columns=columns, dropped_constant=dropped)
 
-    def transform(self, rows: Sequence[FeatureRow]) -> FeatureMatrix:
+    def transform(self, rows: JoinedTable) -> FeatureMatrix:
         """Encode rows against the fitted columns.
 
         Unseen categories produce an all-zero dummy group; numeric features
@@ -271,121 +324,61 @@ class FeatureCodec:
         index = {c.name: j for j, c in enumerate(self.columns)}
         for j, c in enumerate(self.columns):
             if c.kind == "numeric":
-                raw = np.array([r.numeric[c.name] for r in rows], dtype=np.float64)
-                X[:, j] = (raw - c.mean) / c.std
-        for i, r in enumerate(rows):
-            for group in CATEGORICAL_FEATURES:
-                j = index.get(f"{group}_{r.categorical[group]}")
-                if j is not None:
-                    X[i, j] = 1.0
-        y = np.array([r.target for r in rows], dtype=np.float64)
-        return FeatureMatrix(
-            columns=list(self.columns),
-            rows=X,
-            target=y,
-            keys=[r.key() for r in rows],
-        )
+                X[:, j] = (rows.numeric[:, NUMERIC_FEATURES.index(c.name)] - c.mean) / c.std
+        every = np.arange(n)
+        for group, vocab, codes in zip(CATEGORICAL_FEATURES, rows.vocab, rows.codes.T):
+            # The dummy column of each code, -1 where the codec has none.
+            column = np.array([index.get(f"{group}_{v}", -1) for v in vocab], dtype=np.intp)
+            cols = column[codes]
+            seen = cols >= 0
+            X[every[seen], cols[seen]] = 1.0
+        return FeatureMatrix(list(self.columns), X, rows.target.copy(), list(rows.keys))
 
     def to_dict(self) -> dict:
-        return {
-            "columns": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    "mean": c.mean,
-                    "std": c.std,
-                    "group": c.group,
-                    "value": c.value,
-                }
-                for c in self.columns
-            ],
-            "dropped_constant": self.dropped_constant,
-        }
+        return {"columns": [to_dict(c) for c in self.columns],
+                "dropped_constant": self.dropped_constant}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FeatureCodec":
-        return cls(
-            columns=[ColumnMeta(**c) for c in data["columns"]],
-            dropped_constant=list(data.get("dropped_constant", [])),
-        )
+        return cls([ColumnMeta(**c) for c in data["columns"]],
+                   list(data.get("dropped_constant", [])))
 
 
 def split_rows(
-    rows: Sequence[FeatureRow], split: SplitSpec
-) -> tuple[list[FeatureRow], list[FeatureRow], list[FeatureRow]]:
+    rows: JoinedTable, split: SplitSpec
+) -> tuple[JoinedTable, JoinedTable, JoinedTable]:
     """Seeded random partition into train/val/test over row keys.
 
-    Rows are first sorted by (stop, hour) so identical data always splits
-    identically regardless of input order; partitions are disjoint and
-    exhaustive.
+    The permutation is drawn over the rows in (stop, hour) order, so
+    identical data always splits identically regardless of input order;
+    each partition keeps that order. Partitions are disjoint and
+    exhaustive. Both fractions are below 1, so train is never empty.
     """
-    ordered = sorted(rows, key=FeatureRow.key)
+    ordered = rows.sorted_by_key()
     n = len(ordered)
     n_test = int(n * split.test_fraction)
     n_val = int((n - n_test) * split.val_fraction_of_train)
-    n_train = n - n_test - n_val
-    if n_test < 1 or n_train < 1 or (split.val_fraction_of_train > 0 and n_val < 1):
+    if n_test < 1 or (split.val_fraction_of_train > 0 and n_val < 1):
         raise BusfluxError(f"{n} rows cannot fill non-empty train/val/test partitions")
     perm = np.random.default_rng(split.seed).permutation(n)
-    test = [ordered[i] for i in sorted(perm[:n_test])]
-    val = [ordered[i] for i in sorted(perm[n_test : n_test + n_val])]
-    train = [ordered[i] for i in sorted(perm[n_test + n_val :])]
+    test = ordered.take(np.sort(perm[:n_test]))
+    val = ordered.take(np.sort(perm[n_test : n_test + n_val]))
+    train = ordered.take(np.sort(perm[n_test + n_val :]))
     return train, val, test
-
-
-def fit_transform(
-    rows: Sequence[FeatureRow], split: SplitSpec
-) -> tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix]:
-    """Split, fit the codec on train only, and encode all three partitions."""
-    train_rows, val_rows, test_rows = split_rows(rows, split)
-    codec = FeatureCodec.fit(train_rows)
-    return codec.transform(train_rows), codec.transform(val_rows), codec.transform(test_rows)
 
 
 # --- joined-row and matrix serialization ---------------------------------
 
-JOINED_KEY_COLUMNS = ("bus_stop", "hour_utc")
-JOINED_HEADER = (
-    JOINED_KEY_COLUMNS
-    + tuple(f"num:{n}" for n in NUMERIC_FEATURES)
-    + tuple(f"cat:{c}" for c in CATEGORICAL_FEATURES)
-    + ("target",)
-)
-_JOINED_TYPES = (
-    (str, parse_timestamp)
-    + (real,) * len(NUMERIC_FEATURES)
-    + (str,) * len(CATEGORICAL_FEATURES)
-    + (real,)
-)
+
+def write_joined_csv(rows: JoinedTable, dest: Union[str, os.PathLike]) -> None:
+    """Raw joined rows (pre-encoding) in key order: keys, numerics,
+    categoricals, target."""
+    cells = ([stop, format_timestamp(hour), *rest] for stop, hour, *rest in rows.sorted_by_key())
+    write_table(dest, JOINED_HEADER, cells)
 
 
-def write_joined_csv(rows: Sequence[FeatureRow], dest: Union[str, os.PathLike]) -> None:
-    """Raw joined rows (pre-encoding): keys, numerics, categoricals, target."""
-    write_table(
-        dest,
-        JOINED_HEADER,
-        (
-            [r.stop, format_timestamp(r.hour)]
-            + [float(r.numeric[n]) for n in NUMERIC_FEATURES]
-            + [r.categorical[c] for c in CATEGORICAL_FEATURES]
-            + [float(r.target)]
-            for r in sorted(rows, key=FeatureRow.key)
-        ),
-    )
-
-
-def read_joined_csv(source: Union[str, os.PathLike]) -> list[FeatureRow]:
-    n_num = len(NUMERIC_FEATURES)
-    return [
-        FeatureRow(
-            stop=row[0],
-            hour=row[1],
-            numeric=dict(zip(NUMERIC_FEATURES, row[2 : 2 + n_num])),
-            categorical=dict(zip(CATEGORICAL_FEATURES, row[2 + n_num : -1])),
-            target=row[-1],
-        )
-        for row in read_table(source, JOINED_HEADER, _JOINED_TYPES)
-    ]
+def read_joined_csv(source: Union[str, os.PathLike]) -> JoinedTable:
+    return JoinedTable.from_rows(read_table(source, JOINED_HEADER, _JOINED_TYPES))
 
 
 def write_matrix_meta(

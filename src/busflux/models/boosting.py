@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import BusfluxError
 from ..features import FeatureMatrix
 from .config import CartParams, GbtParams
 from .tree import RegressionTree, ValueCoding, grow
@@ -60,7 +61,7 @@ def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsembl
     to attribute and reports all-zero importance instead.
     """
     if train.n_rows == 0:
-        raise ValueError("cannot fit a boosted ensemble on zero rows")
+        raise BusfluxError("cannot fit a boosted ensemble: the train matrix has no rows")
     params = params or GbtParams()
     X = np.asarray(train.rows, dtype=np.float64)
     coding = ValueCoding.from_rows(X)  # shared by every tree

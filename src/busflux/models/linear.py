@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import BusfluxError
 from ..features import FeatureMatrix
 
 
@@ -45,7 +46,7 @@ class LinearModel:
 def lr_fit(train: FeatureMatrix) -> LinearModel:
     """Minimum-norm least-squares fit of the target on an intercept and X."""
     if train.n_rows == 0:
-        raise ValueError("cannot fit a linear model on zero rows")
+        raise BusfluxError("cannot fit a linear model: the train matrix has no rows")
     X = np.asarray(train.rows, dtype=np.float64)
     y = np.asarray(train.target, dtype=np.float64)
     A = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)

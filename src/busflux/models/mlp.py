@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, TrainingDivergedError
+from ..errors import BusfluxError, ConfigError, TrainingDivergedError
 from ..features import FeatureMatrix
 from .config import TrainConfig
 
@@ -286,6 +286,9 @@ def mlp_train(
     nor the caller's shares memory with the training state.
     """
     model.check_shapes()
+    for name, matrix in (("train", train), ("validation", val)):
+        if matrix.n_rows == 0:
+            raise BusfluxError(f"cannot train a network: the {name} matrix has no rows")
     X_tr = np.asarray(train.rows, dtype=np.float64)
     y_tr = np.asarray(train.target, dtype=np.float64)
     X_val = np.asarray(val.rows, dtype=np.float64)

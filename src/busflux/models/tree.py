@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import BusfluxError
 from ..features import FeatureMatrix
 from .config import CartParams
 
@@ -227,7 +228,7 @@ class RegressionTree:
 
 def cart_fit(train: FeatureMatrix, params: CartParams | None = None) -> RegressionTree:
     if train.n_rows == 0:
-        raise ValueError("cannot fit a regression tree on zero rows")
+        raise BusfluxError("cannot fit a regression tree: the train matrix has no rows")
     tree, _ = grow(
         ValueCoding.from_rows(train.rows),
         np.asarray(train.target, dtype=np.float64),

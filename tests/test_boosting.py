@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from busflux.errors import ConfigError
+from busflux.errors import BusfluxError, ConfigError
 from busflux.features import FeatureMatrix
 from busflux.models.boosting import GbtEnsemble, gbt_fit
 from busflux.models.config import GbtParams
@@ -113,3 +113,8 @@ def test_params_validation():
         GbtParams(shrinkage=0.0)
     with pytest.raises(ConfigError):
         GbtParams(depth=0)
+
+
+def test_fit_names_an_empty_train_matrix():
+    with pytest.raises(BusfluxError, match="the train matrix has no rows"):
+        gbt_fit(FeatureMatrix.from_arrays(np.empty((0, 3)), np.empty(0)))

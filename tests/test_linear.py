@@ -8,7 +8,7 @@ import logging
 import numpy as np
 import pytest
 
-from busflux.errors import ParseError
+from busflux.errors import BusfluxError, ParseError
 from busflux.features import FeatureMatrix
 from busflux.models.linear import LinearModel, lr_fit
 from busflux.models.store import load_model, save_model
@@ -115,3 +115,8 @@ def test_columns_are_recorded_from_the_training_matrix():
     model = lr_fit(m)
     assert model.columns == tuple(m.column_names)
 
+
+
+def test_fit_names_an_empty_train_matrix():
+    with pytest.raises(BusfluxError, match="the train matrix has no rows"):
+        lr_fit(FeatureMatrix.from_arrays(np.empty((0, 3)), np.empty(0)))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import busflux.models.mlp as mlp_module
-from busflux.errors import ConfigError, TrainingDivergedError
+from busflux.errors import BusfluxError, ConfigError, TrainingDivergedError
 from busflux.features import FeatureMatrix
 from busflux.models.config import TrainConfig
 from busflux.models.mlp import (
@@ -205,6 +205,18 @@ def test_train_rejects_mismatched_width():
     train, val = _toy_matrices()
     with pytest.raises(ValueError):
         mlp_train(mlp_init("custom", 9, 0, hidden_widths=(4,)), train, val, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("empty", ["train", "validation"])
+def test_training_names_an_empty_matrix(empty):
+    train, val = _toy_matrices()
+    nothing = FeatureMatrix.from_arrays(np.empty((0, 4)), np.empty(0))
+    if empty == "train":
+        train = nothing
+    else:
+        val = nothing
+    with pytest.raises(BusfluxError, match=f"the {empty} matrix has no rows"):
+        mlp_train(mlp_init("wnn", 4, 1), train, val, TrainConfig(epochs=1))
 
 
 def test_columns_are_stamped_on_the_trained_model():

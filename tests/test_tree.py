@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from busflux.errors import ConfigError
+from busflux.errors import BusfluxError, ConfigError
 from busflux.features import FeatureMatrix
 from busflux.models.boosting import gbt_fit
 from busflux.models.config import CartParams, GbtParams
@@ -405,3 +405,8 @@ def test_params_validation():
         CartParams(max_depth=0)
     with pytest.raises(ConfigError):
         CartParams(min_leaf=0)
+
+
+def test_fit_names_an_empty_train_matrix():
+    with pytest.raises(BusfluxError, match="the train matrix has no rows"):
+        cart_fit(FeatureMatrix.from_arrays(np.empty((0, 3)), np.empty(0)))
