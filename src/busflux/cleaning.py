@@ -7,16 +7,29 @@ frames the gate then drops can still make a device multi-stop and keep its
 in-range frames at another stop. Every input frame is accounted to exactly
 one counter.
 
-The stages work on FrameColumns and are array steps: the randomized filter
-is a mask through the device table; single-stop sorts frames on (digest,
-UTC day or nothing, stop) and keeps a window whose first and last stops
-differ; the RSSI gate is a mask; segmentation is one sort on (stop-name
-rank, digest rank, time), with a segment break wherever the stop or the
-digest changes or consecutive times lie more than ``gap`` apart, and
-per-segment sums by ``reduceat``; the duration filter is a mask over
-SegmentColumns. Only the kept segments become Segment objects. A device
-is its digest throughout, so a device seen both as a raw MAC and as a
-digest is one device.
+The stages work on FrameColumns and are array steps. The three frame
+filters return masks, each ANDed into the one before, and clean() takes
+the survivors once. The randomized filter is a mask through the device
+table. Single-stop packs each frame's (digest rank, UTC day or nothing,
+stop) into one integer key, sorts the distinct keys of the frames still
+in play, and keeps a frame when its (digest, window) key recurs there, that
+is, comes with two or more stops. The RSSI gate is a mask. Segmentation
+packs (stop-name rank, digest rank, time) into one key and sorts it once
+with a stable argsort, which orders the frames as lexsort on the three
+columns would; the key leaves room for a gap between series, so a segment
+breaks wherever consecutive keys lie more than ``gap`` apart, and
+per-segment sums come by ``reduceat``. Keys are int32 unless their range
+needs int64; beyond int64, single-stop numbers the (digest, window) keys
+present and segmentation sorts the three columns. The duration filter is a
+mask over SegmentColumns, and write_segment_csv formats the kept ones from
+their arrays; iterating SegmentColumns yields Segment objects. A device is
+its digest throughout, so a device seen both as a raw MAC and as a digest
+is one device.
+
+clean() and segment() keep only the columns they still need: a caller
+that hands its frames over, as cli.cmd_clean does, holds no reference to
+them during the call, and the parsed columns are freed once the survivors
+are taken, each survivor column once the sort key holds it.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .frames import (
     DeviceId,
     FrameColumns,
     FrameRecord,
+    format_epoch_seconds,
     format_timestamp,
     parse_timestamp,
     utc_datetime,
@@ -121,17 +135,19 @@ class CleaningReport:
             )
 
 
-def filter_randomized(frames: FrameColumns) -> tuple[FrameColumns, bool]:
-    """Drop frames from randomized (locally administered or group) MACs.
+def filter_randomized(frames: FrameColumns) -> tuple[np.ndarray, bool]:
+    """The mask of frames not from randomized (locally administered or
+    group) MACs.
 
-    Needs the raw address bits, so digest-only frames pass through
-    untouched; the returned flag says whether the filter could run at all
-    (False when no frame carried a raw MAC).
+    Needs the raw address bits, so digest-only frames are all kept; the
+    returned flag says whether the filter could run at all (False when no
+    frame carried a raw MAC).
     """
-    present = np.bincount(frames.device, minlength=len(frames.devices)) > 0
+    present = np.zeros(len(frames.devices), dtype=bool)
+    present[frames.device] = True
     if all(mac is None for mac in compress(frames.macs, present)):
-        return frames, False
-    return frames.take(~frames.randomized[frames.device]), True
+        return np.ones(len(frames), dtype=bool), False
+    return ~frames.randomized[frames.device], True
 
 
 def _digest_ranks(frames: FrameColumns) -> np.ndarray:
@@ -149,6 +165,21 @@ def _stop_ranks(frames: FrameColumns) -> np.ndarray:
     return ranks
 
 
+# Rows per block where a step works a block of rows at a time to bound
+# its temporaries.
+_BLOCK = 1 << 14
+
+
+def _key_dtype(top: int) -> type | None:
+    """The narrower of int32 and int64 that holds every integer in
+    [0, top], so also each factor of a key below ``top``; None when
+    neither does."""
+    for dtype in (np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
+            return dtype
+    return None
+
+
 def _runs(split: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """First and last row of each run in n sorted rows; ``split[i]`` is
     True where row i + 1 starts a new run."""
@@ -161,28 +192,61 @@ def _changes(column: np.ndarray) -> np.ndarray:
     return column[1:] != column[:-1]
 
 
-def filter_single_stop(frames: FrameColumns, cfg: CleaningConfig) -> FrameColumns:
-    """Keep a device's frames only where it was seen at >= 2 distinct stops
+def filter_single_stop(frames: FrameColumns, cfg: CleaningConfig, keep: np.ndarray) -> np.ndarray:
+    """The mask of frames whose device was seen at >= 2 distinct stops
     within the window (per UTC calendar day by default).
 
     Devices parked at one stop (building PCs, passers-by that probed once)
-    never ride the bus; a rider's phone shows up at both trip ends.
+    never ride the bus; a rider's phone shows up at both trip ends. Only
+    the frames in the mask ``keep``, the randomized filter's survivors in
+    clean(), count a stop or can be kept.
     """
-    device = _digest_ranks(frames)[frames.device]
-    day = frames.t // 86400 if cfg.multi_stop_window == WINDOW_PER_DAY else np.zeros_like(frames.t)
-    order = np.lexsort((frames.stop, day, device))
-    device, day, stop = device[order], day[order], frames.stop[order]
-    starts, ends = _runs(_changes(device) | _changes(day), len(order))
-    # Sorted by stop inside a window, its first and last stops differ
-    # exactly when it holds two or more.
-    keep = np.empty(len(order), dtype=bool)
-    keep[order] = np.repeat(stop[starts] != stop[ends], ends - starts + 1)
-    return frames.take(keep)
+    n = len(frames)
+    if not keep.any():
+        return np.zeros(n, dtype=bool)
+    ranks = _digest_ranks(frames)
+    n_devices, n_stops = int(ranks.max()) + 1, len(frames.stops)
+    per_day = cfg.multi_stop_window == WINDOW_PER_DAY
+    first_day = int(frames.t.min()) // 86400
+    n_windows = int(frames.t.max()) // 86400 - first_day + 1 if per_day else 1
+    # Each frame's (window, device) key, then its (window, device, stop)
+    # key, in int32 unless the key range needs int64. The window-device
+    # range is below 2**53, since days since the epoch stay below 2**22.
+    span = n_windows * n_devices
+    dtype = _key_dtype(span * n_stops)
+    key = np.zeros(n, dtype=dtype or np.int64)
+    if per_day:
+        np.floor_divide(frames.t, 86400, out=key, casting="same_kind")
+        key -= first_day
+        key *= n_devices
+    key += ranks[frames.device]
+    if dtype is None:
+        # Number the window-device keys present instead: fewer than 2**31.
+        key = np.unique(key, return_inverse=True)[1]
+    key *= n_stops
+    key += frames.stop
+    # The distinct keys of the frames in play, sorted: a window-device key
+    # that recurs among them was seen at two or more stops.
+    pairs = key[keep]
+    pairs.sort()
+    pairs = pairs[np.concatenate(([True], _changes(pairs)))] // n_stops
+    multi = pairs[1:][~_changes(pairs)]
+    if not len(multi):
+        return np.zeros(n, dtype=bool)
+    key //= n_stops
+    # Looked up a block of frames at a time, since searchsorted's index is
+    # an int64 per frame.
+    kept, last = np.empty(n, dtype=bool), len(multi) - 1
+    for at in range(0, n, _BLOCK):
+        block = key[at:at + _BLOCK]
+        kept[at:at + _BLOCK] = multi[np.minimum(np.searchsorted(multi, block), last)] == block
+    kept &= keep
+    return kept
 
 
-def filter_rssi(frames: FrameColumns, cfg: CleaningConfig) -> FrameColumns:
-    """Keep frames with rssi_lo <= rssi <= rssi_hi (inclusive), order preserved."""
-    return frames.take((frames.rssi >= cfg.rssi_lo) & (frames.rssi <= cfg.rssi_hi))
+def filter_rssi(frames: FrameColumns, cfg: CleaningConfig) -> np.ndarray:
+    """The mask of frames with rssi_lo <= rssi <= rssi_hi (inclusive)."""
+    return (frames.rssi >= cfg.rssi_lo) & (frames.rssi <= cfg.rssi_hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +286,21 @@ class SegmentColumns:
                        start=self.start[rows], end=self.end[rows],
                        frame_count=self.frame_count[rows], rssi_sum=self.rssi_sum[rows])
 
+    def rows(self) -> Iterator[tuple]:
+        """The SEGMENT_HEADER cells of each segment, formatted from the
+        arrays a block of segments at a time."""
+        stops, devices = self.stops, self.devices
+        for at in range(0, len(self), _BLOCK):
+            block = slice(at, at + _BLOCK)
+            yield from zip(
+                map(stops.__getitem__, self.stop[block].tolist()),
+                (devices[d].hex for d in self.device[block].tolist()),
+                format_epoch_seconds(self.start[block]),
+                format_epoch_seconds(self.end[block]),
+                self.frame_count[block].tolist(),
+                (self.rssi_sum[block] / self.frame_count[block]).tolist(),
+            )
+
 
 def _whole_seconds(span: timedelta) -> int:
     """``span`` in whole seconds, rounded down."""
@@ -236,27 +315,66 @@ def segment(frames: FrameColumns, cfg: CleaningConfig) -> SegmentColumns:
     Output is sorted by (stop, start, device) so it is independent of input
     order and of any upstream partitioning.
     """
-    stop = _stop_ranks(frames)[frames.stop]
-    device = _digest_ranks(frames)[frames.device]
-    order = np.lexsort((frames.t, device, stop))
-    stop, device, t = stop[order], device[order], frames.t[order]
+    stops, devices, n = frames.stops, frames.devices, len(frames)
+    stop_rank, digest_rank = _stop_ranks(frames), _digest_ranks(frames)
+    n_devices = int(digest_rank.max(initial=-1)) + 1
     # Times are whole seconds, so "more than gap apart" is "more than the
     # gap's whole seconds apart".
-    split = _changes(stop) | _changes(device) | (np.diff(t) > _whole_seconds(cfg.gap))
-    starts, ends = _runs(split, len(t))
-    rssi_sum = (np.add.reduceat(frames.rssi[order], starts, dtype=np.int64) if len(t)
+    gap = _whole_seconds(cfg.gap)
+    t0 = int(frames.t.min()) if n else 0
+    # Time offsets, then a gap's worth of room, so that the keys of two
+    # (stop, device) series always lie more than the gap apart.
+    span = (int(frames.t.max()) - t0 + 1 if n else 0) + gap
+    dtype = _key_dtype(max(len(stops) * n_devices, 1) * span)
+    stop, device, t, rssi = frames.stop, frames.device, frames.t, frames.rssi
+    # The caller may have handed its frames over, as clean() does: then
+    # each column is freed as soon as it is no longer needed.
+    del frames
+    if dtype is None:
+        # No integer holds the key: sort on the three columns.
+        order = np.lexsort((t, digest_rank[device], stop_rank[stop]))
+        stop, device = stop_rank[stop[order]], digest_rank[device[order]]
+        t, rssi = t[order], rssi[order]
+        del order
+        starts, ends = _runs(_changes(stop) | _changes(device) | (np.diff(t) > gap), n)
+        seg_stop, seg_device, start, end = stop[starts], device[starts], t[starts], t[ends]
+    else:
+        # One (stop rank, digest rank, time) key per frame; its stable
+        # order is lexsort's on the three columns.
+        key = stop_rank.astype(dtype)[stop]
+        del stop
+        key *= n_devices
+        key += digest_rank[device]
+        del device
+        key *= span
+        key += np.subtract(t, t0, out=np.empty(n, dtype=dtype), casting="same_kind")
+        del t
+        order = np.argsort(key, kind="stable")
+        rssi, key = rssi[order], key[order]
+        del order
+        starts, ends = _runs(np.diff(key) > gap, n)
+        series, start = np.divmod(key[starts], span)
+        seg_stop, seg_device = np.divmod(series, n_devices)
+        start, end = start.astype(np.int64) + t0, (key[ends] % span).astype(np.int64) + t0
+        del key, series
+    rssi_sum = (np.add.reduceat(rssi, starts, dtype=np.int64) if n
                 else np.zeros(0, dtype=np.int64))
-    by_key = np.lexsort((device[starts], t[starts], stop[starts]))
-    starts, ends, rssi_sum = starts[by_key], ends[by_key], rssi_sum[by_key]
+    del rssi
+    # Back from ranks to table entries; a digest may own two entries, one
+    # per form it came in, and either names the same device.
+    stop_entry = np.argsort(stop_rank).astype(np.int32)
+    device_entry = np.empty(n_devices, dtype=np.int32)
+    device_entry[digest_rank] = np.arange(len(digest_rank), dtype=np.int32)
+    by_key = np.lexsort((seg_device, start, seg_stop))
     return SegmentColumns(
-        stops=frames.stops,
-        devices=frames.devices,
-        stop=frames.stop[order[starts]],
-        device=frames.device[order[starts]],
-        start=t[starts],
-        end=t[ends],
-        frame_count=ends - starts + 1,
-        rssi_sum=rssi_sum,
+        stops=stops,
+        devices=devices,
+        stop=stop_entry[seg_stop[by_key]],
+        device=device_entry[seg_device[by_key]],
+        start=start[by_key],
+        end=end[by_key],
+        frame_count=(ends - starts + 1)[by_key],
+        rssi_sum=rssi_sum[by_key],
     )
 
 
@@ -282,50 +400,60 @@ def filter_duration(
 
 def clean(
     frames: FrameColumns | Sequence[FrameRecord], cfg: CleaningConfig | None = None
-) -> tuple[list[Segment], CleaningReport]:
-    """Run the full pipeline and account every frame once.
+) -> tuple[SegmentColumns, CleaningReport]:
+    """Run the full pipeline and account every frame once; returns the
+    kept segments.
 
-    A record sequence is converted to columns first; only the kept
-    segments become Segment objects.
+    A record sequence is converted to columns first.
     """
     cfg = cfg or CleaningConfig()
     if not isinstance(frames, FrameColumns):
         frames = FrameColumns.from_records(frames)
-    n = len(frames)
-    report = CleaningReport(input_frames=n)
+    report = CleaningReport(input_frames=len(frames))
 
-    # Each stage's input is released as soon as the next one exists.
-    frames, applied = filter_randomized(frames)
-    report.randomized_filter_applied = applied
-    report.dropped_randomized, n = n - len(frames), len(frames)
+    # The filters return masks, each ANDed into the last, so a frame is
+    # counted against the first that drops it.
+    keep, report.randomized_filter_applied = filter_randomized(frames)
+    n_after_randomized = int(np.count_nonzero(keep))
+    report.dropped_randomized = report.input_frames - n_after_randomized
+    keep = filter_single_stop(frames, cfg, keep)
+    n_after_single_stop = int(np.count_nonzero(keep))
+    report.dropped_single_stop = n_after_randomized - n_after_single_stop
+    keep &= filter_rssi(frames, cfg)
+    report.dropped_rssi = n_after_single_stop - int(np.count_nonzero(keep))
 
-    frames = filter_single_stop(frames, cfg)
-    report.dropped_single_stop, n = n - len(frames), len(frames)
-
-    frames = filter_rssi(frames, cfg)
-    report.dropped_rssi = n - len(frames)
-
-    segments_all = segment(frames, cfg)
+    # The survivors are taken once, a column at a time: when the caller
+    # handed its frames over, as cli.cmd_clean does, each input column is
+    # freed as soon as its survivors exist.
+    for column in ("stop", "t", "device", "rssi"):
+        frames = replace(frames, **{column: getattr(frames, column)[keep]})
+    del keep
+    # Handed over to segment() the same way, so that it can free each
+    # column once its sort key holds it.
+    survivors = [frames]
     del frames
-    kept, short_frames, long_frames = filter_duration(segments_all, cfg)
-    report.dropped_short = short_frames
-    report.dropped_long = long_frames
+    segments_all = segment(survivors.pop(), cfg)
+    kept, report.dropped_short, report.dropped_long = filter_duration(segments_all, cfg)
     report.kept_frames = int(kept.frame_count.sum())
 
     report.check()
-    return list(kept), report
+    return kept, report
 
 
-def write_segment_csv(segments_out: Iterable[Segment], dest: Union[str, os.PathLike]) -> None:
-    write_table(
-        dest,
-        SEGMENT_HEADER,
-        (
+def write_segment_csv(
+    segments_out: SegmentColumns | Iterable[Segment], dest: Union[str, os.PathLike]
+) -> None:
+    """Write segments as CSV. SegmentColumns are written from their arrays,
+    with no Segment or datetime per segment."""
+    if isinstance(segments_out, SegmentColumns):
+        rows = segments_out.rows()
+    else:
+        rows = (
             (s.stop, s.device.hex, format_timestamp(s.start), format_timestamp(s.end),
              s.frame_count, s.mean_rssi)
             for s in segments_out
-        ),
-    )
+        )
+    write_table(dest, SEGMENT_HEADER, rows)
 
 
 def read_segment_csv(source: Union[str, os.PathLike]) -> list[Segment]:

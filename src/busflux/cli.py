@@ -127,9 +127,12 @@ def cmd_synth(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 def cmd_clean(args, cfg: PipelineConfig, timings: dict[str, float]):
     with _timed(timings, "parse"):
-        frames, parse_report = parse_frame_csv(args.frames)
+        parsed = list(parse_frame_csv(args.frames))
+    parse_report = parsed.pop()
     with _timed(timings, "clean"):
-        segments, report = clean(frames, cfg.cleaning)
+        # Handed over, not lent: once popped, no name here holds the parsed
+        # frames, so clean() frees them as soon as it has taken the survivors.
+        segments, report = clean(parsed.pop(), cfg.cleaning)
     write_segment_csv(segments, args.out_segments)
     parse = {k: getattr(parse_report, k)
              for k in ("rows_total", "rows_ok", "rows_bad", "anonymized_input")}

@@ -10,7 +10,8 @@ table of stop names, int64 UTC epoch seconds, an int32 device index into
 a table of (digest, raw MAC or None, randomized flag) entries, and int16
 RSSI. The parser streams its input, plain or gzipped, in chunks of whole
 lines and appends accepted rows to array.array buffers, so no per-frame
-Python object outlives its chunk. A chunk of canonical rows, as
+Python object outlives its chunk; the finished columns are numpy views of
+those buffers (np.frombuffer), not copies. A chunk of canonical rows, as
 write_frame_csv writes them, is converted a column at a time: a shape
 check and numpy's ISO-8601 parser for the timestamps, and one check per
 distinct stop, MAC and RSSI text. From the first chunk that is not
@@ -32,7 +33,7 @@ import os
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Sequence, Union
@@ -200,7 +201,7 @@ class FrameColumns:
     UTC epoch seconds and ``rssi`` (int16) dBm. An entry is one (digest,
     address) pair, so two entries share a digest only when one device came
     both as a raw MAC and as a digest. Tables are in first-seen order and
-    hold exactly what the frames use, until ``take`` selects a subset.
+    hold exactly what the frames use, until clean() takes the survivors.
     Iterating yields FrameRecords; ``from_records`` goes back.
     """
 
@@ -246,11 +247,6 @@ class FrameColumns:
     def _arrays(self) -> tuple[np.ndarray, ...]:
         return self.randomized, self.stop, self.t, self.device, self.rssi
 
-    def take(self, rows: np.ndarray) -> "FrameColumns":
-        """The frames at ``rows`` (a boolean mask or indices), sharing the tables."""
-        return replace(self, stop=self.stop[rows], t=self.t[rows], device=self.device[rows],
-                       rssi=self.rssi[rows])
-
 
 class _ColumnBuilder:
     """array.array buffers for the four frame columns, and the two tables."""
@@ -267,16 +263,18 @@ class _ColumnBuilder:
         return self.idents.setdefault((device, mac), len(self.idents))
 
     def build(self) -> FrameColumns:
+        """The columns, wrapping the buffers without a copy; the builder
+        must not append after this."""
         macs = tuple(mac for _, mac in self.idents)
         return FrameColumns(
             stops=tuple(self.stops),
             devices=tuple(device for device, _ in self.idents),
             macs=macs,
             randomized=np.array([m is not None and is_randomized(m) for m in macs], dtype=bool),
-            stop=np.asarray(self.stop, dtype=np.int32),
-            t=np.asarray(self.t, dtype=np.int64),
-            device=np.asarray(self.device, dtype=np.int32),
-            rssi=np.asarray(self.rssi, dtype=np.int16),
+            stop=np.frombuffer(self.stop, dtype=np.int32),
+            t=np.frombuffer(self.t, dtype=np.int64),
+            device=np.frombuffer(self.device, dtype=np.int32),
+            rssi=np.frombuffer(self.rssi, dtype=np.int16),
         )
 
 
@@ -578,6 +576,15 @@ def parse_timestamp(text: str) -> datetime:
 
 def format_timestamp(at: datetime) -> str:
     return at.isoformat(" ", "seconds")
+
+
+def format_epoch_seconds(seconds: np.ndarray) -> list[str]:
+    """format_timestamp of the UTC time of each epoch second in
+    ``seconds``, with no datetime per value."""
+    texts = seconds.astype("datetime64[s]").astype("U19")
+    # numpy writes ISO 8601's "T" between the date and the time.
+    texts.view(np.uint32).reshape(-1, 19)[:, 10] = ord(" ")
+    return texts.tolist()
 
 
 def write_frame_csv(

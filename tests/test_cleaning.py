@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
-from datetime import timedelta
-from itertools import accumulate
+from datetime import datetime, timedelta
+from itertools import accumulate, compress
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from busflux import cleaning
 from busflux.cleaning import (
     WINDOW_PER_DAY,
     WINDOW_WHOLE_DATASET,
@@ -30,6 +33,7 @@ from busflux.cleaning import (
 )
 from busflux.errors import ConfigError
 from busflux.frames import (
+    DeviceId,
     FrameColumns,
     FrameRecord,
     anonymize,
@@ -43,6 +47,23 @@ from conftest import T0, burst, frame, mac
 
 CFG = CleaningConfig()
 cols = FrameColumns.from_records
+
+
+def cleaned(frames, cfg=CFG):
+    """clean() with its segments as a list of Segments, for comparisons."""
+    segments, report = clean(frames, cfg)
+    return list(segments), report
+
+
+def kept_by(step, frames, *args):
+    """The records that a mask-returning filter step keeps."""
+    columns = cols(frames)
+    return list(compress(columns, step(columns, *args)))
+
+
+def single_stop(columns, cfg):
+    """filter_single_stop with every frame in play."""
+    return filter_single_stop(columns, cfg, np.ones(len(columns), dtype=bool))
 
 
 def kept_frames(frames, segments_kept):
@@ -70,8 +91,7 @@ def two_stop_day(mac_text: str = "00:B8:00:00:00:01", duration_s: int = 300):
 
 def test_rssi_gate_is_inclusive_at_both_ends():
     frames = [frame(rssi=r) for r in (-81, -80, -79, -31, -30, -29, 0)]
-    kept = filter_rssi(cols(frames), CFG)
-    assert [f.rssi for f in kept] == [-80, -79, -31, -30]
+    assert [f.rssi for f in kept_by(filter_rssi, frames, CFG)] == [-80, -79, -31, -30]
 
 
 def test_randomized_filter_drops_local_and_group_bits():
@@ -81,26 +101,27 @@ def test_randomized_filter_drops_local_and_group_bits():
         frame(mac_text="01:00:00:00:00:03"),  # group
         frame(mac_text="03:00:00:00:00:04"),  # both bits
     ]
-    kept, applied = filter_randomized(cols(frames))
+    columns = cols(frames)
+    keep, applied = filter_randomized(columns)
     assert applied
-    assert [f.mac.canonical()[:2] for f in kept] == ["00"]
+    assert [f.mac.canonical()[:2] for f in compress(columns, keep)] == ["00"]
 
 
 def test_randomized_filter_passes_through_digest_only_input(tmp_path):
     path = tmp_path / "anon.csv"
     write_frame_csv([frame(mac_text="02:00:00:00:00:01")], path, anonymize_output=True)
     anon, _ = parse_frame_csv(path)
-    kept, applied = filter_randomized(anon)
+    keep, applied = filter_randomized(anon)
     assert not applied
-    assert kept == anon  # bits are unrecoverable from the digest
+    assert keep.all()  # bits are unrecoverable from the digest
 
 
 def test_single_stop_filter_needs_two_stops_within_a_day():
     same_day = two_stop_day()
-    assert list(filter_single_stop(cols(same_day), CFG)) == same_day
+    assert kept_by(single_stop, same_day, CFG) == same_day
 
     one_stop = burst("stop-01", "00:B8:00:00:00:09", T0, 300)
-    assert list(filter_single_stop(cols(one_stop), CFG)) == []
+    assert kept_by(single_stop, one_stop, CFG) == []
 
 
 def test_single_stop_window_split_across_days():
@@ -109,9 +130,9 @@ def test_single_stop_window_split_across_days():
     frames = burst("stop-01", "00:B8:00:00:00:01", T0, 300) + burst(
         "stop-02", "00:B8:00:00:00:01", T0 + timedelta(days=1), 300
     )
-    assert list(filter_single_stop(cols(frames), CFG)) == []
+    assert kept_by(single_stop, frames, CFG) == []
     whole = CleaningConfig(multi_stop_window=WINDOW_WHOLE_DATASET)
-    assert list(filter_single_stop(cols(frames), whole)) == frames
+    assert kept_by(single_stop, frames, whole) == frames
 
 
 def test_duration_filter_is_inclusive_at_both_ends():
@@ -212,16 +233,16 @@ def test_clean_attributes_each_frame_to_first_dropping_stage():
 
 def test_clean_is_idempotent_on_its_own_output():
     frames = two_stop_day() + burst("stop-01", "02:00:00:00:00:11", T0, 300)
-    segments, _ = clean(frames)
+    segments, _ = cleaned(frames)
     survivors = kept_frames(frames, segments)
-    again, report = clean(survivors)
+    again, report = cleaned(survivors)
     assert again == segments
     assert report.kept_frames == report.input_frames
 
 
 def test_clean_empty_input():
     segments, report = clean([])
-    assert segments == []
+    assert list(segments) == []
     assert report.input_frames == report.kept_frames == 0
     report.check()
 
@@ -295,7 +316,7 @@ def test_clean_ignores_input_order(bursts, rnd):
     frames = frames_of(bursts)
     shuffled = list(frames)
     rnd.shuffle(shuffled)
-    assert clean(shuffled) == clean(frames)
+    assert cleaned(shuffled) == cleaned(frames)
 
 
 @settings(max_examples=50, deadline=None)
@@ -303,8 +324,8 @@ def test_clean_ignores_input_order(bursts, rnd):
 def test_clean_commutes_with_whole_day_time_shifts(bursts, days):
     shift = timedelta(days=days)
     frames = frames_of(bursts)
-    segments, report = clean(frames)
-    moved, moved_report = clean([replace(f, at=f.at + shift) for f in frames])
+    segments, report = cleaned(frames)
+    moved, moved_report = cleaned([replace(f, at=f.at + shift) for f in frames])
     assert moved == [replace(s, start=s.start + shift, end=s.end + shift) for s in segments]
     assert moved_report == report
 
@@ -314,8 +335,8 @@ def test_clean_commutes_with_whole_day_time_shifts(bursts, days):
 def test_clean_commutes_with_order_preserving_stop_renaming(bursts, names):
     rename = dict(zip(STOPS, sorted(names)))
     frames = frames_of(bursts)
-    segments, report = clean(frames)
-    renamed, renamed_report = clean([replace(f, stop=rename[f.stop]) for f in frames])
+    segments, report = cleaned(frames)
+    renamed, renamed_report = cleaned([replace(f, stop=rename[f.stop]) for f in frames])
     assert renamed == [replace(s, stop=rename[s.stop]) for s in segments]
     assert renamed_report == report
 
@@ -419,8 +440,8 @@ def edge_frames(draw):
 def test_columnar_clean_equals_the_reference(frames, window):
     cfg = CleaningConfig(multi_stop_window=window)
     expected = reference_clean(frames, cfg)
-    assert clean(frames, cfg) == expected
-    assert clean(cols(frames), cfg) == expected
+    assert cleaned(frames, cfg) == expected
+    assert cleaned(cols(frames), cfg) == expected
 
 
 def test_columnar_clean_equals_the_reference_on_the_default_scenario():
@@ -428,7 +449,7 @@ def test_columnar_clean_equals_the_reference_on_the_default_scenario():
     assert len(frames) > 5_000
     for window in (WINDOW_PER_DAY, WINDOW_WHOLE_DATASET):
         cfg = CleaningConfig(multi_stop_window=window)
-        assert clean(frames, cfg) == reference_clean(frames, cfg)
+        assert cleaned(frames, cfg) == reference_clean(frames, cfg)
 
 
 def test_whole_second_frames_meet_fractional_bounds_like_the_reference():
@@ -440,7 +461,163 @@ def test_whole_second_frames_meet_fractional_bounds_like_the_reference():
                        gap=timedelta(seconds=149.5)),
         CleaningConfig(gap=timedelta(seconds=150.5)),
     ):
-        assert clean(frames, cfg) == reference_clean(frames, cfg)
+        assert cleaned(frames, cfg) == reference_clean(frames, cfg)
+
+
+# ── Sort keys past int32 and past int64 ─────────────────────────────────────
+
+
+def test_key_dtype_widens_at_each_integer_limit():
+    assert cleaning._key_dtype(2**31 - 1) is np.int32
+    assert cleaning._key_dtype(2**31) is np.int64
+    assert cleaning._key_dtype(2**63 - 1) is np.int64
+    assert cleaning._key_dtype(2**63) is None
+
+
+@pytest.fixture
+def key_dtypes(monkeypatch):
+    """The key dtypes that filter_single_stop and segment choose, in call order."""
+    chosen = []
+    choose = cleaning._key_dtype
+
+    def recorded(span):
+        chosen.append(choose(span))
+        return chosen[-1]
+
+    monkeypatch.setattr(cleaning, "_key_dtype", recorded)
+    return chosen
+
+
+def digest(i: int) -> DeviceId:
+    return DeviceId(hashlib.sha1(i.to_bytes(4, "big")).digest())
+
+
+# The first and the last day that a frame file can name.
+FIRST_DAY, LAST_DAY = datetime(1, 1, 1, 12), datetime(9999, 12, 31, 12)
+
+
+def at_fraction(x: float) -> datetime:
+    """The noon a fraction ``x`` of the way from FIRST_DAY to LAST_DAY."""
+    return FIRST_DAY + timedelta(days=round(x * (LAST_DAY - FIRST_DAY).days))
+
+
+def decades_of_frames():
+    """2,000 digests at 5 stops, from the year 1 to the year 9999.
+
+    Device i rides from stop i % 5 to the next on one day and dwells 4
+    minutes at each; every third one also pings its first stop twice in
+    one second, every seventh stays at one stop, and every eleventh is out
+    of RSSI range at its second stop. Devices 0-49 come as raw MACs, and
+    the randomized ones among them are dropped.
+    """
+    frames = []
+    for i in range(2000):
+        start = at_fraction(i / 1999)
+        first, second = f"stop-{i % 5}", f"stop-{(i + 1) % 5}"
+        if i % 7 == 0:
+            second = first
+        m = mac(f"{2 * (i % 2):02X}:B8:00:00:{i // 256:02X}:{i % 256:02X}") if i < 50 else None
+        device = anonymize(m) if m else digest(i)
+        rssi = -85 if i % 11 == 0 else -60
+        frames += [FrameRecord(first, start + timedelta(seconds=s), device, -50 - s % 7, m)
+                   for s in (0, 0, 120, 240)[i % 3 != 0:]]
+        frames += [FrameRecord(second, start + timedelta(hours=1, seconds=s), device, rssi, m)
+                   for s in (0, 120, 240)]
+    return frames
+
+
+@pytest.mark.parametrize("window, dtypes", [(WINDOW_PER_DAY, [np.int64, np.int64]),
+                                            (WINDOW_WHOLE_DATASET, [np.int32, np.int64])])
+def test_keys_past_int32_over_ten_thousand_years(key_dtypes, window, dtypes):
+    frames = decades_of_frames()
+    cfg = CleaningConfig(multi_stop_window=window)
+    segments, report = cleaned(frames, cfg)
+    assert key_dtypes == dtypes
+    assert (segments, report) == reference_clean(frames, cfg)
+    assert report.dropped_randomized and report.dropped_single_stop and report.dropped_rssi
+    years = sorted({s.start.year for s in segments})
+    assert years[0] < 20 and years[-1] == 9999
+
+
+def test_keys_past_int64_with_tens_of_thousands_of_digests_and_stops(key_dtypes):
+    # 46,341 digests at as many stops: digests times stops passes 2**31,
+    # and times ten thousand years of seconds it passes 2**63, so the
+    # segment sort falls back to sorting three columns.
+    n = 46_341
+    stops = tuple(f"s{i:05d}" for i in range(n))
+    rows = np.arange(n)
+    at = np.array([(at_fraction(i / (n - 1)) - datetime(1970, 1, 1)) // timedelta(seconds=1)
+                   for i in range(0, n, 97)], dtype=np.int64).repeat(97)[:n]
+    columns = FrameColumns(
+        stops=stops,
+        devices=tuple(map(digest, range(n))),
+        macs=(None,) * n,
+        randomized=np.zeros(n, dtype=bool),
+        stop=np.concatenate((rows, rows, (rows + 1) % n)).astype(np.int32),
+        t=np.concatenate((at, at + 150, at + 3600)),
+        device=np.concatenate((rows, rows, rows)).astype(np.int32),
+        rssi=np.full(3 * n, -60, dtype=np.int16),
+    )
+    frames = list(columns)
+    for window in (WINDOW_PER_DAY, WINDOW_WHOLE_DATASET):
+        key_dtypes.clear()
+        cfg = CleaningConfig(multi_stop_window=window)
+        segments, report = cleaned(columns, cfg)
+        assert key_dtypes == [np.int64, None]
+        assert (segments, report) == reference_clean(frames, cfg)
+        assert report.kept_frames == 2 * n and report.dropped_short == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_frames(), st.sampled_from([WINDOW_PER_DAY, WINDOW_WHOLE_DATASET]))
+def test_clean_equals_the_reference_when_no_integer_holds_a_key(frames, window):
+    cfg = CleaningConfig(multi_stop_window=window)
+    real = cleaning._key_dtype
+    cleaning._key_dtype = lambda span: None
+    try:
+        got = cleaned(frames, cfg)
+    finally:
+        cleaning._key_dtype = real
+    assert got == reference_clean(frames, cfg)
+
+
+DROP_ALL = {
+    "empty": [],
+    "randomized": two_stop_day("02:00:00:00:00:01"),
+    "single stop": burst("stop-01", "00:B8:00:00:00:01", T0, 300),
+    "rssi": [replace(f, rssi=-90) for f in two_stop_day()],
+    "short": [replace(f, at=T0) for f in two_stop_day()],
+}
+
+
+@pytest.mark.parametrize("window", [WINDOW_PER_DAY, WINDOW_WHOLE_DATASET])
+@pytest.mark.parametrize("case", sorted(DROP_ALL))
+def test_input_that_every_frame_leaves_cleans_like_the_reference(case, window):
+    cfg = CleaningConfig(multi_stop_window=window)
+    segments, report = cleaned(DROP_ALL[case], cfg)
+    assert segments == [] and report.kept_frames == 0
+    assert (segments, report) == reference_clean(DROP_ALL[case], cfg)
+
+
+def test_clean_peak_traced_memory_stays_under_its_bound():
+    # numpy reports its buffers to tracemalloc. On these 15,701 frames
+    # clean() peaked at 0.88 MB when it took the survivors of each filter
+    # and sorted on three columns, and at 0.34 MB with one take of the
+    # masked survivors and packed sort keys.
+    records, _, _ = generate(replace(default_scenario(seed=13), days=4))
+    held = [FrameColumns.from_records(records)]
+    assert len(held[0]) == 15_701
+    del records
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        segments, report = clean(held.pop())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.kept_frames > 0 and len(segments) > 0
+    assert peak - before < 550_000
 
 
 # ── Config validation and serialization ──────────────────────────────────────
@@ -475,7 +652,17 @@ def test_segment_csv_round_trip(tmp_path):
     segments, _ = clean(two_stop_day())
     path = tmp_path / "segments.csv"
     write_segment_csv(segments, path)
-    assert read_segment_csv(path) == segments
+    assert read_segment_csv(path) == list(segments)
+
+
+def test_segment_columns_and_segments_write_the_same_bytes(tmp_path):
+    frames = [replace(f, stop=f'{f.stop}, "north"', rssi=-61 + i % 4)
+              for i, f in enumerate(two_stop_day())]
+    segments, _ = clean(frames)
+    write_segment_csv(segments, tmp_path / "columns.csv")
+    write_segment_csv(list(segments), tmp_path / "segments.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "segments.csv").read_bytes()
+    assert read_segment_csv(tmp_path / "columns.csv") == list(segments)
 
 
 def test_segment_csv_rejects_unknown_header(tmp_path):

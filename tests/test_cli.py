@@ -9,11 +9,14 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 
 import conftest
 import pytest
 
+import busflux.cleaning
+import busflux.cli
 from busflux.aggregation import read_hourly_csv, read_minute_csv, write_hourly_csv, write_minute_csv
 from busflux.cleaning import read_segment_csv, write_segment_csv
 from busflux.cli import build_parser, main
@@ -138,6 +141,32 @@ def test_clean_report_has_parse_and_cleaning_sections(ws):
     dropped = (c["dropped_randomized"] + c["dropped_rssi"] + c["dropped_single_stop"]
                + c["dropped_short"] + c["dropped_long"])
     assert c["input_frames"] == c["kept_frames"] + dropped
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython 3.10 keeps a call's "
+                    "arguments on the caller's stack until the call returns")
+def test_clean_stage_hands_the_parsed_frames_over(ws, tmp_path, monkeypatch):
+    # The parsed columns are the stage's largest input; once clean() has
+    # taken the survivors, nothing may keep them alive through segmentation.
+    parsed = []
+    gone_at_segment = []
+    parse, segment = busflux.cli.parse_frame_csv, busflux.cleaning.segment
+
+    def watched_parse(source):
+        frames, report = parse(source)
+        parsed.append(weakref.ref(frames))
+        return frames, report
+
+    def checked_segment(frames, cfg):
+        gone_at_segment.append(parsed[0]() is None)
+        return segment(frames, cfg)
+
+    monkeypatch.setattr(busflux.cli, "parse_frame_csv", watched_parse)
+    monkeypatch.setattr(busflux.cleaning, "segment", checked_segment)
+    assert run("clean", "--frames", ws["frames"], "--out-segments", tmp_path / "segments.csv",
+               "--out-report", tmp_path / "clean.json") == 0
+    assert gone_at_segment == [True]
+    assert (tmp_path / "segments.csv").read_bytes() == ws["segments"].read_bytes()
 
 
 def test_evaluation_report_ranks_the_three_models(ws):

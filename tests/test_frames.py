@@ -28,6 +28,7 @@ from busflux.frames import (
     _epoch_seconds_of,
     anonymize,
     epoch_seconds,
+    format_epoch_seconds,
     format_timestamp,
     is_randomized,
     parse_frame_csv,
@@ -156,6 +157,15 @@ def test_device_id_hex_round_trip():
     d = anonymize(mac("aa:bb:cc:dd:ee:ff"))
     assert DeviceId.from_hex(d.hex) == d
     assert len(d.hex) == 40
+
+
+@settings(max_examples=200)
+@given(st.lists(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+                max_size=5))
+def test_epoch_seconds_format_like_their_datetimes(times):
+    times = [at.replace(microsecond=0) for at in times]
+    seconds = np.array([epoch_seconds(at) for at in times], dtype=np.int64)
+    assert format_epoch_seconds(seconds) == [format_timestamp(at) for at in times]
 
 
 # ── CSV round-trip ───────────────────────────────────────────────────────────

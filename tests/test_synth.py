@@ -97,7 +97,7 @@ def test_all_randomized_population_cleans_to_nothing():
     assert frames, "empty scenario"
     assert all(is_randomized(f.mac) for f in frames)
     segments, report = clean(frames)
-    assert segments == []
+    assert list(segments) == []
     assert report.dropped_randomized == len(frames)
     assert truth.signal_frames == 0
 
