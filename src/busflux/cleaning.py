@@ -38,15 +38,17 @@ import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from itertools import compress
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from .errors import ConfigError
 from .frames import (
+    _BLOCK,
     DeviceId,
     FrameColumns,
-    FrameRecord,
+    _digest_ranks,
+    _stop_ranks,
     format_epoch_seconds,
     format_timestamp,
     parse_timestamp,
@@ -148,26 +150,6 @@ def filter_randomized(frames: FrameColumns) -> tuple[np.ndarray, bool]:
     if all(mac is None for mac in compress(frames.macs, present)):
         return np.ones(len(frames), dtype=bool), False
     return ~frames.randomized[frames.device], True
-
-
-def _digest_ranks(frames: FrameColumns) -> np.ndarray:
-    """Per device-table entry, the rank of its digest; equal digests share one."""
-    digests = [device.digest for device in frames.devices]
-    rank = {digest: i for i, digest in enumerate(sorted(set(digests)))}
-    return np.array([rank[digest] for digest in digests], dtype=np.int32)
-
-
-def _stop_ranks(frames: FrameColumns) -> np.ndarray:
-    """Per stop-table entry, the rank of its name."""
-    order = sorted(range(len(frames.stops)), key=frames.stops.__getitem__)
-    ranks = np.empty(len(order), dtype=np.int32)
-    ranks[order] = np.arange(len(order))
-    return ranks
-
-
-# Rows per block where a step works a block of rows at a time to bound
-# its temporaries.
-_BLOCK = 1 << 14
 
 
 def _key_dtype(top: int) -> type | None:
@@ -399,16 +381,11 @@ def filter_duration(
 
 
 def clean(
-    frames: FrameColumns | Sequence[FrameRecord], cfg: CleaningConfig | None = None
+    frames: FrameColumns, cfg: CleaningConfig | None = None
 ) -> tuple[SegmentColumns, CleaningReport]:
     """Run the full pipeline and account every frame once; returns the
-    kept segments.
-
-    A record sequence is converted to columns first.
-    """
+    kept segments."""
     cfg = cfg or CleaningConfig()
-    if not isinstance(frames, FrameColumns):
-        frames = FrameColumns.from_records(frames)
     report = CleaningReport(input_frames=len(frames))
 
     # The filters return masks, each ANDed into the last, so a frame is

@@ -17,9 +17,14 @@ check and numpy's ISO-8601 parser for the timestamps, and one check per
 distinct stop, MAC and RSSI text. From the first chunk that is not
 canonical, csv.reader takes the rest a row at a time; that per-row path
 is the one authority on quoting and on every malformed row's reason and
-line. Both paths apply the same rule function per field. FrameRecord is the
-one-frame view at the API boundary: iterating FrameColumns yields them,
-and FrameColumns.from_records converts back.
+line. Both paths apply the same rule function per field.
+
+The generator builds its frames with the parser's column builder, so
+FrameColumns is the one frame type from generator to cleaner.
+sorted_frames orders them for a file with one stable lexsort, and
+write_frame_csv writes them a block of rows at a time. FrameRecord is the
+one-frame view for callers that want objects: iterating FrameColumns
+yields them, and FrameColumns.from_records builds columns from them.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ import os
 import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import chain, repeat
-from typing import IO, Iterable, Iterator, Sequence, Union
+from itertools import chain, compress, repeat
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -77,16 +82,6 @@ class MacAddress:
         """Uppercase colon-separated form, always 17 characters."""
         return ":".join(f"{b:02X}" for b in self.octets)
 
-    @property
-    def is_group(self) -> bool:
-        """I/G bit (bit 0 of octet 0): multicast/group address."""
-        return bool(self.octets[0] & 0x01)
-
-    @property
-    def is_locally_administered(self) -> bool:
-        """U/L bit (bit 1 of octet 0): not a globally unique address."""
-        return bool(self.octets[0] & 0x02)
-
     def __str__(self) -> str:
         return self.canonical()
 
@@ -94,9 +89,9 @@ class MacAddress:
 def is_randomized(mac: MacAddress) -> bool:
     """True when the address cannot identify a stable device.
 
-    Locally administered addresses are what MAC randomization emits, and
-    group addresses never name a single device; both are treated as noise.
-    Depends only on octet 0.
+    Locally administered addresses (the U/L bit, bit 1 of octet 0) are what
+    MAC randomization emits, and group addresses (the I/G bit, bit 0) never
+    name a single device; both are treated as noise.
     """
     return bool(mac.octets[0] & 0x03)
 
@@ -144,9 +139,6 @@ class FrameRecord:
     device: DeviceId
     rssi: int
     mac: MacAddress | None = None
-
-    def sort_key(self):
-        return (self.stop, self.device.digest, self.at)
 
 
 @dataclass(slots=True)
@@ -587,44 +579,76 @@ def format_epoch_seconds(seconds: np.ndarray) -> list[str]:
     return texts.tolist()
 
 
+def _digest_ranks(frames: FrameColumns) -> np.ndarray:
+    """Per device-table entry, the rank of its digest; equal digests share one."""
+    digests = [device.digest for device in frames.devices]
+    rank = {digest: i for i, digest in enumerate(sorted(set(digests)))}
+    return np.array([rank[digest] for digest in digests], dtype=np.int32)
+
+
+def _stop_ranks(frames: FrameColumns) -> np.ndarray:
+    """Per stop-table entry, the rank of its name."""
+    order = sorted(range(len(frames.stops)), key=frames.stops.__getitem__)
+    ranks = np.empty(len(order), dtype=np.int32)
+    ranks[order] = np.arange(len(order))
+    return ranks
+
+
+def sorted_frames(frames: FrameColumns) -> FrameColumns:
+    """The (stop, device, time) order that frame files are written in: a
+    stable sort on stop name, digest and time, sharing the tables."""
+    order = np.lexsort((frames.t, _digest_ranks(frames)[frames.device],
+                        _stop_ranks(frames)[frames.stop]))
+    return replace(frames, stop=frames.stop[order], t=frames.t[order],
+                   device=frames.device[order], rssi=frames.rssi[order])
+
+
+# Rows per block where a step works a block of rows at a time to bound
+# its temporaries.
+_BLOCK = 1 << 14
+
+
 def write_frame_csv(
-    records: Iterable[FrameRecord],
+    frames: FrameColumns,
     dest: Union[str, os.PathLike],
     *,
     anonymize_output: bool = False,
 ) -> None:
-    """Serialize records back to the frame CSV format.
+    """Serialize frames to the frame CSV format, a block of rows at a time.
 
-    Records whose raw MAC is unavailable are always written in digest form.
-    With ``anonymize_output`` (or any digest-form record present) the file
+    Frames whose raw MAC is unavailable are always written in digest form.
+    With ``anonymize_output`` (or any digest-form frame present) the file
     carries the ``#anonymized=true`` flag. Gzip is applied when the path
     ends in ``.gz``, with a fixed mtime so outputs stay byte-deterministic.
     """
-    records = list(records)
-    digest_form = anonymize_output or any(r.mac is None for r in records)
-
-    buf = io.StringIO()
-    if digest_form:
-        buf.write(ANONYMIZED_FLAG + "\n")
-    buf.write(FRAME_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for r in records:
-        ident = r.device.hex if digest_form or r.mac is None else r.mac.canonical()
-        writer.writerow((r.stop, format_timestamp(r.at), ident, r.rssi))
-
-    data = buf.getvalue().encode("utf-8")
+    present = np.zeros(len(frames.macs), dtype=bool)
+    present[frames.device] = True
+    digest_form = anonymize_output or any(mac is None for mac in compress(frames.macs, present))
+    idents = [device.hex if digest_form or mac is None else mac.canonical()
+              for device, mac in zip(frames.devices, frames.macs)]
+    stops = frames.stops
+    # csv.writer fills one block's text at a time. No TextIOWrapper over
+    # the GzipFile: its flush would emit a deflate sync point and change
+    # the bytes, which do not otherwise depend on how the writes split.
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
     path = os.fspath(dest)
-    if path.endswith(".gz"):
-        # filename="" and mtime=0 keep the gzip header free of anything
-        # path- or clock-dependent, so equal records give equal bytes.
-        with open(path, "wb") as fh:
-            with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                gz.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
-
-
-def sorted_frames(frames: Sequence[FrameRecord]) -> list[FrameRecord]:
-    """The (stop, device, time) order that frame files are written in."""
-    return sorted(frames, key=FrameRecord.sort_key)
+    with contextlib.ExitStack() as stack:
+        out: IO[bytes] = stack.enter_context(open(path, "wb"))
+        if path.endswith(".gz"):
+            # filename="" and mtime=0 keep the gzip header free of anything
+            # path- or clock-dependent, so equal frames give equal bytes.
+            out = stack.enter_context(gzip.GzipFile(filename="", fileobj=out, mode="wb", mtime=0))
+        flag = ANONYMIZED_FLAG + "\n" if digest_form else ""
+        out.write(f"{flag}{FRAME_HEADER}\n".encode("utf-8"))
+        for at in range(0, len(frames), _BLOCK):
+            block = slice(at, at + _BLOCK)
+            writer.writerows(zip(
+                map(stops.__getitem__, frames.stop[block].tolist()),
+                format_epoch_seconds(frames.t[block]),
+                map(idents.__getitem__, frames.device[block].tolist()),
+                frames.rssi[block].tolist(),
+            ))
+            out.write(text.getvalue().encode("utf-8"))
+            text.seek(0)
+            text.truncate()

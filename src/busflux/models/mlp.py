@@ -27,7 +27,6 @@ from .config import TrainConfig
 
 ARCH_WNN = "wnn"
 ARCH_DNN = "dnn"
-ARCH_CUSTOM = "custom"
 
 
 @dataclass(slots=True)
@@ -41,10 +40,6 @@ class MlpModel:
     @property
     def input_dim(self) -> int:
         return int(self.weights[0].shape[0])
-
-    @property
-    def hidden_widths(self) -> tuple[int, ...]:
-        return tuple(int(w.shape[1]) for w in self.weights[:-1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return mlp_forward(self, X)
@@ -91,38 +86,24 @@ class MlpModel:
         return model
 
 
-def _resolve_widths(
-    arch: str, cfg: TrainConfig, hidden_widths: tuple[int, ...] | None
-) -> tuple[int, ...]:
-    if hidden_widths is not None:
-        widths = tuple(int(w) for w in hidden_widths)
-    elif arch == ARCH_WNN:
-        widths = cfg.wnn_hidden
-    elif arch == ARCH_DNN:
-        widths = cfg.dnn_hidden
-    else:
-        raise ConfigError(f"arch {arch!r} needs explicit hidden_widths")
-    if len(widths) == 0 or any(w < 1 for w in widths):
-        raise ConfigError("hidden widths must be a non-empty tuple of positive ints")
-    return widths
-
-
 def mlp_init(
     arch: str,
     input_dim: int,
     seed: int,
     *,
     cfg: TrainConfig | None = None,
-    hidden_widths: tuple[int, ...] | None = None,
     columns: tuple[str, ...] | None = None,
 ) -> MlpModel:
-    """Seeded initialization: N(0,1)/sqrt(fan_in) weights, zero biases."""
+    """Seeded initialization: N(0,1)/sqrt(fan_in) weights, zero biases.
+
+    The hidden widths are ``cfg.wnn_hidden`` or ``cfg.dnn_hidden``, which
+    TrainConfig checks."""
     if input_dim < 1:
         raise ConfigError("input_dim must be >= 1")
-    if arch not in (ARCH_WNN, ARCH_DNN, ARCH_CUSTOM):
+    if arch not in (ARCH_WNN, ARCH_DNN):
         raise ConfigError(f"unknown architecture {arch!r}")
     cfg = cfg or TrainConfig(seed=seed)
-    widths = _resolve_widths(arch, cfg, hidden_widths)
+    widths = cfg.wnn_hidden if arch == ARCH_WNN else cfg.dnn_hidden
     rng = np.random.default_rng(seed)
     dims = (input_dim, *widths, 1)
     weights, biases = [], []

@@ -12,12 +12,12 @@ from ..schema import read_json, read_table, real, to_dict, write_json, write_tab
 from .boosting import GbtEnsemble
 from .config import TrainConfig
 from .linear import LinearModel
-from .mlp import ARCH_CUSTOM, ARCH_DNN, ARCH_WNN, MlpModel, TrainHistory
+from .mlp import ARCH_DNN, ARCH_WNN, MlpModel, TrainHistory
 from .tree import RegressionTree
 
 FORMAT_VERSION = 2
 
-_MLP_ARCHS = (ARCH_WNN, ARCH_DNN, ARCH_CUSTOM)
+_MLP_ARCHS = (ARCH_WNN, ARCH_DNN)
 
 
 def _arch_of(model) -> str:

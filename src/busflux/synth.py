@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -33,7 +34,7 @@ from .aggregation import HourlyCount
 from .cleaning import CleaningConfig
 from .errors import ConfigError
 from .features import FeatureMatrix
-from .frames import DeviceId, FrameRecord, MacAddress, anonymize
+from .frames import DeviceId, FrameColumns, MacAddress, _ColumnBuilder, anonymize
 from .schema import read_json, to_dict, write_json
 from .weather import WeatherObservation
 
@@ -168,10 +169,6 @@ class GroundTruth:
     noise_devices: dict[str, int] = field(default_factory=lambda: dict.fromkeys(NOISE_CLASSES, 0))
     noise_frames: dict[str, int] = field(default_factory=lambda: dict.fromkeys(NOISE_CLASSES, 0))
 
-    @property
-    def total_frames(self) -> int:
-        return self.signal_frames + sum(self.noise_frames.values())
-
 
 def _truth_hourly(dwells: list[PlantedDwell]) -> list[HourlyCount]:
     """Hourly waiting counts straight from the planted intervals.
@@ -284,43 +281,38 @@ def _device_mac(index: int, randomized: bool) -> MacAddress:
 
 
 def _dwell_frames(
+    frames: _ColumnBuilder,
     stop: str,
-    device: DeviceId,
-    mac: MacAddress,
+    device: int,
     t0: int,
     t1: int,
     rssi_lo: int,
     rssi_hi: int,
     rng: np.random.Generator,
-    frames: list[FrameRecord],
 ) -> int:
-    """Frames at exactly t0 and t1 with gaps well under the segmenter's
-    threshold in between, so the recovered segment is the dwell interval."""
+    """Frames of table entry ``device`` at exactly t0 and t1 with gaps well
+    under the segmenter's threshold in between, so the recovered segment is
+    the dwell interval. Every draw is a scalar call, times first and then
+    one RSSI per frame, so that a seed's frames stay the same bits."""
     times = [t0]
     cur = t0
     while t1 - cur > 240:
         cur += int(rng.integers(45, 241))
         times.append(cur)
     times.append(t1)
-    for t in times:
-        frames.append(
-            FrameRecord(
-                stop=stop,
-                at=_EPOCH + timedelta(seconds=t),
-                device=device,
-                rssi=int(rng.integers(rssi_lo, rssi_hi + 1)),
-                mac=mac,
-            )
-        )
+    frames.stop.extend(repeat(frames.stop_code(stop), len(times)))
+    frames.t.extend(times)
+    frames.device.extend(repeat(device, len(times)))
+    frames.rssi.extend(int(rng.integers(rssi_lo, rssi_hi + 1)) for _ in times)
     return len(times)
 
 
 def generate(
     cfg: ScenarioConfig,
-) -> tuple[list[FrameRecord], list[WeatherObservation], GroundTruth]:
+) -> tuple[FrameColumns, list[WeatherObservation], GroundTruth]:
     """Emit frames, the hourly weather series, and the planted truth."""
     truth = GroundTruth(coefficients={"demand": to_dict(cfg.demand)})
-    frames: list[FrameRecord] = []
+    frames = _ColumnBuilder()
     weather: list[WeatherObservation] = []
 
     noise_fractions = cfg.noise.as_tuple()
@@ -355,6 +347,7 @@ def generate(
                     mac = _device_mac(device_index, randomized)
                     device_index += 1
                     device = anonymize(mac)
+                    entry = frames.device_code(device, mac)
 
                     if cls == "short_dwell":
                         draw = lambda: int(rng_t.integers(10, 91))
@@ -370,16 +363,14 @@ def generate(
 
                     t0 = day_start + hour * 3600 + int(rng_t.integers(0, 3600))
                     t1 = t0 + draw()
-                    n = _dwell_frames(stop, device, mac, t0, t1, lo, hi, rng_t, frames)
+                    n = _dwell_frames(frames, stop, entry, t0, t1, lo, hi, rng_t)
                     emitted = n
                     if cls != "single_stop":
                         offset = int(rng_t.integers(1, len(cfg.stops)))
                         stop2 = cfg.stops[(stop_index + offset) % len(cfg.stops)]
                         t2 = t1 + int(rng_t.integers(1200, 2401))
                         t3 = t2 + draw()
-                        emitted += _dwell_frames(
-                            stop2, device, mac, t2, t3, lo, hi, rng_t, frames
-                        )
+                        emitted += _dwell_frames(frames, stop2, entry, t2, t3, lo, hi, rng_t)
 
                     if cls == "signal":
                         truth.signal_devices += 1
@@ -407,7 +398,7 @@ def generate(
                         truth.noise_frames[cls] += emitted
 
     truth.hourly = _truth_hourly(truth.dwells)
-    return frames, weather, truth
+    return frames.build(), weather, truth
 
 
 def default_scenario(seed: int = 11, days: int = 30) -> ScenarioConfig:

@@ -11,7 +11,6 @@ import functools
 import json
 import statistics
 from dataclasses import replace
-from datetime import timedelta
 from time import perf_counter
 
 import conftest
@@ -33,7 +32,7 @@ from busflux.models.boosting import gbt_fit
 from busflux.models.config import CartParams, GbtParams, TrainConfig
 from busflux.models.linear import lr_fit
 from busflux.models.metrics import evaluate, improvement_percent
-from busflux.models.mlp import ARCH_CUSTOM, ARCH_DNN, ARCH_WNN, loss_and_grads, mlp_init, mlp_train
+from busflux.models.mlp import ARCH_DNN, ARCH_WNN, loss_and_grads, mlp_init, mlp_train
 from busflux.models.tree import cart_fit, node_sse
 from busflux.synth import (
     NOISE_CLASSES,
@@ -97,13 +96,17 @@ def test_criterion_1_default_scenario_recovery_and_throughput():
 
     # throughput: clean at least one million frames in under a minute.
     # Shifting whole-month copies far apart keeps every per-day and
-    # per-segment decision identical to the original copy.
-    bulk = list(frames)
-    k = 1
-    while len(bulk) < 1_000_000:
-        shift = timedelta(days=31 * k)
-        bulk.extend(replace(f, at=f.at + shift) for f in frames)
-        k += 1
+    # per-segment decision identical to the original copy. The copies
+    # share the stop and device tables.
+    copies = -(-1_000_000 // len(frames))
+    shifts = np.arange(copies, dtype=np.int64) * 31 * 86400
+    bulk = replace(
+        frames,
+        stop=np.tile(frames.stop, copies),
+        t=(shifts[:, None] + frames.t).ravel(),
+        device=np.tile(frames.device, copies),
+        rssi=np.tile(frames.rssi, copies),
+    )
     t0 = perf_counter()
     _, bulk_report = clean(bulk)
     elapsed = perf_counter() - t0
@@ -175,7 +178,8 @@ def test_criterion_3_gradients_match_finite_differences():
         widths = tuple(int(rng.integers(2, 7)) for _ in range(depth))
         d_in = int(rng.integers(3, 7))
         n = int(rng.integers(4, 9))
-        model = mlp_init(ARCH_CUSTOM, d_in, seed=int(rng.integers(0, 2**31)), hidden_widths=widths)
+        model = mlp_init(ARCH_DNN, d_in, seed=int(rng.integers(0, 2**31)),
+                         cfg=TrainConfig(dnn_hidden=widths))
         for b in model.biases:
             b += rng.normal(0.0, 0.5, b.shape)
         X = rng.standard_normal((n, d_in))

@@ -50,7 +50,10 @@ cols = FrameColumns.from_records
 
 
 def cleaned(frames, cfg=CFG):
-    """clean() with its segments as a list of Segments, for comparisons."""
+    """clean() of frames, as columns or as a record list, with its segments
+    as a list of Segments, for comparisons."""
+    if not isinstance(frames, FrameColumns):
+        frames = cols(frames)
     segments, report = clean(frames, cfg)
     return list(segments), report
 
@@ -109,7 +112,7 @@ def test_randomized_filter_drops_local_and_group_bits():
 
 def test_randomized_filter_passes_through_digest_only_input(tmp_path):
     path = tmp_path / "anon.csv"
-    write_frame_csv([frame(mac_text="02:00:00:00:00:01")], path, anonymize_output=True)
+    write_frame_csv(cols([frame(mac_text="02:00:00:00:00:01")]), path, anonymize_output=True)
     anon, _ = parse_frame_csv(path)
     keep, applied = filter_randomized(anon)
     assert not applied
@@ -203,7 +206,7 @@ def test_segment_stats():
 
 
 def test_clean_keeps_the_signal_shape():
-    segments, report = clean(two_stop_day())
+    segments, report = clean(cols(two_stop_day()))
     assert len(segments) == 2
     assert report.kept_frames == report.input_frames
     assert {s.stop for s in segments} == {"stop-01", "stop-02"}
@@ -221,7 +224,7 @@ def test_clean_attributes_each_frame_to_first_dropping_stage():
     )
 
     frames = signal + randomized + parked + out_of_band + passerby
-    segments, report = clean(frames)
+    segments, report = clean(cols(frames))
 
     assert report.dropped_randomized == len(randomized)
     assert report.dropped_single_stop == len(parked)
@@ -241,7 +244,7 @@ def test_clean_is_idempotent_on_its_own_output():
 
 
 def test_clean_empty_input():
-    segments, report = clean([])
+    segments, report = clean(cols([]))
     assert list(segments) == []
     assert report.input_frames == report.kept_frames == 0
     report.check()
@@ -269,7 +272,7 @@ def test_accounting_invariant_holds_for_arbitrary_input(rows):
         )
         for stop, sec, dev, rssi in rows
     ]
-    segments, report = clean(frames)
+    segments, report = clean(cols(frames))
     report.check()  # input == kept + sum(dropped)
     assert report.input_frames == len(frames)
     assert report.kept_frames == sum(s.frame_count for s in segments)
@@ -439,9 +442,7 @@ def edge_frames(draw):
 @given(edge_frames(), st.sampled_from([WINDOW_PER_DAY, WINDOW_WHOLE_DATASET]))
 def test_columnar_clean_equals_the_reference(frames, window):
     cfg = CleaningConfig(multi_stop_window=window)
-    expected = reference_clean(frames, cfg)
-    assert cleaned(frames, cfg) == expected
-    assert cleaned(cols(frames), cfg) == expected
+    assert cleaned(frames, cfg) == reference_clean(frames, cfg)
 
 
 def test_columnar_clean_equals_the_reference_on_the_default_scenario():
@@ -604,10 +605,10 @@ def test_clean_peak_traced_memory_stays_under_its_bound():
     # clean() peaked at 0.88 MB when it took the survivors of each filter
     # and sorted on three columns, and at 0.34 MB with one take of the
     # masked survivors and packed sort keys.
-    records, _, _ = generate(replace(default_scenario(seed=13), days=4))
-    held = [FrameColumns.from_records(records)]
+    frames, _, _ = generate(replace(default_scenario(seed=13), days=4))
+    held = [frames]
     assert len(held[0]) == 15_701
-    del records
+    del frames
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -643,13 +644,13 @@ def test_config_rejects_sub_minute_gap():
 
 
 def test_report_json_round_trip():
-    _, report = clean(two_stop_day())
+    _, report = clean(cols(two_stop_day()))
     back = from_dict(type(report), json.loads(json.dumps(to_dict(report))), type(report)())
     assert back == report
 
 
 def test_segment_csv_round_trip(tmp_path):
-    segments, _ = clean(two_stop_day())
+    segments, _ = clean(cols(two_stop_day()))
     path = tmp_path / "segments.csv"
     write_segment_csv(segments, path)
     assert read_segment_csv(path) == list(segments)
@@ -658,7 +659,7 @@ def test_segment_csv_round_trip(tmp_path):
 def test_segment_columns_and_segments_write_the_same_bytes(tmp_path):
     frames = [replace(f, stop=f'{f.stop}, "north"', rssi=-61 + i % 4)
               for i, f in enumerate(two_stop_day())]
-    segments, _ = clean(frames)
+    segments, _ = clean(cols(frames))
     write_segment_csv(segments, tmp_path / "columns.csv")
     write_segment_csv(list(segments), tmp_path / "segments.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "segments.csv").read_bytes()

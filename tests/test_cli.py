@@ -249,8 +249,11 @@ def test_aggregate_outputs_match_pinned_digests(ws, tmp_path):
 # Digests of the pure-Python artifacts of the same scenario, taken before
 # the table writers moved to busflux.schema. The matrices and the history
 # hold numpy-computed floats whose bytes may vary by platform, so they are
-# covered by the round trip below instead.
+# covered by the round trip below instead. The frames and truth digests
+# were taken while the generator still built one record per frame.
 PINNED_SHA256 = {
+    "frames": "510ca2dbd11398a185355e96599730aa72d84e2474af7d74088f85b886dad92d",
+    "truth": "bbb953793af1ce5a9b51521920c75f244037d394645c72045db6d5730b0cd96c",
     "segments": "2d4a88ac783013b1a4f7edebfdae07440d854c7d4c52eb50afb37186512d477c",
     "joined": "6055917338e3391cd7143a18de8472ca670515bf2884b730555add8591998eb3",
     "svg": "ea01ec5447caee4b41775524174b1026f7309a3492285b466134eab6d7feeaf5",

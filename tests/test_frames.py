@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import hashlib
 import io
 import re
 import struct
@@ -82,8 +83,6 @@ def test_first_octet_truth_table():
     for head in range(256):
         m = MacAddress(bytes((head, 0, 0, 0, 0, 1)))
         assert is_randomized(m) == bool(head & 0x03)
-        assert m.is_group == bool(head & 0x01)
-        assert m.is_locally_administered == bool(head & 0x02)
 
 
 # ── Anonymization ────────────────────────────────────────────────────────────
@@ -171,20 +170,21 @@ def test_epoch_seconds_format_like_their_datetimes(times):
 # ── CSV round-trip ───────────────────────────────────────────────────────────
 
 
+cols = FrameColumns.from_records
+
+
 def _sample_frames():
-    return sorted_frames(
-        [
-            frame("stop-02", datetime(2017, 4, 5, 8, 0, 5), "00:B8:00:00:00:02", -55),
-            frame("stop-01", datetime(2017, 4, 5, 8, 0, 0), "00:B8:00:00:00:01", -60),
-            frame("stop-01", datetime(2017, 4, 5, 8, 1, 0), "02:00:00:00:00:03", -70),
-        ]
-    )
+    return list(sorted_frames(cols([
+        frame("stop-02", datetime(2017, 4, 5, 8, 0, 5), "00:B8:00:00:00:02", -55),
+        frame("stop-01", datetime(2017, 4, 5, 8, 0, 0), "00:B8:00:00:00:01", -60),
+        frame("stop-01", datetime(2017, 4, 5, 8, 1, 0), "02:00:00:00:00:03", -70),
+    ])))
 
 
 def test_frame_csv_round_trip(tmp_path):
     path = tmp_path / "frames.csv"
     records = _sample_frames()
-    write_frame_csv(records, path)
+    write_frame_csv(cols(records), path)
     back, report = parse_frame_csv(path)
     assert list(back) == records
     assert report.rows_total == report.rows_ok == 3
@@ -194,7 +194,7 @@ def test_frame_csv_round_trip(tmp_path):
 def test_frame_csv_round_trips_a_stop_name_holding_a_comma(tmp_path):
     path = tmp_path / "frames.csv"
     records = [frame("Stop A,North", datetime(2017, 4, 5, 8, 0, 0), "00:B8:00:00:00:01", -60)]
-    write_frame_csv(records, path)
+    write_frame_csv(cols(records), path)
     back, report = parse_frame_csv(path)
     assert list(back) == records
     assert report.rows_total == report.rows_ok == 1
@@ -203,8 +203,8 @@ def test_frame_csv_round_trips_a_stop_name_holding_a_comma(tmp_path):
 def test_frame_csv_gzip_round_trip_and_fixed_mtime(tmp_path):
     a, b = tmp_path / "a.csv.gz", tmp_path / "b.csv.gz"
     records = _sample_frames()
-    write_frame_csv(records, a)
-    write_frame_csv(records, b)
+    write_frame_csv(cols(records), a)
+    write_frame_csv(cols(records), b)
     assert a.read_bytes() == b.read_bytes()  # no timestamp in the gzip header
     back, _ = parse_frame_csv(a)
     assert list(back) == records
@@ -212,7 +212,7 @@ def test_frame_csv_gzip_round_trip_and_fixed_mtime(tmp_path):
 
 def test_anonymized_output_drops_raw_macs(tmp_path):
     path = tmp_path / "anon.csv"
-    write_frame_csv(_sample_frames(), path, anonymize_output=True)
+    write_frame_csv(cols(_sample_frames()), path, anonymize_output=True)
     text = path.read_text()
     assert "00:B8" not in text and "02:00" not in text
     back, report = parse_frame_csv(path)
@@ -223,7 +223,7 @@ def test_anonymized_output_drops_raw_macs(tmp_path):
 
 def test_anonymized_frames_still_round_trip(tmp_path):
     path = tmp_path / "anon2.csv"
-    write_frame_csv(_sample_frames(), path, anonymize_output=True)
+    write_frame_csv(cols(_sample_frames()), path, anonymize_output=True)
     back, _ = parse_frame_csv(path)
     write_frame_csv(back, tmp_path / "again.csv")
     again, report = parse_frame_csv(tmp_path / "again.csv")
@@ -234,7 +234,7 @@ def test_anonymized_frames_still_round_trip(tmp_path):
 def test_parse_collects_bad_rows_instead_of_failing(tmp_path):
     path = tmp_path / "dirty.csv"
     good = _sample_frames()
-    write_frame_csv(good, path)
+    write_frame_csv(cols(good), path)
     with open(path, "a") as fh:
         fh.write("stop-01,not-a-time,00:B8:00:00:00:09,-60\n")
         fh.write("stop-01,2017-04-05 08:00:00,xx,-60\n")
@@ -273,7 +273,15 @@ def test_parse_missing_header_is_parse_error(tmp_path):
 
 def test_sorted_frames_groups_by_stop_then_device_then_time():
     records = list(reversed(_sample_frames()))
-    ordered = sorted_frames(records)
+    # A tie on (stop, device, time) keeps its input order, a device's raw
+    # and digest forms sort as one device, and stops sort by name, not by
+    # when they were first seen.
+    records += [
+        replace(records[0], rssi=-41),
+        replace(records[1], mac=None),
+        frame("stop-00", datetime(2017, 4, 5, 9, 0, 0), "00:B8:00:00:00:04", -50),
+    ]
+    ordered = list(sorted_frames(cols(records)))
     assert ordered == sorted(records, key=lambda f: (f.stop, f.device.digest, f.at))
     # within one (stop, device) run the times are ascending
     for a, b in zip(ordered, ordered[1:]):
@@ -283,11 +291,57 @@ def test_sorted_frames_groups_by_stop_then_device_then_time():
 
 def test_timestamp_format_is_space_separated_utc(tmp_path):
     path = tmp_path / "ts.csv"
-    write_frame_csv([frame(at=datetime(2017, 4, 5, 8, 0, 0))], path)
+    write_frame_csv(cols([frame(at=datetime(2017, 4, 5, 8, 0, 0))]), path)
     body = path.read_text().splitlines()[1]
     assert body.split(",")[1] == "2017-04-05 08:00:00"
     back, _ = parse_frame_csv(path)
     assert next(iter(back)).at == datetime(2017, 4, 5, 8, 0, 0)
+
+
+# The digest-form gzipped frame file of the scenario bench/test_bench.py
+# uses, taken while the generator still built one record per frame.
+SCENARIO_GZ_SHA256 = "c61c9835f445aee82e865a2f23b3f075ed9e19a52858dc92a1661415760150fb"
+
+
+def test_generated_digest_form_gzip_matches_pinned_digest(tmp_path):
+    frames, _, _ = generate(default_scenario(seed=4, days=2))
+    path = tmp_path / "x.csv.gz"
+    write_frame_csv(sorted_frames(frames), path, anonymize_output=True)
+    assert len(frames) == 8588
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SCENARIO_GZ_SHA256
+
+
+@pytest.mark.parametrize("name", ["frames.csv", "frames.csv.gz"])
+def test_frame_file_bytes_do_not_depend_on_the_write_block(tmp_path, monkeypatch, name):
+    frames, _, _ = generate(replace(default_scenario(seed=4), days=1))
+    ordered = sorted_frames(frames)
+    write_frame_csv(ordered, tmp_path / name)
+    monkeypatch.setattr(frames_module, "_BLOCK", 7)
+    write_frame_csv(ordered, tmp_path / f"small-{name}")
+    assert (tmp_path / name).read_bytes() == (tmp_path / f"small-{name}").read_bytes()
+
+
+@pytest.mark.parametrize("name, anonymized, data", [
+    ("e.csv", False, b"bus_stop,timestamp_utc,mac,rssi_dbm\n"),
+    ("e.csv", True, b"#anonymized=true\nbus_stop,timestamp_utc,mac,rssi_dbm\n"),
+    ("e.csv.gz", False,
+     b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xffK*-\x8e/.\xc9/\xd0)\xc9\xccM-.I\xcc-\x88/-I"
+     b"\xd6\xc9ML\xd6)*.\xce\x8cOI\xca\xe5\x02\x00\x07\x7fx\x81$\x00\x00\x00"),
+    ("e.csv.gz", True,
+     b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xffSN\xcc\xcb\xcf\xab\xcc\xcd\xacJM\xb1-)*M\xe5J*-"
+     b"\x8e/.\xc9/\xd0)\xc9\xccM-.I\xcc-\x88/-I\xd6\xc9ML\xd6)*.\xce\x8cOI\xca\xe5\x02\x00"
+     b"\xce3\xbe\x925\x00\x00\x00"),
+])
+def test_a_scenario_without_demand_writes_a_header_only_file(tmp_path, name, anonymized, data):
+    scenario = default_scenario(seed=4, days=2)
+    frames, _, truth = generate(replace(scenario, demand=replace(scenario.demand, base_rate=0)))
+    assert len(frames) == 0 and truth.signal_frames == 0
+    path = tmp_path / name
+    write_frame_csv(sorted_frames(frames), path, anonymize_output=anonymized)
+    assert path.read_bytes() == data
+    back, report = parse_frame_csv(path)
+    assert len(back) == report.rows_total == 0
+    assert report.anonymized_input == anonymized
 
 
 @given(st.datetimes(min_value=datetime(1970, 1, 1), max_value=datetime(2242, 12, 31)))
@@ -320,7 +374,7 @@ _MAC = "00:B8:00:00:00:09"
 )
 def test_parse_rejects_fields_that_only_look_valid(tmp_path, row, reason):
     path = tmp_path / "frames.csv"
-    write_frame_csv(_sample_frames(), path)
+    write_frame_csv(cols(_sample_frames()), path)
     with open(path, "a") as fh:
         fh.write("\n")  # a blank line counts as a line, not as a row
         fh.write(row + "\n")
@@ -335,7 +389,7 @@ def test_parse_rejects_fields_that_only_look_valid(tmp_path, row, reason):
 
 def test_issues_by_reason_counts_every_bad_row(tmp_path):
     path = tmp_path / "dirty.csv"
-    write_frame_csv(_sample_frames(), path)
+    write_frame_csv(cols(_sample_frames()), path)
     with open(path, "a") as fh:
         fh.write("stop-01,2017-04-05 08:00:00,xx,-60\n")
         fh.write("stop-01,2017-04-05 08:00:00,yy,-60\n")
@@ -350,7 +404,7 @@ def test_issues_by_reason_counts_every_bad_row(tmp_path):
 def test_columns_round_trip_through_records(tmp_path):
     path = tmp_path / "frames.csv"
     records = _sample_frames() + [replace(_sample_frames()[0], mac=None)]
-    write_frame_csv(records, path)  # a digest-form record makes the file digest-form
+    write_frame_csv(cols(records), path)  # a digest-form record makes the file digest-form
     columns, _ = parse_frame_csv(path)
     assert FrameColumns.from_records(columns) == columns
     mixed = FrameColumns.from_records(records)
@@ -368,7 +422,7 @@ def test_columns_round_trip_through_records(tmp_path):
 
 def test_columns_have_the_documented_dtypes(tmp_path):
     path = tmp_path / "frames.csv"
-    write_frame_csv(_sample_frames(), path)
+    write_frame_csv(cols(_sample_frames()), path)
     columns, _ = parse_frame_csv(path)
     assert [a.dtype for a in (columns.stop, columns.t, columns.device, columns.rssi)] == [
         np.int32, np.int64, np.int32, np.int16]
@@ -400,7 +454,7 @@ class _Unseekable(io.RawIOBase):
 def test_paths_and_unseekable_streams_parse_alike(tmp_path, name):
     path = tmp_path / name
     records = _sample_frames() * 2
-    write_frame_csv(records, path)
+    write_frame_csv(cols(records), path)
     expected, expected_report = parse_frame_csv(tmp_path / name)
     assert list(expected) == records
     data = path.read_bytes()
@@ -618,7 +672,7 @@ def test_a_hand_off_mid_file_keeps_line_numbers_and_tables(tmp_path):
         for i in range(40)
     ]
     path = tmp_path / "frames.csv"
-    write_frame_csv(records, path)
+    write_frame_csv(cols(records), path)
     with open(path, "a") as fh:
         fh.write('"stop-9",2017-04-05 09:00:00,00:B8:00:00:00:01,-60\n')
         fh.write("stop-1,2017-04-05 09:01:00,xx,-60\n")
@@ -642,9 +696,10 @@ def test_a_hand_off_mid_file_keeps_line_numbers_and_tables(tmp_path):
 @pytest.mark.parametrize("name", ["frames.csv", "frames.csv.gz"])
 def test_canonical_files_never_reach_the_per_row_path(tmp_path, monkeypatch, anonymized, name):
     frames, _, _ = generate(replace(default_scenario(seed=3), days=1))
-    records = sorted_frames(frames)
+    ordered = sorted_frames(frames)
     path = tmp_path / name
-    write_frame_csv(records, path, anonymize_output=anonymized)
+    write_frame_csv(ordered, path, anonymize_output=anonymized)
+    records = list(ordered)
 
     def refuse(text):
         raise AssertionError(f"per-row parse of {text!r}")

@@ -86,7 +86,7 @@ def test_loss_is_mean_over_batch():
 
 def test_gradients_match_finite_differences_spot():
     rng = np.random.default_rng(4)
-    model = mlp_init("custom", 3, 17, hidden_widths=(5, 4))
+    model = mlp_init("dnn", 3, 17, cfg=TrainConfig(dnn_hidden=(5, 4)))
     for b in model.biases:
         b += rng.normal(0.0, 0.5, b.shape)
     X = rng.standard_normal((8, 3))
@@ -136,11 +136,10 @@ def test_model_with_a_mismatched_bias_is_rejected():
     MlpModel.from_dict(good)
 
 
-def test_custom_arch_requires_widths():
-    with pytest.raises(ConfigError):
-        mlp_init("custom", 4, 0)
-    with pytest.raises(ConfigError):
-        mlp_init("perceptron", 4, 0)
+def test_unknown_arch_is_a_config_error():
+    for arch in ("custom", "perceptron"):
+        with pytest.raises(ConfigError):
+            mlp_init(arch, 4, 0)
 
 
 # ── Training ─────────────────────────────────────────────────────────────────
@@ -160,7 +159,7 @@ def _toy_matrices(n=120, seed=2):
 def test_training_reduces_validation_mse():
     train, val = _toy_matrices()
     cfg = TrainConfig(epochs=60, learning_rate=1e-2, seed=3)
-    init = mlp_init("custom", 4, 3, hidden_widths=(16,))
+    init = mlp_init("dnn", 4, 3, cfg=TrainConfig(dnn_hidden=(16,)))
     model, history = mlp_train(init, train, val, cfg)
     assert history.val_mse[-1] < history.val_mse[0]
     assert min(history.val_mse) < 0.5 * history.val_mse[0]
@@ -169,7 +168,7 @@ def test_training_reduces_validation_mse():
 def test_returned_model_is_the_best_validation_snapshot():
     train, val = _toy_matrices()
     cfg = TrainConfig(epochs=40, learning_rate=1e-2, seed=3)
-    model, history = mlp_train(mlp_init("custom", 4, 3, hidden_widths=(8,)), train, val, cfg)
+    model, history = mlp_train(mlp_init("dnn", 4, 3, cfg=TrainConfig(dnn_hidden=(8,))), train, val, cfg)
     val_mse = float(np.mean((mlp_forward(model, val.rows) - val.target) ** 2))
     assert val_mse == pytest.approx(min(history.val_mse), abs=1e-12)
     assert history.best_epoch == int(np.argmin(history.val_mse))
@@ -188,7 +187,7 @@ def test_training_is_seed_deterministic():
 
 def test_training_does_not_mutate_the_initial_model():
     train, val = _toy_matrices()
-    init = mlp_init("custom", 4, 5, hidden_widths=(6,))
+    init = mlp_init("dnn", 4, 5, cfg=TrainConfig(dnn_hidden=(6,)))
     before = [w.copy() for w in init.weights]
     mlp_train(init, train, val, TrainConfig(epochs=3))
     assert all(np.array_equal(w, b) for w, b in zip(init.weights, before))
@@ -198,13 +197,13 @@ def test_divergence_raises_instead_of_returning_nans():
     train, val = _toy_matrices()
     cfg = TrainConfig(epochs=50, learning_rate=1e6, seed=0)
     with pytest.raises(TrainingDivergedError):
-        mlp_train(mlp_init("custom", 4, 0, hidden_widths=(8,)), train, val, cfg)
+        mlp_train(mlp_init("dnn", 4, 0, cfg=TrainConfig(dnn_hidden=(8,))), train, val, cfg)
 
 
 def test_train_rejects_mismatched_width():
     train, val = _toy_matrices()
     with pytest.raises(ValueError):
-        mlp_train(mlp_init("custom", 9, 0, hidden_widths=(4,)), train, val, TrainConfig(epochs=1))
+        mlp_train(mlp_init("dnn", 9, 0, cfg=TrainConfig(dnn_hidden=(4,))), train, val, TrainConfig(epochs=1))
 
 
 @pytest.mark.parametrize("empty", ["train", "validation"])
@@ -300,22 +299,25 @@ def _matrices(n, d, seed):
 
 
 @pytest.mark.parametrize(
-    "arch, widths, n, d, cfg",
+    "arch, n, d, cfg",
     [
         # 101 rows: the last batch of each epoch holds 5.
-        ("wnn", None, 101, 4, TrainConfig(epochs=4, batch_size=32, learning_rate=1e-2, seed=3)),
+        ("wnn", 101, 4, TrainConfig(epochs=4, batch_size=32, learning_rate=1e-2, seed=3)),
         # Large enough for multithreaded BLAS on the epoch passes and the steps.
-        ("wnn", None, 1000, 38, TrainConfig(epochs=2, batch_size=32, learning_rate=1e-2, seed=5)),
-        ("dnn", None, 120, 6, TrainConfig(epochs=5, batch_size=16, learning_rate=1e-2, seed=8)),
+        ("wnn", 1000, 38, TrainConfig(epochs=2, batch_size=32, learning_rate=1e-2, seed=5)),
+        ("dnn", 120, 6, TrainConfig(epochs=5, batch_size=16, learning_rate=1e-2, seed=8)),
         # batch_size >= n: one batch per epoch.
-        ("custom", (7, 5), 90, 3, TrainConfig(epochs=6, batch_size=90, learning_rate=5e-2, seed=1)),
-        ("custom", (7, 5), 90, 3, TrainConfig(epochs=6, batch_size=500, learning_rate=5e-2, seed=1)),
-        ("custom", (6, 4), 50, 5, TrainConfig(epochs=3, batch_size=8, learning_rate=0.0, seed=2)),
+        ("dnn", 90, 3, TrainConfig(epochs=6, batch_size=90, learning_rate=5e-2, seed=1,
+                                   dnn_hidden=(7, 5))),
+        ("dnn", 90, 3, TrainConfig(epochs=6, batch_size=500, learning_rate=5e-2, seed=1,
+                                   dnn_hidden=(7, 5))),
+        ("dnn", 50, 5, TrainConfig(epochs=3, batch_size=8, learning_rate=0.0, seed=2,
+                                   dnn_hidden=(6, 4))),
     ],
 )
-def test_training_equals_the_reference_loop_bit_for_bit(arch, widths, n, d, cfg):
+def test_training_equals_the_reference_loop_bit_for_bit(arch, n, d, cfg):
     train, val = _matrices(n, d, seed=n + d)
-    init = mlp_init(arch, d, cfg.seed, cfg=cfg, hidden_widths=widths)
+    init = mlp_init(arch, d, cfg.seed, cfg=cfg)
     model, history = mlp_train(init, train, val, cfg)
     weights, biases, expected = reference_train(init, train, val, cfg)
     for got, want in zip(model.weights + model.biases, weights + biases):
@@ -331,7 +333,7 @@ def test_divergence_is_raised_in_the_reference_loops_epoch():
     # At 1e6 the reference loop diverges in epoch 1, at 2.0 in epoch 19.
     for lr, epochs in ((1e6, 5), (2.0, 40)):
         cfg = TrainConfig(epochs=epochs, batch_size=16, learning_rate=lr, seed=0)
-        init = mlp_init("custom", 4, 0, hidden_widths=(8, 8))
+        init = mlp_init("dnn", 4, 0, cfg=TrainConfig(dnn_hidden=(8, 8)))
         with pytest.raises(TrainingDivergedError) as expected:
             reference_train(init, train, val, cfg)
         with pytest.raises(TrainingDivergedError) as got:
@@ -352,7 +354,7 @@ def test_loss_and_grads_is_quiet_on_overflowing_weights():
 def test_training_state_shares_no_memory_with_the_models(monkeypatch):
     train, val = _matrices(70, 4, seed=4)
     cfg = TrainConfig(epochs=3, batch_size=16)
-    init = mlp_init("custom", 4, 6, hidden_widths=(5, 3))
+    init = mlp_init("dnn", 4, 6, cfg=TrainConfig(dnn_hidden=(5, 3)))
     seen: list[np.ndarray] = []
     calls = {"loss_and_grads": 0, "mlp_forward": 0}
 

@@ -144,13 +144,15 @@ def test_corrupt_tree_arrays_are_rejected_on_load(tmp_path, corruption):
 
 
 def test_unknown_arch_is_rejected(tmp_path):
+    # An MLP's arch is "wnn" or "dnn"; "custom" names none.
     dest = tmp_path / "m.json"
-    save_model(one_of_each()["lr"], dest)
-    payload = json.loads(dest.read_text())
-    payload["arch"] = "svm"
-    dest.write_text(json.dumps(payload))
-    with pytest.raises(ParseError):
-        load_model(dest)
+    save_model(one_of_each()["dnn"], dest)
+    for arch in ("svm", "custom"):
+        payload = json.loads(dest.read_text())
+        payload["arch"] = arch
+        dest.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_model(dest)
 
 
 def test_save_rejects_foreign_objects(tmp_path):

@@ -59,7 +59,7 @@ def test_noise_free_hourly_counts_match_planted_truth_bit_for_bit():
 
 def test_truth_accounting_matches_emitted_frames():
     frames, _, truth = generate(tiny(noise=NoiseMix(randomized=0.2, short_dwell=0.2)))
-    assert truth.total_frames == len(frames)
+    assert truth.signal_frames + sum(truth.noise_frames.values()) == len(frames)
     assert truth.signal_devices == len({d.device for d in truth.dwells})
 
 
@@ -104,7 +104,7 @@ def test_all_randomized_population_cleans_to_nothing():
 
 def test_default_scenario_plants_every_noise_class():
     frames, weather, truth = generate(replace(default_scenario(), days=2))
-    assert truth.total_frames == len(frames)
+    assert truth.signal_frames + sum(truth.noise_frames.values()) == len(frames)
     for name in NOISE_CLASSES:
         assert truth.noise_devices[name] > 0
     assert len(weather) == 2 * 24
@@ -124,7 +124,7 @@ def test_generation_is_deterministic():
 def test_shorter_run_is_a_prefix_of_a_longer_one():
     short_frames, short_weather, _ = generate(tiny(days=3))
     long_frames, long_weather, _ = generate(tiny(days=6))
-    assert long_frames[: len(short_frames)] == short_frames
+    assert list(long_frames)[: len(short_frames)] == list(short_frames)
     assert long_weather[: len(short_weather)] == short_weather
 
 
