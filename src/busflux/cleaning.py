@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from itertools import compress
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .frames import (
     _digest_ranks,
     _stop_ranks,
     format_epoch_seconds,
-    format_timestamp,
     parse_timestamp,
     utc_datetime,
 )
@@ -417,20 +416,10 @@ def clean(
     return kept, report
 
 
-def write_segment_csv(
-    segments_out: SegmentColumns | Iterable[Segment], dest: Union[str, os.PathLike]
-) -> None:
-    """Write segments as CSV. SegmentColumns are written from their arrays,
-    with no Segment or datetime per segment."""
-    if isinstance(segments_out, SegmentColumns):
-        rows = segments_out.rows()
-    else:
-        rows = (
-            (s.stop, s.device.hex, format_timestamp(s.start), format_timestamp(s.end),
-             s.frame_count, s.mean_rssi)
-            for s in segments_out
-        )
-    write_table(dest, SEGMENT_HEADER, rows)
+def write_segment_csv(segments_out: SegmentColumns, dest: Union[str, os.PathLike]) -> None:
+    """Write segments as CSV from their arrays, with no Segment or datetime
+    per segment."""
+    write_table(dest, SEGMENT_HEADER, segments_out.rows())
 
 
 def read_segment_csv(source: Union[str, os.PathLike]) -> list[Segment]:

@@ -176,23 +176,21 @@ def cmd_join(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 
 def cmd_featurize(args, cfg: PipelineConfig, timings: dict[str, float]):
+    outputs = [args.out_train, args.out_val, args.out_test]
     with _timed(timings, "featurize"):
-        rows = read_joined_csv(args.joined)
-        train_rows, val_rows, test_rows = split_rows(rows, cfg.split)
-        codec = FeatureCodec.fit(train_rows)
-        matrices = {
-            args.out_train: codec.transform(train_rows),
-            args.out_val: codec.transform(val_rows),
-            args.out_test: codec.transform(test_rows),
-        }
-    for path, matrix in matrices.items():
-        save_matrix(matrix, path)
+        # The joined table is freed once it is split, and each split once it
+        # is encoded and written, so at most one encoded matrix is held.
+        splits = list(split_rows(read_joined_csv(args.joined), cfg.split))
+        sizes = [len(rows) for rows in splits]
+        codec = FeatureCodec.fit(splits[0])
+        for path in outputs:
+            save_matrix(codec.transform(splits.pop(0)), path)
     write_matrix_meta(codec, cfg.split, args.out_meta)
     if codec.dropped_constant:
         log.info("featurize: dropped constant columns %s", codec.dropped_constant)
     log.info("featurize: %d rows -> %d train / %d val / %d test, %d columns",
-             len(rows), len(train_rows), len(val_rows), len(test_rows), len(codec.columns))
-    return [args.joined], [args.out_train, args.out_val, args.out_test, args.out_meta]
+             sum(sizes), *sizes, len(codec.columns))
+    return [args.joined], [*outputs, args.out_meta]
 
 
 def _load_rows(path, codec: FeatureCodec, why_empty: str = ""):

@@ -13,6 +13,14 @@ batch and epoch pass writes into arrays allocated once per fit. The
 floating-point operations and their order are those of freshly allocated
 gradients and a per-array update, so the trained weights and the history
 are the same bits (tests/test_mlp.py keeps that loop as the reference).
+
+A forward pass over many rows (each epoch's train and validation MSE, and
+predict) runs one block of rows at a time into a prediction vector, so its
+activations take memory for one block, not for the whole matrix. Each block
+holds FORWARD_BLOCK to 2 * FORWARD_BLOCK - 1 rows, the last one taking the
+remainder, and a matrix with fewer rows is one block. Every block's
+products then keep a row count at which BLAS gives each row the bits of the
+whole-matrix product; a one-row product goes to gemv, which may not.
 """
 
 from __future__ import annotations
@@ -27,6 +35,9 @@ from .config import TrainConfig
 
 ARCH_WNN = "wnn"
 ARCH_DNN = "dnn"
+
+# Rows per block of a forward pass over many rows (see the module docstring).
+FORWARD_BLOCK = 256
 
 
 @dataclass(slots=True)
@@ -177,14 +188,30 @@ def _forward_into(model: MlpModel, X: np.ndarray, out: list[np.ndarray]) -> list
     return acts
 
 
+def _blocks(n: int) -> list[slice]:
+    """Row blocks of FORWARD_BLOCK rows, the last one taking the remainder:
+    each holds FORWARD_BLOCK to 2 * FORWARD_BLOCK - 1 rows, or all n rows
+    when n is below FORWARD_BLOCK."""
+    starts = list(range(0, n - FORWARD_BLOCK + 1, FORWARD_BLOCK)) or [0]
+    return [slice(lo, hi) for lo, hi in zip(starts, [*starts[1:], n])]
+
+
+def _forward_rows(n: int) -> int:
+    """Rows that a forward pass over n rows needs in each layer's array."""
+    return min(n, 2 * FORWARD_BLOCK - 1)
+
+
 def mlp_forward(
     model: MlpModel, x: np.ndarray, *, out: list[np.ndarray] | None = None
 ) -> np.ndarray | float:
     """Predict for a single feature vector or a batch (rows = samples).
 
-    out, if given, holds one array per layer with at least as many rows as
-    the batch and the layer's width; the pass writes into it and the batch
-    result is a view of out[-1]. By default each call allocates its own.
+    One call is one pass. A batch is run a block of rows at a time (see the
+    module docstring) into a new prediction vector, with the bits of a pass
+    over the whole batch at once. out, if given, holds one array per layer
+    with at least min(len(batch), 2 * FORWARD_BLOCK - 1) rows and the
+    layer's width, and the blocks' activations are written into it; by
+    default each call allocates its own.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -193,10 +220,14 @@ def mlp_forward(
         raise ValueError(
             f"expected {model.input_dim} features, got {X.shape[1]}"
         )
+    n = X.shape[0]
+    out = out or _layer_outputs(model, _forward_rows(n))
+    pred = np.empty(n, dtype=np.float64)
     # Tolerate overflow to inf: training checks the loss for finiteness and
     # raises a domain error, which beats a warning mid-divergence.
     with np.errstate(over="ignore", invalid="ignore"):
-        pred = _forward_into(model, X, out or _layer_outputs(model, X.shape[0]))[-1][:, 0]
+        for block in _blocks(n):
+            pred[block] = _forward_into(model, X[block], out)[-1][:, 0]
     return float(pred[0]) if single else pred
 
 
@@ -290,7 +321,7 @@ def mlp_train(
     n = X_tr.shape[0]
     step = StepBuffers.for_model(model, min(cfg.batch_size, n))
     update = np.empty_like(params)
-    epoch_out = _layer_outputs(model, max(n, X_val.shape[0]))
+    epoch_out = _layer_outputs(model, _forward_rows(max(n, X_val.shape[0])))
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
     best = model.clone()

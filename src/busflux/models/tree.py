@@ -127,11 +127,22 @@ def grow(
 ) -> tuple["RegressionTree", np.ndarray]:
     """Grow a tree on the coded rows with targets y, laying its nodes out in
     preorder. Also returns each row's leaf value, which is what the tree's
-    predict gives for that row: rows are routed by the same <= rule."""
+    predict gives for that row: rows are routed by the same <= rule.
+
+    Nodes are grown from an explicit stack, left child first, and a right
+    child records its index on its parent as it is laid out. Nothing here
+    forms a reference cycle, so a tree's residuals, node lists and row
+    indices are freed as soon as grow returns, not when the cyclic garbage
+    collector next runs.
+    """
     nodes: list[list] = []  # [feature, threshold, right, value, n, sse] per node
     fitted = np.empty(y.size, dtype=np.float64)
-
-    def add_node(rows: np.ndarray, depth: int) -> None:
+    # (rows, depth, index of the parent whose right child this is, or -1)
+    stack = [(np.arange(y.size), 0, -1)]
+    while stack:
+        rows, depth, parent = stack.pop()
+        if parent >= 0:
+            nodes[parent][2] = len(nodes)
         yn = y[rows]
         node = [-1, 0.0, -1, float(yn.mean()), rows.size, node_sse(yn)]
         nodes.append(node)
@@ -141,13 +152,10 @@ def grow(
             split = _best_split(coding, rows, yn, node[5], params.min_leaf)
         if split is None:
             fitted[rows] = node[3]
-            return
+            continue
         node[0], node[1], left = split
-        add_node(rows[left], depth + 1)
-        node[2] = len(nodes)
-        add_node(rows[~left], depth + 1)
-
-    add_node(np.arange(y.size), 0)
+        stack.append((rows[~left], depth + 1, len(nodes) - 1))
+        stack.append((rows[left], depth + 1, -1))
     arrays = dict(zip(_ARRAYS, zip(*nodes)))
     tree = RegressionTree.from_dict({**arrays, "n_features": coding.X.shape[1]}, columns=columns)
     return tree, fitted

@@ -6,10 +6,12 @@ import os
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import busflux
-from busflux.frames import FrameRecord, MacAddress, anonymize
+from busflux.cleaning import Segment, SegmentColumns
+from busflux.frames import FrameRecord, MacAddress, anonymize, epoch_seconds
 
 T0 = datetime(2017, 4, 5, 8, 0, 0)
 
@@ -63,6 +65,25 @@ def burst(
         t += step_s
     out.append(frame(stop=stop, at=start + timedelta(seconds=duration_s), mac_text=mac_text, rssi=rssi))
     return out
+
+
+def segment_columns(segments: list[Segment]) -> SegmentColumns:
+    """The segments as SegmentColumns, in their order. A segment's RSSI sum
+    is its mean times its frame count, rounded: whole-dBm frames give an
+    integer sum, whose quotient by the count is the mean again."""
+    stops = tuple(dict.fromkeys(s.stop for s in segments))
+    devices = tuple(dict.fromkeys(s.device for s in segments))
+    return SegmentColumns(
+        stops=stops,
+        devices=devices,
+        stop=np.array([stops.index(s.stop) for s in segments], dtype=np.int32),
+        device=np.array([devices.index(s.device) for s in segments], dtype=np.int32),
+        start=np.array([epoch_seconds(s.start) for s in segments], dtype=np.int64),
+        end=np.array([epoch_seconds(s.end) for s in segments], dtype=np.int64),
+        frame_count=np.array([s.frame_count for s in segments], dtype=np.int64),
+        rssi_sum=np.array([round(s.mean_rssi * s.frame_count) for s in segments],
+                          dtype=np.int64),
+    )
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ from busflux.frames import (
 )
 from busflux.schema import from_dict, to_dict
 from busflux.synth import default_scenario, generate
-from conftest import T0, burst, frame, mac
+from conftest import T0, burst, frame, mac, segment_columns
 
 CFG = CleaningConfig()
 cols = FrameColumns.from_records
@@ -656,14 +656,15 @@ def test_segment_csv_round_trip(tmp_path):
     assert read_segment_csv(path) == list(segments)
 
 
-def test_segment_columns_and_segments_write_the_same_bytes(tmp_path):
+def test_segment_csv_quotes_stop_names_and_round_trips_byte_for_byte(tmp_path):
     frames = [replace(f, stop=f'{f.stop}, "north"', rssi=-61 + i % 4)
               for i, f in enumerate(two_stop_day())]
     segments, _ = clean(cols(frames))
     write_segment_csv(segments, tmp_path / "columns.csv")
-    write_segment_csv(list(segments), tmp_path / "segments.csv")
-    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "segments.csv").read_bytes()
-    assert read_segment_csv(tmp_path / "columns.csv") == list(segments)
+    back = read_segment_csv(tmp_path / "columns.csv")
+    assert back == list(segments)
+    write_segment_csv(segment_columns(back), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
 
 
 def test_segment_csv_rejects_unknown_header(tmp_path):

@@ -169,6 +169,43 @@ def test_clean_stage_hands_the_parsed_frames_over(ws, tmp_path, monkeypatch):
     assert (tmp_path / "segments.csv").read_bytes() == ws["segments"].read_bytes()
 
 
+def test_featurize_frees_the_joined_table_and_each_split_before_writing(ws, tmp_path,
+                                                                         monkeypatch):
+    # Each table is watched through its numeric block, which it alone owns.
+    watched = []
+    alive_at_save = []
+    read, split = busflux.cli.read_joined_csv, busflux.cli.split_rows
+    save = busflux.cli.save_matrix
+
+    def watched_read(source):
+        table = read(source)
+        watched.append(weakref.ref(table.numeric))
+        return table
+
+    def watched_split(rows, spec):
+        parts = split(rows, spec)
+        watched.extend(weakref.ref(part.numeric) for part in parts)
+        return parts
+
+    def checked_save(matrix, dest):
+        alive_at_save.append([ref() is not None for ref in watched])
+        return save(matrix, dest)
+
+    monkeypatch.setattr(busflux.cli, "read_joined_csv", watched_read)
+    monkeypatch.setattr(busflux.cli, "split_rows", watched_split)
+    monkeypatch.setattr(busflux.cli, "save_matrix", checked_save)
+    out = {name: tmp_path / f"{name}.csv" for name in ("train", "val", "test")}
+    assert run("featurize", "--joined", ws["joined"], "--out-train", out["train"],
+               "--out-val", out["val"], "--out-test", out["test"],
+               "--out-meta", tmp_path / "meta.json") == 0
+    # Alive per write: [joined, train split, val split, test split].
+    assert alive_at_save == [[False, False, True, True],
+                             [False, False, False, True],
+                             [False, False, False, False]]
+    for name, path in out.items():
+        assert path.read_bytes() == ws[name].read_bytes(), name
+
+
 def test_evaluation_report_ranks_the_three_models(ws):
     report = json.loads(ws["eval_report"].read_text())
     names = {entry["name"] for entry in report["ranking"]}
@@ -272,7 +309,8 @@ def _matrix_reader(ws):
 
 
 TABLES = {
-    "segments": (lambda ws: read_segment_csv, write_segment_csv),
+    "segments": (lambda ws: lambda path: conftest.segment_columns(read_segment_csv(path)),
+                 write_segment_csv),
     "minutes": (lambda ws: read_minute_csv, write_minute_csv),
     "hourly": (lambda ws: read_hourly_csv, write_hourly_csv),
     "joined": (lambda ws: read_joined_csv, write_joined_csv),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +14,7 @@ from busflux.errors import BusfluxError, ConfigError, TrainingDivergedError
 from busflux.features import FeatureMatrix
 from busflux.models.config import TrainConfig
 from busflux.models.mlp import (
+    FORWARD_BLOCK,
     MlpModel,
     TrainHistory,
     loss_and_grads,
@@ -313,6 +316,13 @@ def _matrices(n, d, seed):
                                    dnn_hidden=(7, 5))),
         ("dnn", 50, 5, TrainConfig(epochs=3, batch_size=8, learning_rate=0.0, seed=2,
                                    dnn_hidden=(6, 4))),
+        # Train and val each span several forward blocks. Train holds
+        # 8 * FORWARD_BLOCK + 1 rows, val 2 * FORWARD_BLOCK, so the last
+        # train block is one row over a whole block.
+        ("wnn", 8 * FORWARD_BLOCK + 1, 38,
+         TrainConfig(epochs=2, batch_size=32, learning_rate=1e-2, seed=4)),
+        ("dnn", 8 * FORWARD_BLOCK + 52, 10,
+         TrainConfig(epochs=2, batch_size=64, learning_rate=1e-2, seed=6)),
     ],
 )
 def test_training_equals_the_reference_loop_bit_for_bit(arch, n, d, cfg):
@@ -326,6 +336,37 @@ def test_training_equals_the_reference_loop_bit_for_bit(arch, n, d, cfg):
     assert history.train_mse == expected.train_mse
     assert history.val_mse == expected.val_mse
     assert history.best_epoch == expected.best_epoch
+
+
+@pytest.mark.parametrize("n", [1, FORWARD_BLOCK - 1, FORWARD_BLOCK, 2 * FORWARD_BLOCK - 1,
+                               2 * FORWARD_BLOCK, 5 * FORWARD_BLOCK + 1])
+def test_blocked_forward_pass_has_the_whole_matrix_bits(n):
+    model = mlp_init("wnn", 38, 9)
+    X = np.random.default_rng(n).standard_normal((n, 38))
+    whole = np.maximum(X @ model.weights[0] + model.biases[0], 0.0) @ model.weights[1]
+    whole += model.biases[1]
+    assert mlp_forward(model, X).tobytes() == whole[:, 0].tobytes()
+
+
+def test_training_peak_does_not_grow_with_the_matrix():
+    # An epoch pass over all 6,000 train rows at once would hold one array
+    # per layer for every row: 6,000 x (256 + 1) float64, 12.3 MB, on its
+    # own over the bound. A forward block takes at most 2 * FORWARD_BLOCK - 1
+    # rows.
+    n, d = 6000, 38
+    train, val = _matrices(n, d, seed=1)
+    cfg = TrainConfig(epochs=1, batch_size=32, seed=1)
+    init = mlp_init("wnn", d, 1, cfg=cfg)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        mlp_train(init, train, val, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 2_500_000
+    assert n * (cfg.wnn_hidden[0] + 1) * 8 > 4 * bound
+    assert peak < bound, f"peak {peak} B"
 
 
 def test_divergence_is_raised_in_the_reference_loops_epoch():

@@ -13,6 +13,7 @@ import pytest
 
 from busflux.cli import main as cli_main
 from busflux.config import PipelineConfig
+from busflux.models.mlp import FORWARD_BLOCK
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -122,6 +123,10 @@ def test_outputs_are_identical_at_one_and_two_blas_threads(tmp_path):
     lr = json.loads(outputs[0]["lr.json"])
     assert 0 < lr["parameters"]["rank"] < len(lr["columns"]) + 1
     # The WNN's batch product is large enough for OpenBLAS to split it
-    # across threads (m * n * k >= 262,144), as are its full-data passes.
+    # across threads (m * n * k >= 262,144), as are its epoch passes' blocks.
     train = PipelineConfig().train
     assert train.batch_size * len(lr["columns"]) * train.wnn_hidden[0] >= 262_144
+    # The train matrix spans more than one forward block, so the blocked
+    # epoch passes are compared too, not only a single whole-matrix block.
+    n_train = outputs[0]["train.csv"].count(b"\n") - 1
+    assert n_train >= 2 * FORWARD_BLOCK, n_train

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -410,3 +412,20 @@ def test_params_validation():
 def test_fit_names_an_empty_train_matrix():
     with pytest.raises(BusfluxError, match="the train matrix has no rows"):
         cart_fit(FeatureMatrix.from_arrays(np.empty((0, 3)), np.empty(0)))
+
+
+@pytest.mark.parametrize("fit", [cart_fit, gbt_fit])
+def test_fits_leave_nothing_for_the_cyclic_collector(fit):
+    # A self-referencing grow closure kept each tree's residuals, node lists
+    # and row indices alive until the cyclic collector ran.
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((400, 5))
+    train = FeatureMatrix.from_arrays(X, X[:, 0] + 0.3 * rng.standard_normal(400))
+    gc.collect()
+    gc.disable()
+    try:
+        model = fit(train)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert model.predict(X).shape == (400,)
