@@ -29,7 +29,7 @@ print(f"planted {truth.signal_devices} real passengers and "
 
 # Clean: randomized MACs -> single-stop devices -> RSSI gate -> dwell
 # segmentation -> duration filter. Every frame lands in exactly one counter.
-segments, report = clean(frames, scenario.cleaning)
+segments, report = clean(frames)
 report.check()
 print("\ncleaning accounting")
 print(f"  input frames        {report.input_frames:>7}")

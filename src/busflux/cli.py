@@ -63,7 +63,7 @@ from .models.boosting import GbtEnsemble, gbt_fit
 from .models.linear import lr_fit
 from .models.metrics import ComparisonReport, compare
 from .models.mlp import mlp_init, mlp_train
-from .models.store import load_model, read_history_csv, save_model, write_history_csv
+from .models.store import MODELS, load_model, read_history_csv, save_model, write_history_csv
 from .models.tree import cart_fit
 from .plots import (
     Series,
@@ -116,7 +116,7 @@ def _timed(timings: dict[str, float], key: str):
 
 def cmd_synth(args, cfg: PipelineConfig, timings: dict[str, float]):
     with _timed(timings, "generate"):
-        frames, weather, truth = generate(cfg.scenario)
+        frames, weather, truth = generate(cfg.scenario, cfg.cleaning)
     write_frame_csv(sorted_frames(frames), args.out_frames)
     write_weather_json(weather, args.out_weather)
     write_truth_json(truth, args.out_truth)
@@ -144,6 +144,8 @@ def cmd_clean(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 
 def cmd_aggregate(args, cfg: PipelineConfig, timings: dict[str, float]):
+    if args.start and args.end and args.start > args.end:
+        raise BusfluxError(f"--start {args.start} is later than --end {args.end}")
     with _timed(timings, "aggregate"):
         segments = read_segment_csv(args.segments)
         hours = segment_hourly_counts(segments, start=args.start, end=args.end)
@@ -401,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_featurize)
 
     p = subs.add_parser("train", help="fit one model on encoded matrices")
-    p.add_argument("--model", required=True, choices=("lr", "wnn", "dnn", "cart", "gbt"))
+    p.add_argument("--model", required=True, choices=tuple(MODELS))
     p.add_argument("--train", required=True, help="training matrix CSV")
     p.add_argument("--val", help="validation matrix CSV (wnn/dnn)")
     p.add_argument("--meta", required=True, help="matrix metadata JSON")

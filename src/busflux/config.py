@@ -4,8 +4,8 @@ Every section and key is optional and falls back to the stage defaults,
 so a config file only needs to spell out what it changes. Unknown keys,
 values of the wrong type and non-finite numbers are rejected with a
 ConfigError naming the dotted key, so a misspelt key cannot silently leave
-a default in place. The scenario's ``cleaning`` section, when the file
-leaves it out, is the pipeline's ``cleaning`` section. Command-line flags
+a default in place. The ``cleaning`` section serves both ``clean`` and
+the noise that ``synth`` plants against it. Command-line flags
 override file values through the same loader; the fully resolved config
 is what run manifests snapshot.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Union
 
@@ -42,10 +42,7 @@ class PipelineConfig:
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    cfg = from_dict(PipelineConfig, data, PipelineConfig())
-    if "cleaning" not in data.get("scenario", {}):
-        cfg = replace(cfg, scenario=replace(cfg.scenario, cleaning=cfg.cleaning))
-    return cfg
+    return from_dict(PipelineConfig, data, PipelineConfig())
 
 
 def load_config(path: Union[str, os.PathLike, None]) -> PipelineConfig:

@@ -251,10 +251,19 @@ class ColumnMeta:
 
 @dataclass(slots=True)
 class FeatureMatrix:
+    """2-D float64 rows and a float64 target of one entry per row, which the
+    model fits take as they are."""
+
     columns: list[ColumnMeta]
     rows: np.ndarray
     target: np.ndarray
     keys: list[tuple[str, datetime]] | None = None
+
+    def __post_init__(self):
+        X, y = self.rows, self.target
+        if not (X.ndim == 2 and X.dtype == y.dtype == np.float64 and y.shape == X.shape[:1]):
+            raise ValueError("a feature matrix needs 2-D float64 rows and a float64 target of "
+                             f"one entry per row, not {X.dtype} {X.shape} and {y.dtype} {y.shape}")
 
     @property
     def column_names(self) -> list[str]:

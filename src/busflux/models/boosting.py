@@ -18,16 +18,18 @@ BASE_LEARNER_MIN_LEAF = 1
 
 @dataclass(slots=True)
 class GbtEnsemble:
+    arch = "gbt"  # a class attribute, not a field
     base_prediction: float
     shrinkage: float
     trees: list[RegressionTree] = field(default_factory=list)
     importance: np.ndarray = field(default_factory=lambda: np.zeros(0))
     columns: tuple[str, ...] | None = None
 
+    @property
+    def n_features(self) -> int:
+        return self.importance.size
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         out = np.full(X.shape[0], self.base_prediction, dtype=np.float64)
         for tree in self.trees:
             out += self.shrinkage * tree.predict(X)
@@ -42,14 +44,16 @@ class GbtEnsemble:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, columns=None) -> "GbtEnsemble":
-        return cls(
+    def from_dict(cls, data: dict) -> "GbtEnsemble":
+        model = cls(
             base_prediction=float(data["base_prediction"]),
             shrinkage=float(data["shrinkage"]),
             trees=[RegressionTree.from_dict(t) for t in data["trees"]],
             importance=np.array(data["importance"], dtype=np.float64),
-            columns=columns,
         )
+        if any(tree.n_features != model.n_features for tree in model.trees):
+            raise ValueError("every tree must take as many features as the importance has entries")
+        return model
 
 
 def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsemble:
@@ -63,13 +67,12 @@ def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsembl
     if train.n_rows == 0:
         raise BusfluxError("cannot fit a boosted ensemble: the train matrix has no rows")
     params = params or GbtParams()
-    X = np.asarray(train.rows, dtype=np.float64)
-    coding = ValueCoding.from_rows(X)  # shared by every tree
-    y = np.asarray(train.target, dtype=np.float64)
+    coding = ValueCoding.from_rows(train.rows)  # shared by every tree
+    y = train.target
     base = float(y.mean())
     pred = np.full(y.shape, base, dtype=np.float64)
     tree_params = CartParams(max_depth=params.depth, min_leaf=BASE_LEARNER_MIN_LEAF)
-    raw_importance = np.zeros(X.shape[1], dtype=np.float64)
+    raw_importance = np.zeros(train.rows.shape[1], dtype=np.float64)
     trees: list[RegressionTree] = []
     columns = tuple(train.column_names)
     for _ in range(params.n_trees):

@@ -21,25 +21,28 @@ from ..features import FeatureMatrix
 
 @dataclass(slots=True)
 class LinearModel:
+    arch = "lr"  # a class attribute, not a field
     theta: np.ndarray
     bias: float
     rank: int
     columns: tuple[str, ...] | None = None
 
+    @property
+    def n_features(self) -> int:
+        return self.theta.size
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
         return X @ self.theta + self.bias
 
     def to_dict(self) -> dict:
         return {"theta": self.theta.tolist(), "bias": self.bias, "rank": self.rank}
 
     @classmethod
-    def from_dict(cls, data: dict, columns=None) -> "LinearModel":
+    def from_dict(cls, data: dict) -> "LinearModel":
         return cls(
             theta=np.array(data["theta"], dtype=np.float64),
             bias=float(data["bias"]),
             rank=int(data["rank"]),
-            columns=columns,
         )
 
 
@@ -47,10 +50,8 @@ def lr_fit(train: FeatureMatrix) -> LinearModel:
     """Minimum-norm least-squares fit of the target on an intercept and X."""
     if train.n_rows == 0:
         raise BusfluxError("cannot fit a linear model: the train matrix has no rows")
-    X = np.asarray(train.rows, dtype=np.float64)
-    y = np.asarray(train.target, dtype=np.float64)
-    A = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
-    coef, _, rank, _ = np.linalg.lstsq(A, y, rcond=None)
+    A = np.concatenate([np.ones((train.n_rows, 1)), train.rows], axis=1)
+    coef, _, rank, _ = np.linalg.lstsq(A, train.target, rcond=None)
     return LinearModel(
         theta=coef[1:],
         bias=float(coef[0]),

@@ -33,7 +33,7 @@ def evaluate(model, test: FeatureMatrix) -> EvalResult:
     """MSE/MAE of the model on an encoded matrix whose columns must match
     the metadata the model was trained with."""
     _check_columns(model, test)
-    pred = np.asarray(model.predict(test.rows), dtype=np.float64)
+    pred = model.predict(test.rows)
     diff = pred - test.target
     return EvalResult(
         mse=float((diff * diff).mean()),

@@ -49,7 +49,7 @@ class MlpModel:
     columns: tuple[str, ...] | None = None
 
     @property
-    def input_dim(self) -> int:
+    def n_features(self) -> int:
         return int(self.weights[0].shape[0])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -85,13 +85,12 @@ class MlpModel:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, columns=None) -> "MlpModel":
+    def from_dict(cls, data: dict) -> "MlpModel":
         model = cls(
             weights=[np.array(w, dtype=np.float64) for w in data["weights"]],
             biases=[np.array(b, dtype=np.float64) for b in data["biases"]],
             arch=str(data["arch"]),
             seed=int(data["seed"]),
-            columns=columns,
         )
         model.check_shapes()
         return model
@@ -99,7 +98,7 @@ class MlpModel:
 
 def mlp_init(
     arch: str,
-    input_dim: int,
+    n_features: int,
     seed: int,
     *,
     cfg: TrainConfig | None = None,
@@ -109,14 +108,14 @@ def mlp_init(
 
     The hidden widths are ``cfg.wnn_hidden`` or ``cfg.dnn_hidden``, which
     TrainConfig checks."""
-    if input_dim < 1:
-        raise ConfigError("input_dim must be >= 1")
+    if n_features < 1:
+        raise ConfigError("n_features must be >= 1")
     if arch not in (ARCH_WNN, ARCH_DNN):
         raise ConfigError(f"unknown architecture {arch!r}")
     cfg = cfg or TrainConfig(seed=seed)
     widths = cfg.wnn_hidden if arch == ARCH_WNN else cfg.dnn_hidden
     rng = np.random.default_rng(seed)
-    dims = (input_dim, *widths, 1)
+    dims = (n_features, *widths, 1)
     weights, biases = [], []
     for n_in, n_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.standard_normal((n_in, n_out)) / np.sqrt(n_in))
@@ -216,10 +215,8 @@ def mlp_forward(
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
-    if X.shape[1] != model.input_dim:
-        raise ValueError(
-            f"expected {model.input_dim} features, got {X.shape[1]}"
-        )
+    if X.shape[1] != model.n_features:
+        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
     n = X.shape[0]
     out = out or _layer_outputs(model, _forward_rows(n))
     pred = np.empty(n, dtype=np.float64)
@@ -301,13 +298,10 @@ def mlp_train(
     for name, matrix in (("train", train), ("validation", val)):
         if matrix.n_rows == 0:
             raise BusfluxError(f"cannot train a network: the {name} matrix has no rows")
-    X_tr = np.asarray(train.rows, dtype=np.float64)
-    y_tr = np.asarray(train.target, dtype=np.float64)
-    X_val = np.asarray(val.rows, dtype=np.float64)
-    y_val = np.asarray(val.target, dtype=np.float64)
-    if X_tr.shape[1] != model.input_dim:
+    X_tr, y_tr, X_val, y_val = train.rows, train.target, val.rows, val.target
+    if X_tr.shape[1] != model.n_features:
         raise ValueError(
-            f"train matrix has {X_tr.shape[1]} features, model expects {model.input_dim}"
+            f"train matrix has {X_tr.shape[1]} features, model expects {model.n_features}"
         )
     params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases) for a in pair])
     weights, biases = _flat_views(params, model)

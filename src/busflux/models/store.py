@@ -17,19 +17,14 @@ from .tree import RegressionTree
 
 FORMAT_VERSION = 2
 
-_MLP_ARCHS = (ARCH_WNN, ARCH_DNN)
-
-
-def _arch_of(model) -> str:
-    if isinstance(model, LinearModel):
-        return "lr"
-    if isinstance(model, MlpModel):
-        return model.arch
-    if isinstance(model, RegressionTree):
-        return "cart"
-    if isinstance(model, GbtEnsemble):
-        return "gbt"
-    raise TypeError(f"cannot serialize model of type {type(model).__name__}")
+# The class of each arch a model file may name; a class names its own arch.
+MODELS = {
+    LinearModel.arch: LinearModel,
+    ARCH_WNN: MlpModel,
+    ARCH_DNN: MlpModel,
+    RegressionTree.arch: RegressionTree,
+    GbtEnsemble.arch: GbtEnsemble,
+}
 
 
 def save_model(
@@ -38,9 +33,11 @@ def save_model(
     config: TrainConfig | None = None,
 ) -> None:
     """Write a model as deterministic compact JSON (sorted keys, no whitespace)."""
+    if MODELS.get(getattr(model, "arch", None)) is not type(model):
+        raise TypeError(f"cannot serialize model of type {type(model).__name__}")
     payload = {
         "format_version": FORMAT_VERSION,
-        "arch": _arch_of(model),
+        "arch": model.arch,
         "columns": list(model.columns) if model.columns is not None else None,
         "parameters": model.to_dict(),
         "config": to_dict(config) if config is not None else None,
@@ -50,19 +47,25 @@ def save_model(
 
 
 def load_model(source: Union[str, os.PathLike]):
+    """The model in ``source``, with the input names it was trained on.
+
+    A file whose ``columns`` do not name one input per model feature is
+    rejected, as is an arch that ``MODELS`` does not hold.
+    """
     with read_json(source, FORMAT_VERSION) as payload:
         arch = payload["arch"]
-        columns = tuple(payload["columns"]) if payload.get("columns") is not None else None
-        params = payload["parameters"]
-        if arch == "lr":
-            return LinearModel.from_dict(params, columns=columns)
-        if arch in _MLP_ARCHS:
-            return MlpModel.from_dict(params, columns=columns)
-        if arch == "cart":
-            return RegressionTree.from_dict(params, columns=columns)
-        if arch == "gbt":
-            return GbtEnsemble.from_dict(params, columns=columns)
-    raise ParseError(f"unknown model arch {arch!r} in {source}")
+        if arch not in MODELS:
+            raise ParseError(f"unknown model arch {arch!r} in {source}")
+        model = MODELS[arch].from_dict(payload["parameters"])
+        columns = payload.get("columns")
+        if columns is not None:
+            if len(columns) != model.n_features:
+                raise ParseError(
+                    f"{source}: columns has {len(columns)} names, "
+                    f"but the {arch} model takes {model.n_features} inputs"
+                )
+            model.columns = tuple(columns)
+        return model
 
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse")

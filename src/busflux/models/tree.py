@@ -64,7 +64,6 @@ class ValueCoding:
 
     @classmethod
     def from_rows(cls, X: np.ndarray) -> "ValueCoding":
-        X = np.asarray(X, dtype=np.float64)
         bins = np.empty(X.shape, dtype=np.intp)
         values, sizes = [], []
         for j in range(X.shape[1]):
@@ -157,7 +156,8 @@ def grow(
         stack.append((rows[~left], depth + 1, len(nodes) - 1))
         stack.append((rows[left], depth + 1, -1))
     arrays = dict(zip(_ARRAYS, zip(*nodes)))
-    tree = RegressionTree.from_dict({**arrays, "n_features": coding.X.shape[1]}, columns=columns)
+    tree = RegressionTree.from_dict({**arrays, "n_features": coding.X.shape[1]})
+    tree.columns = columns
     return tree, fitted
 
 
@@ -178,6 +178,7 @@ class RegressionTree:
     threshold 0.0 and right -1. value, n and sse are the node's mean
     target, row count and within-node sum of squares."""
 
+    arch = "cart"  # a class attribute, not a field
     feature: np.ndarray
     threshold: np.ndarray
     right: np.ndarray
@@ -198,9 +199,6 @@ class RegressionTree:
         ]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         if X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} features, got {X.shape[1]}")
         rows = np.arange(X.shape[0])
@@ -220,11 +218,10 @@ class RegressionTree:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, columns=None) -> "RegressionTree":
+    def from_dict(cls, data: dict) -> "RegressionTree":
         tree = cls(
             **{name: np.array(data[name], dtype=dtype) for name, dtype in _ARRAYS.items()},
             n_features=int(data["n_features"]),
-            columns=columns,
         )
         i = np.flatnonzero(tree.feature >= 0)
         if len({getattr(tree, name).size for name in _ARRAYS}) != 1 or not (
@@ -239,7 +236,7 @@ def cart_fit(train: FeatureMatrix, params: CartParams | None = None) -> Regressi
         raise BusfluxError("cannot fit a regression tree: the train matrix has no rows")
     tree, _ = grow(
         ValueCoding.from_rows(train.rows),
-        np.asarray(train.target, dtype=np.float64),
+        train.target,
         params or CartParams(),
         tuple(train.column_names),
     )

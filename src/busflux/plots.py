@@ -175,6 +175,8 @@ def bar_chart(
 
 
 def history_series(history: TrainHistory) -> list[Series]:
+    if not history.train_mse:
+        raise ParseError("training history is empty")
     epochs = tuple(float(i + 1) for i in range(len(history.train_mse)))
     return [
         Series(name="train", xs=epochs, ys=tuple(history.train_mse)),
@@ -202,6 +204,8 @@ def hourly_series(hours: Sequence[HourlyCount]) -> list[Series]:
 
 
 def report_bars(report: ComparisonReport) -> tuple[list[str], list[float]]:
+    if not report.ranking:
+        raise ParseError("model report ranks no models")
     labels = [entry["name"] for entry in report.ranking]
     values = [float(entry["mse"]) for entry in report.ranking]
     return labels, values

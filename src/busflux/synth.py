@@ -135,7 +135,6 @@ class ScenarioConfig:
     days: int = 30
     demand: DemandModel = field(default_factory=DemandModel)
     noise: NoiseMix = field(default_factory=NoiseMix)
-    cleaning: CleaningConfig = field(default_factory=CleaningConfig)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -308,9 +307,15 @@ def _dwell_frames(
 
 
 def generate(
-    cfg: ScenarioConfig,
+    cfg: ScenarioConfig, cleaning: CleaningConfig | None = None
 ) -> tuple[FrameColumns, list[WeatherObservation], GroundTruth]:
-    """Emit frames, the hourly weather series, and the planted truth."""
+    """Emit frames, the hourly weather series, and the planted truth.
+
+    The dwell-duration bounds and the RSSI keep band that the noise
+    classes fall outside of, and the signal inside of, are ``cleaning``'s,
+    by default ``CleaningConfig()``'s, as in ``clean``.
+    """
+    cleaning = cleaning or CleaningConfig()
     truth = GroundTruth(coefficients={"demand": to_dict(cfg.demand)})
     frames = _ColumnBuilder()
     weather: list[WeatherObservation] = []
@@ -321,9 +326,9 @@ def generate(
     probs = probs / probs.sum()
     class_names = ("signal",) + NOISE_CLASSES
 
-    d_min = int(cfg.cleaning.d_min.total_seconds())
-    d_max = int(cfg.cleaning.d_max.total_seconds())
-    keep_lo, keep_hi = cfg.cleaning.rssi_lo, cfg.cleaning.rssi_hi
+    d_min = int(cleaning.d_min.total_seconds())
+    d_max = int(cleaning.d_max.total_seconds())
+    keep_lo, keep_hi = cleaning.rssi_lo, cleaning.rssi_hi
     device_index = 0
     recent_rain: list[float] = []
 

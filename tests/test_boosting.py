@@ -106,6 +106,14 @@ def test_serialization_round_trip():
     assert np.array_equal(back.importance, model.importance)
 
 
+def test_trees_of_another_width_are_rejected():
+    data = gbt_fit(matrix(), GbtParams(n_trees=3)).to_dict()
+    GbtEnsemble.from_dict(data)
+    for short in (data["importance"][:-1], data["importance"] + [0.0]):
+        with pytest.raises(ValueError, match="every tree must take"):
+            GbtEnsemble.from_dict({**data, "importance": short})
+
+
 def test_params_validation():
     with pytest.raises(ConfigError):
         GbtParams(n_trees=-1)

@@ -699,6 +699,56 @@ def test_plot_rejects_files_with_the_wrong_schema(ws, tmp_path):
     assert run("plot", "--counts", counts, "--out", tmp_path / "p.svg") == 1
 
 
+def _edited_json(src, dest, edit):
+    payload = json.loads(src.read_text())
+    edit(payload)
+    dest.write_text(json.dumps(payload))
+    return dest
+
+
+def test_evaluating_a_model_one_input_short_exits_2(ws, tmp_path, capsys):
+    # Was a numpy matmul traceback inside evaluate.
+    lr = _edited_json(ws["lr"], tmp_path / "lr.json", lambda m: m["parameters"]["theta"].pop())
+    assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", lr,
+               "--out-report", tmp_path / "eval.json") == 2
+    err = capsys.readouterr().err
+    assert f"error: {lr}: columns has" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_importance_of_a_model_three_inputs_short_exits_2(ws, tmp_path, capsys):
+    # Was exit 0 with three features silently left out of the CSV.
+    gbt = _edited_json(ws["gbt"], tmp_path / "gbt.json",
+                       lambda m: m["parameters"]["importance"].__delitem__(slice(-3, None)))
+    assert run("importance", "--model", gbt, "--out", tmp_path / "i.csv") == 2
+    assert f"error: {gbt}: " in capsys.readouterr().err
+    assert not (tmp_path / "i.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--history", "--mse-report"])
+def test_plotting_an_empty_artifact_exits_1(ws, tmp_path, capsys, flag):
+    if flag == "--history":
+        source = _header_only(ws["history"], tmp_path / "history.csv")
+    else:
+        source = tmp_path / "eval.json"
+        source.write_text(json.dumps({"ranking": [], "improvements": {}}))
+    assert run("plot", flag, source, "--out", tmp_path / "p.svg") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown input schema in {source}: ")
+    assert not (tmp_path / "p.svg").exists()
+
+
+def test_aggregate_with_a_reversed_range_exits_1_naming_both_ends(ws, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("aggregate", "--segments", ws["segments"], "--out-hourly", out / "hourly.csv",
+               "--start", "2017-04-06 01:00", "--end", "2017-04-05 23:30") == 1
+    err = capsys.readouterr().err
+    assert "--start 2017-04-06 01:00:00 is later than --end 2017-04-05 23:30:00" in err
+    assert list(out.iterdir()) == []
+
+
 def test_no_command_prints_help_and_exits_2(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().err.lower()

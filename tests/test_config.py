@@ -16,11 +16,13 @@ from busflux.config import (
     load_config,
     write_config,
 )
+from busflux.cli import main
 from busflux.errors import ConfigError, ParseError
 from busflux.features import SplitSpec
+from busflux.frames import parse_frame_csv
 from busflux.models.config import TrainConfig
 from busflux.schema import to_dict
-from busflux.synth import NoiseMix, ScenarioConfig
+from busflux.synth import NoiseMix, ScenarioConfig, read_truth_json
 
 # The dict form of the default config as the hand-written converters
 # produced it; run manifests and model files embed it, so it must not move.
@@ -46,7 +48,6 @@ DEFAULT_CONFIG_DICT = {
     "calendar": {"morning_end_hour": 12, "semester_start": "2017-01-09", "utc_offset_hours": -4},
     "cleaning": DEFAULT_CLEANING_DICT,
     "scenario": {
-        "cleaning": DEFAULT_CLEANING_DICT,
         "days": 30,
         "demand": {
             "base_rate": 2.0,
@@ -146,21 +147,20 @@ def test_negative_seeds_are_rejected(tmp_path, section):
         load_config(path)
 
 
-def test_scenario_inherits_pipeline_cleaning_when_unspecified():
-    cfg = config_from_dict({"cleaning": {"gap_seconds": 600}})
-    assert cfg.scenario.cleaning.gap == timedelta(seconds=600)
-    assert cfg.scenario.cleaning is cfg.cleaning
-
-
-def test_scenario_cleaning_can_diverge_when_spelled_out():
-    cfg = config_from_dict(
-        {
-            "cleaning": {"gap_seconds": 600},
-            "scenario": {"cleaning": {"gap_seconds": 300}},
-        }
-    )
-    assert cfg.cleaning.gap == timedelta(seconds=600)
-    assert cfg.scenario.cleaning.gap == timedelta(seconds=300)
+def test_scenario_inherits_pipeline_cleaning_when_unspecified(tmp_path):
+    # synth plants its noise against the one cleaning section, so a band
+    # narrowed from [-80, -30] to [-60, -30] gets out_of_rssi frames that
+    # fall below -60 but not below the default band's -80 - 5.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"cleaning": {"rssi_lo": -60}}))
+    frames, truth = tmp_path / "frames.csv", tmp_path / "truth.json"
+    assert main(["synth", "--config", str(path), "--preset", "default", "--days", "1",
+                 "--seed", "3", "--out-frames", str(frames), "--out-truth", str(truth),
+                 "--out-weather", str(tmp_path / "weather.json")]) == 0
+    parsed, _ = parse_frame_csv(frames)
+    below = parsed.rssi[parsed.rssi < -60]
+    assert below.size == read_truth_json(truth).noise_frames["out_of_rssi"] > 0
+    assert below.min() >= -90 and below.max() > -85
 
 
 def test_config_dict_is_json_complete():
@@ -189,6 +189,7 @@ def test_default_dicts_are_pinned():
         ({"scenario": {"start_date": "April"}}, "scenario.start_date"),
         ({"calendar": 3}, "calendar"),
         ({"cleaning": {"gap_seconds": 30}}, "cleaning"),
+        ({"scenario": {"cleaning": {"rssi_lo": -70}}}, "scenario.cleaning"),
     ],
 )
 def test_unknown_keys_and_bad_values_name_the_dotted_key(doc, key):

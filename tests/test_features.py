@@ -399,6 +399,22 @@ def test_matrix_save_load_round_trip(tmp_path):
     assert back.column_names == matrix.column_names
 
 
+@pytest.mark.parametrize(
+    "rows, target",
+    [
+        (np.zeros((3, 2), dtype=np.float32), np.zeros(3)),
+        (np.zeros((3, 2)), np.zeros(3, dtype=np.int64)),
+        (np.zeros(3), np.zeros(3)),
+        (np.zeros((3, 2)), np.zeros((3, 1))),
+        (np.zeros((3, 2)), np.zeros(2)),
+    ],
+)
+def test_a_matrix_needs_2d_float64_rows_and_one_float64_target_per_row(rows, target):
+    # The fits and predicts take rows and target as they are, uncast.
+    with pytest.raises(ValueError, match="a feature matrix needs 2-D float64 rows and a float64 target"):
+        FeatureMatrix(columns=[], rows=rows, target=target)
+
+
 def test_a_matrix_with_no_rows_round_trips_with_its_width(tmp_path):
     codec = _numeric_codec(5)
     empty = FeatureMatrix(columns=list(codec.columns), rows=np.empty((0, 5)),

@@ -160,6 +160,28 @@ def test_save_rejects_foreign_objects(tmp_path):
         save_model(object(), tmp_path / "m.json")
 
 
+@pytest.mark.parametrize("arch", ["lr", "wnn", "dnn", "cart", "gbt"])
+def test_columns_of_another_width_are_rejected_on_load(tmp_path, arch):
+    # A file whose columns do not name one input per model feature would
+    # predict from misaligned inputs, or fail deep inside predict.
+    dest = tmp_path / f"{arch}.json"
+    save_model(one_of_each()[arch], dest)
+    payload = json.loads(dest.read_text())
+    for columns in (payload["columns"][:-1], [*payload["columns"], "extra"]):
+        dest.write_text(json.dumps({**payload, "columns": columns}))
+        with pytest.raises(ParseError, match=f"{dest}: columns has {len(columns)} names"):
+            load_model(dest)
+
+
+def test_every_arch_loads_as_its_own_class_with_its_columns(tmp_path):
+    for arch, model in one_of_each().items():
+        dest = tmp_path / f"{arch}.json"
+        save_model(model, dest)
+        back = load_model(dest)
+        assert (type(back), back.arch, back.n_features) == (type(model), arch, 4)
+        assert back.columns == ("x0", "x1", "x2", "x3")
+
+
 # ── training-history CSVs ────────────────────────────────────────────────
 
 
