@@ -10,7 +10,8 @@ one counter.
 The stages work on FrameColumns and are array steps. The three frame
 filters return masks, each ANDed into the one before, and clean() takes
 the survivors once. The randomized filter is a mask through the device
-table. Single-stop packs each frame's (digest rank, UTC day or nothing,
+table's MAC integers. Digest ranks come from one sort of the table's
+20-byte digest rows. Single-stop packs each frame's (digest rank, UTC day or nothing,
 stop) into one integer key, sorts the distinct keys of the frames still
 in play, and keeps a frame when its (digest, window) key recurs there, that
 is, comes with two or more stops. The RSSI gate is a mask. Segmentation
@@ -21,8 +22,10 @@ breaks wherever consecutive keys lie more than ``gap`` apart, and
 per-segment sums come by ``reduceat``. Keys are int32 unless their range
 needs int64; beyond int64, single-stop numbers the (digest, window) keys
 present and segmentation sorts the three columns. The duration filter is a
-mask over SegmentColumns, and write_segment_csv formats the kept ones from
-their arrays; iterating SegmentColumns yields Segment objects. A device is
+mask over SegmentColumns, which carry the frames' digest rows, and
+write_segment_csv formats the kept ones from their arrays, each device's
+hex from a slice of the digests' bytes; iterating SegmentColumns yields
+Segment objects. A device is
 its digest throughout, so a device seen both as a raw MAC and as a digest
 is one device.
 
@@ -37,7 +40,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
-from itertools import compress
 from typing import Iterator, Union
 
 import numpy as np
@@ -49,6 +51,7 @@ from .frames import (
     FrameColumns,
     _digest_ranks,
     _stop_ranks,
+    device_ids,
     format_epoch_seconds,
     parse_timestamp,
     utc_datetime,
@@ -144,9 +147,7 @@ def filter_randomized(frames: FrameColumns) -> tuple[np.ndarray, bool]:
     returned flag says whether the filter could run at all (False when no
     frame carried a raw MAC).
     """
-    present = np.zeros(len(frames.devices), dtype=bool)
-    present[frames.device] = True
-    if all(mac is None for mac in compress(frames.macs, present)):
+    if (frames.used_macs() < 0).all():
         return np.ones(len(frames), dtype=bool), False
     return ~frames.randomized[frames.device], True
 
@@ -234,14 +235,14 @@ def filter_rssi(frames: FrameColumns, cfg: CleaningConfig) -> np.ndarray:
 class SegmentColumns:
     """Segments as parallel arrays, sorted by (stop, start, device).
 
-    ``stop`` and ``device`` index the stop and device tables of the frames
-    they came from; ``start`` and ``end`` are UTC epoch seconds, and
-    ``rssi_sum`` over ``frame_count`` is the mean RSSI. Iterating yields
-    Segments.
+    ``stop`` indexes the stop names of the frames they came from, and
+    ``device`` the rows of their (k, 20) uint8 ``digests``; ``start`` and
+    ``end`` are UTC epoch seconds, and ``rssi_sum`` over ``frame_count``
+    is the mean RSSI. Iterating yields Segments.
     """
 
     stops: tuple[str, ...]
-    devices: tuple[DeviceId, ...]
+    digests: np.ndarray
     stop: np.ndarray
     device: np.ndarray
     start: np.ndarray
@@ -253,7 +254,7 @@ class SegmentColumns:
         return len(self.start)
 
     def __iter__(self) -> Iterator[Segment]:
-        stops, devices = self.stops, self.devices
+        stops, devices = self.stops, device_ids(self.digests)
         for s, d, start, end, count, rssi_sum in zip(
             *(column.tolist() for column in (self.stop, self.device, self.start, self.end,
                                              self.frame_count, self.rssi_sum))
@@ -270,12 +271,12 @@ class SegmentColumns:
     def rows(self) -> Iterator[tuple]:
         """The SEGMENT_HEADER cells of each segment, formatted from the
         arrays a block of segments at a time."""
-        stops, devices = self.stops, self.devices
+        stops, digests = self.stops, self.digests.tobytes()
         for at in range(0, len(self), _BLOCK):
             block = slice(at, at + _BLOCK)
             yield from zip(
                 map(stops.__getitem__, self.stop[block].tolist()),
-                (devices[d].hex for d in self.device[block].tolist()),
+                (digests[20 * d:20 * d + 20].hex() for d in self.device[block].tolist()),
                 format_epoch_seconds(self.start[block]),
                 format_epoch_seconds(self.end[block]),
                 self.frame_count[block].tolist(),
@@ -296,7 +297,7 @@ def segment(frames: FrameColumns, cfg: CleaningConfig) -> SegmentColumns:
     Output is sorted by (stop, start, device) so it is independent of input
     order and of any upstream partitioning.
     """
-    stops, devices, n = frames.stops, frames.devices, len(frames)
+    stops, digests, n = frames.stops, frames.digests, len(frames)
     stop_rank, digest_rank = _stop_ranks(frames), _digest_ranks(frames)
     n_devices = int(digest_rank.max(initial=-1)) + 1
     # Times are whole seconds, so "more than gap apart" is "more than the
@@ -349,7 +350,7 @@ def segment(frames: FrameColumns, cfg: CleaningConfig) -> SegmentColumns:
     by_key = np.lexsort((seg_device, start, seg_stop))
     return SegmentColumns(
         stops=stops,
-        devices=devices,
+        digests=digests,
         stop=stop_entry[seg_stop[by_key]],
         device=device_entry[seg_device[by_key]],
         start=start[by_key],

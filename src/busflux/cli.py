@@ -74,7 +74,7 @@ from .plots import (
     report_bars,
     write_series_csv,
 )
-from .schema import from_dict, to_dict, write_json, write_table
+from .schema import decoding, from_dict, to_dict, write_json, write_table
 from .synth import (
     default_scenario,
     generate,
@@ -149,6 +149,12 @@ def cmd_aggregate(args, cfg: PipelineConfig, timings: dict[str, float]):
     with _timed(timings, "aggregate"):
         segments = read_segment_csv(args.segments)
         hours = segment_hourly_counts(segments, start=args.start, end=args.end)
+    if segments and not hours:
+        # A one-sided range that lies beyond the data's span.
+        first = min(s.start for s in segments).replace(minute=0, second=0)
+        last = max(s.end for s in segments).replace(minute=0, second=0)
+        raise BusfluxError(f"the range {args.start or first} to {args.end or last} holds no "
+                           f"hour of the segments, which span {first} to {last}")
     outputs = []
     if args.out_minutes:
         write_minute_csv(minute_counts(segments), args.out_minutes)
@@ -276,7 +282,7 @@ def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
             svg = line_chart(series, title="Hourly waiting devices per stop", x_label="hours since start", y_label="devices")
         else:
             source = args.mse_report
-            with open(args.mse_report, "r", encoding="utf-8") as fh:
+            with open(args.mse_report, "r", encoding="utf-8") as fh, decoding(args.mse_report):
                 report = ComparisonReport.from_dict(json.load(fh))
             labels, values = report_bars(report)
             series = [Series(name="mse", xs=tuple(range(len(values))), ys=tuple(values))]

@@ -22,7 +22,7 @@ from .cleaning import CleaningConfig
 from .errors import ParseError
 from .features import CampusCalendar, SplitSpec
 from .models.config import TrainConfig
-from .schema import from_dict, to_dict, write_json
+from .schema import decoding, from_dict, to_dict, write_json
 from .synth import ScenarioConfig
 
 DEFAULT_SEMESTER_START = date(2017, 1, 9)
@@ -48,7 +48,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 def load_config(path: Union[str, os.PathLike, None]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, decoding(path):
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

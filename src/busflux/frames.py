@@ -1,17 +1,20 @@
 """Raw sensor frame ingestion: MAC semantics, anonymization, CSV parsing.
 
 One captured Wi-Fi frame is a (bus stop, UTC timestamp, device, RSSI) row.
-Device identity is a SHA-1 digest of the canonical MAC text; the
-randomization bit check happens on the raw address *before* hashing, so
-nothing downstream ever needs the original bits.
+A raw MAC is its 48-bit integer (parse_mac, format_mac). Device identity
+is a SHA-1 digest of the canonical MAC text; the randomization bit check
+happens on the raw address *before* hashing, so nothing downstream ever
+needs the original bits.
 
 Parsed frames are columnar (FrameColumns): an int32 stop index into a
 table of stop names, int64 UTC epoch seconds, an int32 device index into
-a table of (digest, raw MAC or None, randomized flag) entries, and int16
-RSSI. The parser streams its input, plain or gzipped, in chunks of whole
-lines and appends accepted rows to array.array buffers, so no per-frame
-Python object outlives its chunk; the finished columns are numpy views of
-those buffers (np.frombuffer), not copies. A chunk of canonical rows, as
+a device table of two arrays, (k, 20) uint8 digest rows and int64 MACs
+(-1 where the input gave no raw address), and int16 RSSI. The parser
+streams its input, plain or gzipped, in chunks of whole lines and
+appends accepted rows to array.array buffers, so no per-frame Python
+object outlives its chunk, and no per-device one outlives the parse; the
+finished columns are numpy views of those buffers (np.frombuffer), not
+copies. A chunk of canonical rows, as
 write_frame_csv writes them, is converted a column at a time: a shape
 check and numpy's ISO-8601 parser for the timestamps, and one check per
 distinct stop, MAC and RSSI text. From the first chunk that is not
@@ -23,8 +26,9 @@ The generator builds its frames with the parser's column builder, so
 FrameColumns is the one frame type from generator to cleaner.
 sorted_frames orders them for a file with one stable lexsort, and
 write_frame_csv writes them a block of rows at a time. FrameRecord is the
-one-frame view for callers that want objects: iterating FrameColumns
-yields them, and FrameColumns.from_records builds columns from them.
+one-frame view for callers that want objects, with a DeviceId and an int
+MAC or None: iterating FrameColumns yields them, and
+FrameColumns.from_records builds columns from them.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
 from .errors import ParseError
+from .schema import decoding
 
 FRAME_HEADER = "bus_stop,timestamp_utc,mac,rssi_dbm"
 ANONYMIZED_FLAG = "#anonymized=true"
@@ -58,42 +63,31 @@ RSSI_PLAUSIBLE_HI = 0
 
 _MAC_RE = re.compile(r"[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}")
 _DIGEST_RE = re.compile(r"[0-9a-fA-F]{40}")
+_RANDOMIZED_BITS = 0x03 << 40  # the I/G and U/L bits of a MAC's first octet
 
 PathOrStream = Union[str, os.PathLike, IO[bytes]]
 
 
-@dataclass(frozen=True, slots=True)
-class MacAddress:
-    """A 48-bit IEEE 802 MAC address."""
-
-    octets: bytes
-
-    def __post_init__(self):
-        if len(self.octets) != 6:
-            raise ValueError(f"MAC address needs 6 octets, got {len(self.octets)}")
-
-    @classmethod
-    def from_text(cls, text: str) -> "MacAddress":
-        if not _MAC_RE.fullmatch(text):
-            raise ValueError(f"not a MAC address: {text!r}")
-        return cls(bytes(int(part, 16) for part in text.split(":")))
-
-    def canonical(self) -> str:
-        """Uppercase colon-separated form, always 17 characters."""
-        return ":".join(f"{b:02X}" for b in self.octets)
-
-    def __str__(self) -> str:
-        return self.canonical()
+def parse_mac(text: str) -> int:
+    """The 48-bit integer of a colon-separated MAC text, in either case."""
+    if not _MAC_RE.fullmatch(text):
+        raise ValueError(f"not a MAC address: {text!r}")
+    return int(text.replace(":", ""), 16)
 
 
-def is_randomized(mac: MacAddress) -> bool:
+def format_mac(mac: int) -> str:
+    """Uppercase colon-separated form of a 48-bit MAC, always 17 characters."""
+    return mac.to_bytes(6, "big").hex(":").upper()
+
+
+def is_randomized(mac: int) -> bool:
     """True when the address cannot identify a stable device.
 
     Locally administered addresses (the U/L bit, bit 1 of octet 0) are what
     MAC randomization emits, and group addresses (the I/G bit, bit 0) never
     name a single device; both are treated as noise.
     """
-    return bool(mac.octets[0] & 0x03)
+    return bool(mac & _RANDOMIZED_BITS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,25 +114,25 @@ class DeviceId:
         return self.hex
 
 
-def anonymize(mac: MacAddress) -> DeviceId:
+def anonymize(mac: int) -> DeviceId:
     """SHA-1 over the canonical 17-char text form (unsalted, stable everywhere)."""
-    return DeviceId(hashlib.sha1(mac.canonical().encode("ascii")).digest())
+    return DeviceId(hashlib.sha1(format_mac(mac).encode("ascii")).digest())
 
 
 @dataclass(frozen=True, slots=True)
 class FrameRecord:
     """One captured frame observation.
 
-    ``mac`` is carried only when the input held a raw address; files that
-    arrive pre-anonymized leave it None, which disables the randomization
-    filter downstream.
+    ``mac``, the raw address as its 48-bit integer, is carried only when
+    the input held one; files that arrive pre-anonymized leave it None,
+    which disables the randomization filter downstream.
     """
 
     stop: str
     at: datetime
     device: DeviceId
     rssi: int
-    mac: MacAddress | None = None
+    mac: int | None = None
 
 
 @dataclass(slots=True)
@@ -182,25 +176,31 @@ def utc_datetime(seconds: int) -> datetime:
     return _EPOCH + timedelta(seconds=seconds)
 
 
+def device_ids(digests: np.ndarray) -> list[DeviceId]:
+    """The DeviceId of each row of a digest array. Rows are sliced from
+    one bytes object: numpy's S20 view of a row drops its trailing NULs."""
+    blob = digests.tobytes()
+    return [DeviceId(blob[at:at + 20]) for at in range(0, len(blob), 20)]
+
+
 @dataclass(frozen=True, eq=False)
 class FrameColumns:
     """Frames as four parallel arrays plus the two tables they index.
 
     ``stop`` (int32) indexes ``stops``, the stop names. ``device`` (int32)
-    indexes the device table: entry i is the identity ``devices[i]``, the
-    raw address ``macs[i]`` (None in digest form) and ``randomized[i]``,
-    whether that address has the U/L or I/G bit set. ``t`` (int64) holds
-    UTC epoch seconds and ``rssi`` (int16) dBm. An entry is one (digest,
-    address) pair, so two entries share a digest only when one device came
-    both as a raw MAC and as a digest. Tables are in first-seen order and
-    hold exactly what the frames use, until clean() takes the survivors.
-    Iterating yields FrameRecords; ``from_records`` goes back.
+    indexes the device table: entry i is the SHA-1 digest ``digests[i]``,
+    a row of 20 uint8, and the raw address ``macs[i]`` as its 48-bit
+    integer, -1 in digest form. ``t`` (int64) holds UTC epoch seconds and
+    ``rssi`` (int16) dBm. An entry is one (digest, address) pair, so two
+    entries share a digest only when one device came both as a raw MAC and
+    as a digest. Tables are in first-seen order and hold exactly what the
+    frames use, until clean() takes the survivors. Iterating yields
+    FrameRecords; ``from_records`` goes back.
     """
 
     stops: tuple[str, ...]
-    devices: tuple[DeviceId, ...]
-    macs: tuple[MacAddress | None, ...]
-    randomized: np.ndarray
+    digests: np.ndarray
+    macs: np.ndarray
     stop: np.ndarray
     t: np.ndarray
     device: np.ndarray
@@ -212,15 +212,28 @@ class FrameColumns:
         for r in records:
             columns.stop.append(columns.stop_code(r.stop))
             columns.t.append(epoch_seconds(r.at))
-            columns.device.append(columns.device_code(r.device, r.mac))
+            columns.device.append(columns.device_code(r.device.digest,
+                                                      -1 if r.mac is None else r.mac))
             columns.rssi.append(r.rssi)
         return columns.build()
+
+    @property
+    def randomized(self) -> np.ndarray:
+        """Per table entry, whether its raw address has the U/L or I/G bit set."""
+        return (self.macs >= 0) & (self.macs & _RANDOMIZED_BITS != 0)
+
+    def used_macs(self) -> np.ndarray:
+        """The ``macs`` of the table entries that some frame uses."""
+        used = np.zeros(len(self.macs), dtype=bool)
+        used[self.device] = True
+        return self.macs[used]
 
     def __len__(self) -> int:
         return len(self.t)
 
     def __iter__(self) -> Iterator[FrameRecord]:
-        stops, devices, macs = self.stops, self.devices, self.macs
+        stops, devices = self.stops, device_ids(self.digests)
+        macs = [None if mac < 0 else mac for mac in self.macs.tolist()]
         for s, t, d, rssi in zip(self.stop.tolist(), self.t.tolist(), self.device.tolist(),
                                  self.rssi.tolist()):
             yield FrameRecord(stops[s], utc_datetime(t), devices[d], rssi, macs[d])
@@ -228,16 +241,13 @@ class FrameColumns:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrameColumns):
             return NotImplemented
-        return (
-            (self.stops, self.devices, self.macs) == (other.stops, other.devices, other.macs)
-            and all(
-                a.dtype == b.dtype and np.array_equal(a, b)
-                for a, b in zip(self._arrays(), other._arrays())
-            )
+        return self.stops == other.stops and all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(self._arrays(), other._arrays())
         )
 
     def _arrays(self) -> tuple[np.ndarray, ...]:
-        return self.randomized, self.stop, self.t, self.device, self.rssi
+        return self.digests, self.macs, self.stop, self.t, self.device, self.rssi
 
 
 class _ColumnBuilder:
@@ -245,24 +255,26 @@ class _ColumnBuilder:
 
     def __init__(self):
         self.stops: dict[str, int] = {}
-        self.idents: dict[tuple[DeviceId, MacAddress | None], int] = {}
+        self.idents: dict[tuple[bytes, int], int] = {}
         self.stop, self.t, self.device, self.rssi = array("i"), array("q"), array("i"), array("h")
 
     def stop_code(self, name: str) -> int:
         return self.stops.setdefault(name, len(self.stops))
 
-    def device_code(self, device: DeviceId, mac: MacAddress | None) -> int:
-        return self.idents.setdefault((device, mac), len(self.idents))
+    def device_code(self, digest: bytes, mac: int) -> int:
+        return self.idents.setdefault((digest, mac), len(self.idents))
 
     def build(self) -> FrameColumns:
         """The columns, wrapping the buffers without a copy; the builder
         must not append after this."""
-        macs = tuple(mac for _, mac in self.idents)
+        # fromiter fills the tables without a list of the entries, and
+        # bytes.join would hold an 80-byte buffer view per digest.
+        k = len(self.idents)
+        digests = np.fromiter((digest for digest, _ in self.idents), "V20", k)
         return FrameColumns(
             stops=tuple(self.stops),
-            devices=tuple(device for device, _ in self.idents),
-            macs=macs,
-            randomized=np.array([m is not None and is_randomized(m) for m in macs], dtype=bool),
+            digests=digests.view(np.uint8).reshape(k, 20),
+            macs=np.fromiter((mac for _, mac in self.idents), np.int64, k),
             stop=np.frombuffer(self.stop, dtype=np.int32),
             t=np.frombuffer(self.t, dtype=np.int64),
             device=np.frombuffer(self.device, dtype=np.int32),
@@ -373,13 +385,13 @@ def _stop_issue(stop: str) -> str | None:
     return None
 
 
-def _identity(mac_text: str, anonymized_input: bool) -> tuple[DeviceId, MacAddress | None] | None:
-    """The device identity a MAC field names; None when it names none."""
+def _identity(mac_text: str, anonymized_input: bool) -> tuple[bytes, int] | None:
+    """The (digest, raw MAC or -1) that a MAC field names; None when it names none."""
     try:
         if len(mac_text) == 17 and not anonymized_input:
-            mac = MacAddress.from_text(mac_text)
-            return anonymize(mac), mac
-        return DeviceId.from_hex(mac_text), None
+            mac = parse_mac(mac_text)
+            return anonymize(mac).digest, mac
+        return DeviceId.from_hex(mac_text).digest, -1
     except ValueError:
         return None
 
@@ -539,7 +551,7 @@ def parse_frame_csv(source: PathOrStream) -> tuple[FrameColumns, ParseReport]:
     """
     report = ParseReport()
     parser = _FrameParser(report)
-    with _open_text(source) as text:
+    with _open_text(source) as text, decoding(source):
         line_no = _read_header(text, report)
         while chunk := text.read(_CHUNK_CHARS):
             if not chunk.endswith("\n"):
@@ -580,10 +592,13 @@ def format_epoch_seconds(seconds: np.ndarray) -> list[str]:
 
 
 def _digest_ranks(frames: FrameColumns) -> np.ndarray:
-    """Per device-table entry, the rank of its digest; equal digests share one."""
-    digests = [device.digest for device in frames.devices]
-    rank = {digest: i for i, digest in enumerate(sorted(set(digests)))}
-    return np.array([rank[digest] for digest in digests], dtype=np.int32)
+    """Per device-table entry, the rank of its digest bytes; equal digests share one."""
+    # One 20-byte void item per row sorts as the bytes do; unique's
+    # axis=0 sorts a row a column at a time and is several times slower.
+    # return_inverse would add a permutation and a gathered copy of the
+    # rows, which raised the clean stage's peak RSS by about 0.8 MB.
+    rows = np.ascontiguousarray(frames.digests).view("V20").ravel()
+    return np.searchsorted(np.unique(rows), rows).astype(np.int32)
 
 
 def _stop_ranks(frames: FrameColumns) -> np.ndarray:
@@ -621,11 +636,10 @@ def write_frame_csv(
     carries the ``#anonymized=true`` flag. Gzip is applied when the path
     ends in ``.gz``, with a fixed mtime so outputs stay byte-deterministic.
     """
-    present = np.zeros(len(frames.macs), dtype=bool)
-    present[frames.device] = True
-    digest_form = anonymize_output or any(mac is None for mac in compress(frames.macs, present))
-    idents = [device.hex if digest_form or mac is None else mac.canonical()
-              for device, mac in zip(frames.devices, frames.macs)]
+    digest_form = anonymize_output or bool((frames.used_macs() < 0).any())
+    hexes = frames.digests.tobytes().hex()
+    idents = [hexes[40 * i:40 * i + 40] if digest_form or mac < 0 else format_mac(mac)
+              for i, mac in enumerate(frames.macs.tolist())]
     stops = frames.stops
     # csv.writer fills one block's text at a time. No TextIOWrapper over
     # the GzipFile: its flush would emit a deflate sync point and change

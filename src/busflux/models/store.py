@@ -57,6 +57,8 @@ def load_model(source: Union[str, os.PathLike]):
         if arch not in MODELS:
             raise ParseError(f"unknown model arch {arch!r} in {source}")
         model = MODELS[arch].from_dict(payload["parameters"])
+        if model.arch != arch:
+            raise ParseError(f"{source}: arch {arch!r}, but parameters.arch {model.arch!r}")
         columns = payload.get("columns")
         if columns is not None:
             if len(columns) != model.n_features:

@@ -10,7 +10,10 @@ a cell that does not convert, or a non-finite number raises a ParseError
 naming the file and line. Floats are written as their shortest round-trip
 ``repr``, so a read-write cycle reproduces the bytes.
 Every JSON artifact is written by ``write_json``; those that carry a
-``format_version`` are read back through ``read_json``.
+``format_version`` are read back through ``read_json``. Every reader of
+an input file, these two and the frame, weather and config readers,
+decodes it inside ``decoding``, so bytes that are not UTF-8, or gzip data
+that is cut short or corrupt, raise a ParseError naming the file.
 
 ``to_dict`` / ``from_dict`` convert config (and report) dataclasses,
 driven by their fields and type hints: a nested dataclass is a JSON
@@ -25,9 +28,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import gzip
 import json
 import os
 import typing
+import zlib
 from datetime import date, timedelta
 from types import UnionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
@@ -43,6 +48,18 @@ def real(text: str) -> float:
     if value - value == 0.0:  # false for nan and ±inf; cheaper than math.isfinite
         return value
     raise ValueError(f"non-finite number {text!r}")
+
+
+@contextlib.contextmanager
+def decoding(source) -> Iterator[None]:
+    """Re-raise an error met while decoding ``source`` in the with-block,
+    text that is not UTF-8 or gzip data that is cut short or corrupt, as a
+    ParseError naming ``source``, a path or a stream."""
+    try:
+        yield
+    except (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        name = source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "")
+        raise ParseError(f"{name or 'input stream'}: cannot decode: {exc}") from None
 
 
 def write_json(dest: PathLike, payload, compact: bool = False) -> None:
@@ -68,7 +85,7 @@ def read_json(source: PathLike, version: int) -> Iterator[dict]:
     A missing key or a value of the wrong type or form met inside the block
     raises a ParseError naming the file.
     """
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "r", encoding="utf-8") as fh, decoding(source):
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format_version") != version:
         raise ParseError(f"{source}: expected a JSON object of format version {version}")
@@ -101,7 +118,7 @@ def read_table(
     stays open until the iterator is exhausted or closed.
     """
     width = len(header)
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open(source, "r", encoding="utf-8", newline="") as fh, decoding(source):
         reader = csv.reader(fh)
         got = next(reader, None)
         if got != list(header):

@@ -34,7 +34,7 @@ from .aggregation import HourlyCount
 from .cleaning import CleaningConfig
 from .errors import ConfigError
 from .features import FeatureMatrix
-from .frames import DeviceId, FrameColumns, MacAddress, _ColumnBuilder, anonymize
+from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize
 from .schema import read_json, to_dict, write_json
 from .weather import WeatherObservation
 
@@ -263,20 +263,10 @@ def _day_weather(day: date, rng: np.random.Generator, recent_rain: list[float]) 
     return out
 
 
-def _device_mac(index: int, randomized: bool) -> MacAddress:
-    head = 0x02 if randomized else 0x00
-    return MacAddress(
-        bytes(
-            (
-                head,
-                0xB8,
-                (index >> 24) & 0xFF,
-                (index >> 16) & 0xFF,
-                (index >> 8) & 0xFF,
-                index & 0xFF,
-            )
-        )
-    )
+def _device_mac(index: int, randomized: bool) -> int:
+    """The MAC xx:B8 followed by the low 32 bits of ``index``, where xx is
+    02 (locally administered) for a randomized device and 00 otherwise."""
+    return (0x02 if randomized else 0x00) << 40 | 0xB8 << 32 | index & 0xFFFFFFFF
 
 
 def _dwell_frames(
@@ -352,7 +342,7 @@ def generate(
                     mac = _device_mac(device_index, randomized)
                     device_index += 1
                     device = anonymize(mac)
-                    entry = frames.device_code(device, mac)
+                    entry = frames.device_code(device.digest, mac)
 
                     if cls == "short_dwell":
                         draw = lambda: int(rng_t.integers(10, 91))

@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 from typing import IO, Sequence, Union
 
 from .errors import ParseError
-from .schema import to_dict, write_json
+from .schema import decoding, to_dict, write_json
 
 # Field names follow the OpenWeather bulk export exactly.
 NUMERIC_FIELDS = (
@@ -168,12 +168,13 @@ def parse_weather(
     CSV), the other numbers JSON numbers or number text but never
     booleans, and ``weather_main`` and ``weather_description`` strings.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    with decoding(source):
+        if hasattr(source, "read"):
+            data = source.read()
+            text = data.decode("utf-8") if isinstance(data, bytes) else data
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
 
     from_csv = text.lstrip()[:1] not in ("[", "{")
     report = WeatherParseReport()

@@ -11,7 +11,7 @@ import pytest
 
 import busflux
 from busflux.cleaning import Segment, SegmentColumns
-from busflux.frames import FrameRecord, MacAddress, anonymize, epoch_seconds
+from busflux.frames import FrameRecord, anonymize, epoch_seconds, parse_mac
 
 T0 = datetime(2017, 4, 5, 8, 0, 0)
 
@@ -34,8 +34,8 @@ def child_env(**overrides: str) -> dict[str, str]:
     return {**os.environ, **overrides, "PYTHONPATH": path}
 
 
-def mac(text: str) -> MacAddress:
-    return MacAddress.from_text(text)
+def mac(text: str) -> int:
+    return parse_mac(text)
 
 
 def frame(
@@ -67,6 +67,11 @@ def burst(
     return out
 
 
+def digest_rows(digests) -> np.ndarray:
+    """20-byte digests as the rows of a (k, 20) uint8 array."""
+    return np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(-1, 20)
+
+
 def segment_columns(segments: list[Segment]) -> SegmentColumns:
     """The segments as SegmentColumns, in their order. A segment's RSSI sum
     is its mean times its frame count, rounded: whole-dBm frames give an
@@ -75,7 +80,7 @@ def segment_columns(segments: list[Segment]) -> SegmentColumns:
     devices = tuple(dict.fromkeys(s.device for s in segments))
     return SegmentColumns(
         stops=stops,
-        devices=devices,
+        digests=digest_rows(device.digest for device in devices),
         stop=np.array([stops.index(s.stop) for s in segments], dtype=np.int32),
         device=np.array([devices.index(s.device) for s in segments], dtype=np.int32),
         start=np.array([epoch_seconds(s.start) for s in segments], dtype=np.int64),

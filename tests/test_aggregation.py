@@ -20,13 +20,13 @@ from busflux.aggregation import (
 )
 from busflux.cleaning import Segment
 from busflux.errors import ParseError
-from busflux.frames import MacAddress, anonymize
+from busflux.frames import anonymize
 
 T0 = datetime(2017, 4, 5, 8, 0, 0)
 
 
 def seg(stop: str, start: datetime, end: datetime, idx: int = 1) -> Segment:
-    device = anonymize(MacAddress(idx.to_bytes(6, "big")))
+    device = anonymize(idx)
     return Segment(stop=stop, device=device, start=start, end=end, frame_count=2, mean_rssi=-60.0)
 
 

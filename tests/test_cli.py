@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import re
 import shutil
@@ -747,6 +748,77 @@ def test_aggregate_with_a_reversed_range_exits_1_naming_both_ends(ws, tmp_path, 
     err = capsys.readouterr().err
     assert "--start 2017-04-06 01:00:00 is later than --end 2017-04-05 23:30:00" in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("corrupt", ["cut short", "bad deflate block", "not utf-8"])
+def test_undecodable_frames_exit_2_naming_the_file(ws, tmp_path, capsys, corrupt):
+    # Were an EOFError, a zlib.error and a UnicodeDecodeError traceback, exit 1.
+    data = ws["frames"].read_bytes()
+    packed = gzip.compress(data, mtime=0)
+    frames = tmp_path / "frames.csv.gz"
+    frames.write_bytes({
+        "cut short": packed[: len(packed) // 2],
+        "bad deflate block": packed[:10] + b"\xff" + packed[11:],
+        "not utf-8": data + b"\xff",
+    }[corrupt])
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("clean", "--frames", frames, "--out-segments", out / "segments.csv",
+               "--out-report", out / "clean.json") == 2
+    err = capsys.readouterr().err
+    assert f"error: {frames}: cannot decode: " in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["segments", "weather", "lr", "cfg"])
+def test_an_input_that_is_not_utf8_exits_2_naming_the_file(ws, tmp_path, capsys, key):
+    # Were a UnicodeDecodeError traceback, exit 1.
+    source = tmp_path / ws[key].name
+    source.write_bytes(ws[key].read_bytes() + b"\xff")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "segments": ("aggregate", "--segments", source, "--out-hourly", out / "hourly.csv"),
+        "weather": ("join", "--hourly", ws["hourly"], "--weather", source,
+                    "--out-joined", out / "joined.csv"),
+        "lr": ("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", source,
+               "--out-report", out / "eval.json"),
+        "cfg": ("aggregate", "--config", source, "--segments", ws["segments"],
+                "--out-hourly", out / "hourly.csv"),
+    }[key]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {source}: cannot decode: " in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [("--start", "2030-01-01 00:00"),
+                                         ("--end", "2000-01-01 00:00")])
+def test_aggregate_with_one_end_beyond_the_data_exits_1_naming_the_span(ws, tmp_path, capsys,
+                                                                       flag, value):
+    # Was exit 0 with a header-only hourly.csv.
+    hours = read_hourly_csv(ws["hourly"])
+    first, last = hours[0].hour, hours[-1].hour
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run("aggregate", "--segments", ws["segments"], "--out-hourly", out / "hourly.csv",
+               flag, value) == 1
+    start, end = (f"{value}:00", last) if flag == "--start" else (first, f"{value}:00")
+    err = capsys.readouterr().err
+    assert f"error: the range {start} to {end} holds no hour" in err
+    assert f"the segments, which span {first} to {last}" in err
+    assert list(out.iterdir()) == []
+
+
+def test_an_mlp_file_naming_two_archs_exits_2(ws, tmp_path, capsys):
+    # Was loaded as a dnn model.
+    wnn = _edited_json(ws["wnn"], tmp_path / "wnn.json",
+                       lambda m: m["parameters"].__setitem__("arch", "dnn"))
+    assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", wnn,
+               "--out-report", tmp_path / "eval.json") == 2
+    assert f"error: {wnn}: arch 'wnn', but parameters.arch 'dnn'" in capsys.readouterr().err
 
 
 def test_no_command_prints_help_and_exits_2(capsys):

@@ -25,45 +25,52 @@ from busflux.frames import (
     FRAME_HEADER,
     DeviceId,
     FrameColumns,
-    MacAddress,
+    FrameRecord,
+    _digest_ranks,
     _epoch_seconds_of,
     anonymize,
+    device_ids,
     epoch_seconds,
     format_epoch_seconds,
+    format_mac,
     format_timestamp,
     is_randomized,
     parse_frame_csv,
+    parse_mac,
     parse_timestamp,
     sorted_frames,
     write_frame_csv,
 )
 from busflux.synth import default_scenario, generate
-from conftest import frame, mac
+from conftest import digest_rows, frame, mac
 
 # ── MAC parsing and canonical form ──────────────────────────────────────────
 
 
 def test_mac_parses_either_case():
     for text in ("aa:bb:cc:dd:ee:ff", "AA:BB:CC:DD:EE:FF", "Aa:bB:cC:Dd:Ee:fF"):
-        assert MacAddress.from_text(text).canonical() == "AA:BB:CC:DD:EE:FF"
+        assert parse_mac(text) == 0xAABBCCDDEEFF
+        assert format_mac(parse_mac(text)) == "AA:BB:CC:DD:EE:FF"
 
 
 def test_mac_rejects_bad_text():
     for text in ("", "aa:bb:cc:dd:ee", "aa:bb:cc:dd:ee:ff:00", "zz:bb:cc:dd:ee:ff", "aa bb cc dd ee ff"):
         with pytest.raises(ValueError):
-            MacAddress.from_text(text)
+            parse_mac(text)
 
 
 @pytest.mark.parametrize("text", ["00:B8:00:00:00:01\n", "ab" * 20 + "\n"])
 def test_mac_and_digest_reject_a_trailing_newline(text):
     with pytest.raises(ValueError):
-        MacAddress.from_text(text)
+        parse_mac(text)
     with pytest.raises(ValueError):
         DeviceId.from_hex(text)
 
 
 def test_mac_canonical_is_uppercase_colon_form():
-    assert mac("0a:1b:2c:3d:4e:5f").canonical() == "0A:1B:2C:3D:4E:5F"
+    assert format_mac(mac("0a:1b:2c:3d:4e:5f")) == "0A:1B:2C:3D:4E:5F"
+    assert format_mac(0) == "00:00:00:00:00:00"
+    assert format_mac(2**48 - 1) == "FF:FF:FF:FF:FF:FF"
 
 
 # ── Randomization detection ──────────────────────────────────────────────────
@@ -79,10 +86,16 @@ def test_group_bit_alone_flags_randomized():
 
 
 def test_first_octet_truth_table():
-    # Detection depends only on the two low bits of the first octet.
+    # Detection depends only on the two low bits of the first octet, for one
+    # address and for the device table's vector, where -1 means no address.
+    macs = []
     for head in range(256):
-        m = MacAddress(bytes((head, 0, 0, 0, 0, 1)))
+        m = head << 40 | 1
         assert is_randomized(m) == bool(head & 0x03)
+        assert is_randomized(m | (2**40 - 1)) == bool(head & 0x03)
+        macs += [m, m | (2**40 - 1)]
+    table = _table([bytes(20)] * (len(macs) + 1), macs + [-1])
+    assert table.randomized.tolist() == [is_randomized(m) for m in macs] + [False]
 
 
 # ── Anonymization ────────────────────────────────────────────────────────────
@@ -141,15 +154,16 @@ def test_anonymize_ignores_input_case():
 def test_anonymize_is_injective_on_distinct_macs():
     seen = set()
     for i in range(10_000):
-        m = MacAddress(i.to_bytes(6, "big"))
+        m = i
         seen.add(anonymize(m).digest)
     assert len(seen) == 10_000
 
 
 @given(st.binary(min_size=6, max_size=6))
 def test_anonymize_matches_reference_sha1(octets):
-    m = MacAddress(octets)
-    assert anonymize(m).digest == _sha1_reference(m.canonical().encode("ascii"))
+    m = int.from_bytes(octets, "big")
+    text = ":".join(f"{b:02X}" for b in octets)
+    assert anonymize(m).digest == _sha1_reference(text.encode("ascii"))
 
 
 def test_device_id_hex_round_trip():
@@ -381,7 +395,7 @@ def test_parse_rejects_fields_that_only_look_valid(tmp_path, row, reason):
     back, report = parse_frame_csv(path)
     assert list(back) == _sample_frames()
     # a rejected row adds nothing to the stop or device tables
-    assert back.stops == ("stop-01", "stop-02") and len(back.devices) == 3
+    assert back.stops == ("stop-01", "stop-02") and len(back.digests) == 3
     assert report.rows_total == 4
     assert [(i.line, i.reason) for i in report.issues] == [(6, reason)]
     assert report.issues_by_reason() == {reason: 1}
@@ -411,12 +425,12 @@ def test_columns_round_trip_through_records(tmp_path):
     assert list(mixed) == records
     assert FrameColumns.from_records(list(mixed)) == mixed
     # a raw-MAC record and a digest-form record of one device are two entries
-    assert len(mixed.devices) == 4 and len(set(mixed.devices)) == 3
-    assert sorted(zip(map(str, mixed.macs), mixed.randomized.tolist())) == [
-        ("00:B8:00:00:00:01", False),
-        ("00:B8:00:00:00:02", False),
-        ("02:00:00:00:00:03", True),
-        ("None", False),
+    assert len(mixed.digests) == 4 and len(set(device_ids(mixed.digests))) == 3
+    assert sorted(zip(mixed.macs.tolist(), mixed.randomized.tolist())) == [
+        (-1, False),
+        (0x00B8_0000_0001, False),
+        (0x00B8_0000_0002, False),
+        (0x0200_0000_0003, True),
     ]
 
 
@@ -428,6 +442,80 @@ def test_columns_have_the_documented_dtypes(tmp_path):
         np.int32, np.int64, np.int32, np.int16]
     assert columns.stops == ("stop-01", "stop-02")
     assert columns.t.tolist() == [epoch_seconds(f.at) for f in _sample_frames()]
+
+
+def test_iterated_frames_carry_a_device_id_and_an_int_or_no_mac(tmp_path):
+    # What callers that walk frames read: f.device.hex, {f.device for f in
+    # frames} and is_randomized(f.mac).
+    records = _sample_frames() + [replace(_sample_frames()[0], mac=None)]
+    path = tmp_path / "frames.csv"
+    write_frame_csv(cols(_sample_frames()), path)
+    for columns in (cols(records), parse_frame_csv(path)[0]):
+        got = list(columns)
+        assert all(type(f) is FrameRecord and type(f.device) is DeviceId for f in got)
+        assert all(type(f.mac) is int or f.mac is None for f in got)
+        assert [len(f.device.hex) for f in got] == [40] * len(got)
+        assert {f.device for f in got} == {f.device for f in _sample_frames()}
+    assert [type(f.mac) for f in cols(records)] == [int, int, int, type(None)]
+    assert {format_mac(f.mac): is_randomized(f.mac) for f in cols(_sample_frames())} == {
+        "00:B8:00:00:00:01": False, "00:B8:00:00:00:02": False, "02:00:00:00:00:03": True}
+
+
+def _table(digests, macs):
+    """FrameColumns with a device table and no frames."""
+    none = np.zeros(0, dtype=np.int32)
+    return FrameColumns(
+        stops=(), digests=digest_rows(digests),
+        macs=np.array(macs, dtype=np.int64), stop=none, t=np.zeros(0, dtype=np.int64),
+        device=none, rssi=np.zeros(0, dtype=np.int16))
+
+
+def _ranks_by_bytes(digests):
+    order = sorted(set(digests))
+    return [order.index(d) for d in digests]
+
+
+_nul_edged = st.binary(max_size=19).flatmap(
+    lambda b: st.sampled_from([b.ljust(20, b"\0"), b.rjust(20, b"\0")]))
+
+
+@given(st.lists(st.binary(min_size=20, max_size=20) | _nul_edged, max_size=40))
+def test_digest_ranks_follow_the_digest_bytes(digests):
+    ranks = _digest_ranks(_table(digests, [-1] * len(digests)))
+    assert ranks.dtype == np.int32
+    assert ranks.tolist() == _ranks_by_bytes(digests)
+
+
+def test_digest_ranks_follow_the_digest_bytes_on_many_random_rows():
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 256, size=(3000, 20), dtype=np.uint8)
+    rows[:500, -3:] = 0  # NUL-padded ends, which S20 items would drop
+    rows[500:1000, :3] = 0
+    rows[1000:1500] = rows[rng.integers(0, 1000, 500)]  # repeated digests
+    digests = [row.tobytes() for row in rows]
+    assert _digest_ranks(_table(digests, [-1] * 3000)).tolist() == _ranks_by_bytes(digests)
+
+
+@pytest.mark.parametrize("corrupt", ["cut short", "bad deflate block", "bad crc", "not utf-8",
+                                     "gzipped, not utf-8"])
+def test_undecodable_input_is_a_parse_error_naming_it(tmp_path, corrupt):
+    path = tmp_path / "frames.csv"
+    write_frame_csv(cols(_sample_frames() * 200), path)
+    data = path.read_bytes()
+    packed = gzip.compress(data, mtime=0)  # a 10-byte header, then deflate
+    data = {
+        "cut short": packed[: len(packed) // 2],
+        # block type 3 is reserved: zlib rejects the stream
+        "bad deflate block": packed[:10] + b"\xff" + packed[11:],
+        "bad crc": packed[:-8] + bytes([packed[-8] ^ 1]) + packed[-7:],
+        "not utf-8": data + b"\xff",
+        "gzipped, not utf-8": gzip.compress(data + b"\xff", mtime=0),
+    }[corrupt]
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: cannot decode: "):
+        parse_frame_csv(path)
+    with pytest.raises(ParseError, match="^input stream: cannot decode: "):
+        parse_frame_csv(_Unseekable(data))
 
 
 def test_from_records_rejects_fractional_seconds():
@@ -523,11 +611,11 @@ def reference_parse(data: bytes):
             continue
         if len(mac_text) == 17 and not anonymized:
             try:
-                ident = (anonymize(MacAddress.from_text(mac_text)), MacAddress.from_text(mac_text))
+                ident = (anonymize(parse_mac(mac_text)).digest, parse_mac(mac_text))
             except ValueError:
                 ident = None
         elif re.match(r"^[0-9a-fA-F]{40}$", mac_text):
-            ident = (DeviceId.from_hex(mac_text.lower()), None)
+            ident = (bytes.fromhex(mac_text), -1)
         else:
             ident = None
         if ident is None:
@@ -549,11 +637,13 @@ def reference_parse(data: bytes):
 
 
 def _as_reference(columns, report):
-    tables = (columns.stops, columns.devices, columns.macs)
+    tables = (columns.stops, tuple(d.digest for d in device_ids(columns.digests)),
+              tuple(columns.macs.tolist()))
     rows = list(zip(columns.stop.tolist(), columns.t.tolist(), columns.device.tolist(),
                     columns.rssi.tolist()))
     issues = [(i.line, i.reason, i.raw) for i in report.issues]
-    assert columns.randomized.tolist() == [m is not None and is_randomized(m) for m in columns.macs]
+    assert columns.randomized.tolist() == [m >= 0 and is_randomized(m) for m in columns.macs.tolist()]
+    assert columns.digests.dtype == np.uint8 and columns.digests.shape == (len(columns.macs), 20)
     assert [a.dtype for a in (columns.stop, columns.t, columns.device, columns.rssi)] == [
         np.int32, np.int64, np.int32, np.int16]
     return tables, rows, (report.rows_total, report.rows_ok, report.anonymized_input, issues)

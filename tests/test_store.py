@@ -155,6 +155,17 @@ def test_unknown_arch_is_rejected(tmp_path):
             load_model(dest)
 
 
+@pytest.mark.parametrize("arch, other", [(ARCH_WNN, ARCH_DNN), (ARCH_DNN, ARCH_WNN)])
+def test_an_mlp_whose_parameters_name_another_arch_is_rejected(tmp_path, arch, other):
+    path = tmp_path / "model.json"
+    save_model(one_of_each()[arch], path)
+    payload = json.loads(path.read_text())
+    payload["parameters"]["arch"] = other
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=f"arch '{arch}', but parameters.arch '{other}'"):
+        load_model(path)
+
+
 def test_save_rejects_foreign_objects(tmp_path):
     with pytest.raises(TypeError):
         save_model(object(), tmp_path / "m.json")

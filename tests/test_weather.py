@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from datetime import datetime
 
 import pytest
@@ -207,6 +209,16 @@ def test_json_that_is_not_an_array_is_fatal(tmp_path):
     path.write_text('{"dt": 1}')
     with pytest.raises(ParseError):
         parse_weather(path)
+
+
+def test_weather_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path):
+    path = write_json(tmp_path, [row()])
+    data = path.read_bytes() + b"\xff"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: cannot decode: "):
+        parse_weather(path)
+    with pytest.raises(ParseError, match="^input stream: cannot decode: "):
+        parse_weather(io.BytesIO(data))
 
 
 # ── Hourly lookup ────────────────────────────────────────────────────────────
