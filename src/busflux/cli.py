@@ -460,7 +460,6 @@ def main(argv=None) -> int:
         _run_stage(args)
         return 0
     except ParseError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

@@ -11,10 +11,11 @@ table of stop names, int64 UTC epoch seconds, an int32 device index into
 a device table of two arrays, (k, 20) uint8 digest rows and int64 MACs
 (-1 where the input gave no raw address), and int16 RSSI. The parser
 streams its input, plain or gzipped, in chunks of whole lines and
-appends accepted rows to array.array buffers, so no per-frame Python
+appends accepted rows to array.array buffers, and each new device's
+digest and MAC to a bytearray and an array.array, so no per-frame Python
 object outlives its chunk, and no per-device one outlives the parse; the
-finished columns are numpy views of those buffers (np.frombuffer), not
-copies. A chunk of canonical rows, as
+finished columns and device table are numpy views of those buffers
+(np.frombuffer), not copies. A chunk of canonical rows, as
 write_frame_csv writes them, is converted a column at a time: a shape
 check and numpy's ISO-8601 parser for the timestamps, and one check per
 distinct stop, MAC and RSSI text. From the first chunk that is not
@@ -36,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import gzip
-import hashlib
 import io
 import os
 import re
@@ -50,7 +50,16 @@ from typing import IO, Iterable, Iterator, Union
 import numpy as np
 
 from .errors import ParseError
-from .schema import decoding
+from .schema import decoding, source_name
+
+# CPython's built-in SHA-1 gives OpenSSL's digests without loading its
+# libcrypto (3.3 MB resident in every stage that imports this module); the
+# stdlib's random takes its SHA-512 the same way. The OpenSSL-backed module
+# is the fallback for an interpreter built without the built-in one.
+try:
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 FRAME_HEADER = "bus_stop,timestamp_utc,mac,rssi_dbm"
 ANONYMIZED_FLAG = "#anonymized=true"
@@ -116,7 +125,7 @@ class DeviceId:
 
 def anonymize(mac: int) -> DeviceId:
     """SHA-1 over the canonical 17-char text form (unsalted, stable everywhere)."""
-    return DeviceId(hashlib.sha1(format_mac(mac).encode("ascii")).digest())
+    return DeviceId(sha1(format_mac(mac).encode("ascii")).digest())
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,30 +260,36 @@ class FrameColumns:
 
 
 class _ColumnBuilder:
-    """array.array buffers for the four frame columns, and the two tables."""
+    """array.array buffers for the four frame columns, and the two tables:
+    a bytearray of the entries' digests, end to end, and an array of their
+    MACs, deduplicated through one dict keyed by the 28 bytes of digest and
+    little-endian MAC."""
 
     def __init__(self):
         self.stops: dict[str, int] = {}
-        self.idents: dict[tuple[bytes, int], int] = {}
+        self.idents: dict[bytes, int] = {}
+        self.digests, self.macs = bytearray(), array("q")
         self.stop, self.t, self.device, self.rssi = array("i"), array("q"), array("i"), array("h")
 
     def stop_code(self, name: str) -> int:
         return self.stops.setdefault(name, len(self.stops))
 
     def device_code(self, digest: bytes, mac: int) -> int:
-        return self.idents.setdefault((digest, mac), len(self.idents))
+        key = digest + mac.to_bytes(8, "little", signed=True)
+        code = self.idents.get(key)
+        if code is None:
+            code = self.idents[key] = len(self.idents)
+            self.digests += digest
+            self.macs.append(mac)
+        return code
 
     def build(self) -> FrameColumns:
-        """The columns, wrapping the buffers without a copy; the builder
-        must not append after this."""
-        # fromiter fills the tables without a list of the entries, and
-        # bytes.join would hold an 80-byte buffer view per digest.
-        k = len(self.idents)
-        digests = np.fromiter((digest for digest, _ in self.idents), "V20", k)
+        """The columns and tables, wrapping the buffers without a copy; the
+        builder must not append after this."""
         return FrameColumns(
             stops=tuple(self.stops),
-            digests=digests.view(np.uint8).reshape(k, 20),
-            macs=np.fromiter((mac for _, mac in self.idents), np.int64, k),
+            digests=np.frombuffer(self.digests, dtype=np.uint8).reshape(-1, 20),
+            macs=np.frombuffer(self.macs, dtype=np.int64),
             stop=np.frombuffer(self.stop, dtype=np.int32),
             t=np.frombuffer(self.t, dtype=np.int64),
             device=np.frombuffer(self.device, dtype=np.int32),
@@ -396,7 +411,7 @@ def _identity(mac_text: str, anonymized_input: bool) -> tuple[bytes, int] | None
         return None
 
 
-def _read_header(text: IO[str], report: ParseReport) -> int:
+def _read_header(text: IO[str], report: ParseReport, source: PathOrStream) -> int:
     """Consume the comment lines and the header; returns the lines read."""
     line_no = 0
     header = None
@@ -410,7 +425,8 @@ def _read_header(text: IO[str], report: ParseReport) -> int:
         header = stripped
         break
     if header != FRAME_HEADER:
-        raise ParseError(f"frame CSV must start with header {FRAME_HEADER!r}, got {header!r}")
+        raise ParseError(f"{source_name(source)}: frame CSV must start with header "
+                         f"{FRAME_HEADER!r}, got {header!r}")
     return line_no
 
 
@@ -552,7 +568,7 @@ def parse_frame_csv(source: PathOrStream) -> tuple[FrameColumns, ParseReport]:
     report = ParseReport()
     parser = _FrameParser(report)
     with _open_text(source) as text, decoding(source):
-        line_no = _read_header(text, report)
+        line_no = _read_header(text, report, source)
         while chunk := text.read(_CHUNK_CHARS):
             if not chunk.endswith("\n"):
                 chunk += text.readline()

@@ -50,6 +50,13 @@ def real(text: str) -> float:
     raise ValueError(f"non-finite number {text!r}")
 
 
+def source_name(source) -> str:
+    """How an error names ``source``: a path as itself, a stream by its
+    ``name``, or "input stream" when it has none."""
+    name = source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "")
+    return str(name or "input stream")
+
+
 @contextlib.contextmanager
 def decoding(source) -> Iterator[None]:
     """Re-raise an error met while decoding ``source`` in the with-block,
@@ -58,8 +65,7 @@ def decoding(source) -> Iterator[None]:
     try:
         yield
     except (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        name = source if isinstance(source, (str, os.PathLike)) else getattr(source, "name", "")
-        raise ParseError(f"{name or 'input stream'}: cannot decode: {exc}") from None
+        raise ParseError(f"{source_name(source)}: cannot decode: {exc}") from None
 
 
 def write_json(dest: PathLike, payload, compact: bool = False) -> None:

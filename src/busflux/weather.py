@@ -18,7 +18,7 @@ from datetime import datetime, timedelta
 from typing import IO, Sequence, Union
 
 from .errors import ParseError
-from .schema import decoding, to_dict, write_json
+from .schema import decoding, source_name, to_dict, write_json
 
 # Field names follow the OpenWeather bulk export exactly.
 NUMERIC_FIELDS = (
@@ -183,16 +183,18 @@ def parse_weather(
         buf = io.StringIO(text)
         header = buf.readline().rstrip("\r\n")
         if header != CSV_HEADER:
-            raise ParseError(f"weather CSV needs header {CSV_HEADER!r}, got {header!r}")
+            raise ParseError(f"{source_name(source)}: weather CSV needs header "
+                             f"{CSV_HEADER!r}, got {header!r}")
         names = header.split(",")
         rows = [dict(zip(names, row)) for row in csv.reader(buf) if row]
     else:
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"weather JSON unreadable: {exc}") from exc
+            raise ParseError(f"{source_name(source)}: weather JSON unreadable: {exc}") from exc
         if not isinstance(payload, list):
-            raise ParseError("weather JSON must be an array of hourly objects")
+            raise ParseError(f"{source_name(source)}: weather JSON must be an array of "
+                             "hourly objects")
         rows = payload
 
     observations: list[WeatherObservation] = []

@@ -601,12 +601,17 @@ def test_missing_input_exits_2(tmp_path):
                "--out-report", tmp_path / "r.json") == 2
 
 
-def test_unparseable_input_exits_2(tmp_path):
+def test_an_unparseable_input_prints_one_error_line_naming_it(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("not,a,frame,header\n1,2,3,4\n")
-    assert run("clean", "--frames", bad,
-               "--out-segments", tmp_path / "s.csv",
-               "--out-report", tmp_path / "r.json") == 2
+    bad.write_text("a,b\n1,2\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "busflux.cli", "clean", "--frames", str(bad),
+         "--out-segments", str(tmp_path / "s.csv"), "--out-report", str(tmp_path / "r.json")],
+        env=conftest.child_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: {bad}: frame CSV must start with header "
+        "'bus_stop,timestamp_utc,mac,rssi_dbm', got 'a,b'"]
 
 
 def test_invalid_config_json_exits_2(ws, tmp_path):
@@ -842,7 +847,38 @@ def test_importing_the_package_loads_no_numpy():
 
 def test_importing_the_cli_loads_no_network_modules():
     code = ("import sys, busflux.cli; "
-            "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client') if m in sys.modules))")
+            "print(sorted(m for m in ('xml.sax', 'urllib.request', 'http.client', '_hashlib') "
+            "if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_stages_that_draw_no_random_numbers_never_load_openssl(ws, tmp_path):
+    """Only numpy.random (synth, featurize, the nets) may pull in OpenSSL's
+    libcrypto, through secrets and hmac; busflux hashes with the built-ins."""
+    train = ("--train", ws["train"], "--meta", ws["meta"])
+    steps = [
+        ("clean", "--frames", ws["frames"], "--out-segments", tmp_path / "segments.csv",
+         "--out-report", tmp_path / "clean.json"),
+        ("aggregate", "--segments", ws["segments"], "--out-hourly", tmp_path / "hourly.csv"),
+        ("join", "--hourly", ws["hourly"], "--weather", ws["weather"],
+         "--out-joined", tmp_path / "joined.csv"),
+        ("plot", "--counts", ws["hourly"], "--out", tmp_path / "counts.svg"),
+        *(("train", "--model", model, "--config", ws["cfg"], *train,
+           "--out-model", tmp_path / f"{model}.json") for model in ("lr", "cart", "gbt")),
+        ("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", ws["lr"],
+         "--model", ws["gbt"], "--out-report", tmp_path / "eval.json"),
+        ("importance", "--model", ws["gbt"], "--out", tmp_path / "importance.csv"),
+    ]
+    code = ("import json, sys\n"
+            "from busflux.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "    print(' '.join(argv[:3]), '_hashlib' in sys.modules)\n")
+    argvs = json.dumps([[str(a) for a in step] for step in steps])
+    result = subprocess.run([sys.executable, "-c", code, argvs], env=conftest.child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    loaded = result.stdout.splitlines()
+    assert len(loaded) == len(steps)
+    assert [line for line in loaded if line.endswith("True")] == []

@@ -278,11 +278,16 @@ def test_a_quoted_mac_field_with_a_trailing_newline_is_a_bad_mac(tmp_path, anony
     assert [(i.reason, i.raw) for i in report.issues] == [("bad mac", digest + "\n")]
 
 
-def test_parse_missing_header_is_parse_error(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ParseError):
+@pytest.mark.parametrize("text", ["", "a,b\n1,2\n", f"{ANONYMIZED_FLAG}\na,b\n"],
+                         ids=["empty", "wrong", "flag then wrong"])
+def test_a_wrong_header_names_the_file_or_the_stream(tmp_path, text):
+    path = tmp_path / "frames.csv"
+    path.write_text(text)
+    message = "frame CSV must start with header "
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}"):
         parse_frame_csv(path)
+    with pytest.raises(ParseError, match=f"^input stream: {message}"):
+        parse_frame_csv(_Unseekable(text.encode()))
 
 
 def test_sorted_frames_groups_by_stop_then_device_then_time():

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 
+import conftest
 import pytest
 
 from busflux.errors import ParseError
@@ -35,6 +38,33 @@ def test_sha256_of_empty_file(tmp_path):
     path = tmp_path / "empty"
     path.write_bytes(b"")
     assert sha256_file(path) == hashlib.sha256(b"").hexdigest()
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256", "_sha1")])
+def test_digests_equal_hashlib_with_or_without_the_built_in_hashes(tmp_path, blocked):
+    """With the built-in modules, busflux hashes without loading OpenSSL;
+    with none of them, as in an interpreter built without them, it falls
+    back to hashlib. The 3.10/3.11 and the 3.12+ module names are both
+    blocked, so either interpreter takes the fallback; a fresh interpreter
+    imports both busflux modules after the block."""
+    path = tmp_path / "data.bin"
+    payload = bytes(range(256)) * 5000
+    path.write_bytes(payload)
+    code = ("import json, sys\n"
+            "for name in json.loads(sys.argv[2]):\n"
+            "    sys.modules[name] = None\n"
+            "from busflux import frames, manifest\n"
+            "print(manifest.sha256_file(sys.argv[1]))\n"
+            "print(frames.anonymize(0x00B8000000FF).hex)\n"
+            "print('_hashlib' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code, str(path), json.dumps(blocked)],
+                            env=conftest.child_env(), capture_output=True, text=True,
+                            timeout=60, check=True)
+    assert result.stdout.split() == [
+        hashlib.sha256(payload).hexdigest(),
+        hashlib.sha1(b"00:B8:00:00:00:FF").hexdigest(),
+        str(bool(blocked)),
+    ]
 
 
 def test_labels_default_to_basenames(tmp_path):

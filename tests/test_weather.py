@@ -197,18 +197,18 @@ def test_parse_csv_with_same_fields(tmp_path):
     assert report.rows_ok == 1
 
 
-def test_csv_with_wrong_header_is_fatal(tmp_path):
-    path = tmp_path / "wx.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ParseError):
+@pytest.mark.parametrize("name, text, message", [
+    ("wx.csv", "a,b\n1,2\n", "weather CSV needs header "),
+    ("wx.json", "[1, 2", "weather JSON unreadable: "),
+    ("wx.json", '{"dt": 1}', "weather JSON must be an array of hourly objects"),
+], ids=["csv header", "json unreadable", "json not an array"])
+def test_a_fatal_weather_error_names_the_file_or_the_stream(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}"):
         parse_weather(path)
-
-
-def test_json_that_is_not_an_array_is_fatal(tmp_path):
-    path = tmp_path / "wx.json"
-    path.write_text('{"dt": 1}')
-    with pytest.raises(ParseError):
-        parse_weather(path)
+    with pytest.raises(ParseError, match=f"^input stream: {re.escape(message)}"):
+        parse_weather(io.BytesIO(text.encode()))
 
 
 def test_weather_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path):
