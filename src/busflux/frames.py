@@ -50,16 +50,7 @@ from typing import IO, Iterable, Iterator, Union
 import numpy as np
 
 from .errors import ParseError
-from .schema import decoding, source_name
-
-# CPython's built-in SHA-1 gives OpenSSL's digests without loading its
-# libcrypto (3.3 MB resident in every stage that imports this module); the
-# stdlib's random takes its SHA-512 the same way. The OpenSSL-backed module
-# is the fallback for an interpreter built without the built-in one.
-try:
-    from _sha1 import sha1
-except ImportError:
-    from hashlib import sha1
+from .schema import decoding, sha1, source_name
 
 FRAME_HEADER = "bus_stop,timestamp_utc,mac,rssi_dbm"
 ANONYMIZED_FLAG = "#anonymized=true"
@@ -124,7 +115,8 @@ class DeviceId:
 
 
 def anonymize(mac: int) -> DeviceId:
-    """SHA-1 over the canonical 17-char text form (unsalted, stable everywhere)."""
+    """SHA-1 over the canonical 17-char text form (unsalted, stable everywhere).
+    ``schema.sha1`` is CPython's built-in SHA-1, which loads no OpenSSL."""
     return DeviceId(sha1(format_mac(mac).encode("ascii")).digest())
 
 

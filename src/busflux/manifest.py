@@ -3,13 +3,8 @@
 The digests of the declared outputs are the reproducibility contract —
 rerunning a stage with identical inputs and seed must reproduce them byte
 for byte. Timings are informational and excluded from any comparison.
-
-The digests come from CPython's built-in SHA-256 (``_sha2`` from 3.12,
-``_sha256`` before), the lean module that the stdlib's ``random`` also
-tries first for its SHA-512. Its digests are OpenSSL's, but it loads no
-libcrypto, whose 3.3 MB of resident pages every stage would otherwise
-carry only to hash its inputs and outputs. The OpenSSL-backed module is
-the fallback for an interpreter built without the built-in one.
+The digests come from ``schema.sha256``, CPython's built-in SHA-256,
+which loads no OpenSSL.
 """
 
 from __future__ import annotations
@@ -18,15 +13,7 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Union
 
-from .schema import read_json, to_dict, write_json
-
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+from .schema import read_json, sha256, to_dict, write_json
 
 FORMAT_VERSION = 1
 

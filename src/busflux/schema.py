@@ -21,6 +21,14 @@ object, a ``timedelta`` field ``x`` is the integer key ``x_seconds``, a
 ``date`` is an ISO string and a tuple is a list. Unknown keys, values of
 the wrong type and non-finite numbers (JSON's ``NaN`` and ``Infinity``)
 raise a ConfigError naming the dotted key.
+
+``sha1`` and ``sha256``, for device digests and manifests, are CPython's
+built-in hashes (``_sha1``; ``_sha2`` from 3.12, ``_sha256`` before), the
+lean modules that the stdlib's ``random`` also tries first for its
+SHA-512. Their digests are OpenSSL's, but they load no libcrypto, whose
+3.3 MB of resident pages every stage would otherwise carry only to hash.
+The OpenSSL-backed module is the fallback for an interpreter built
+without them.
 """
 
 from __future__ import annotations
@@ -38,6 +46,18 @@ from types import UnionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from .errors import ConfigError, ParseError
+
+try:
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 PathLike = Union[str, os.PathLike]
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import os
+import subprocess
+import sys
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -32,6 +35,19 @@ def child_env(**overrides: str) -> dict[str, str]:
     src = str(Path(busflux.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, **overrides, "PYTHONPATH": path}
+
+
+@functools.cache
+def numpy_loads_openssl() -> bool:
+    """Whether ``import numpy`` alone loads OpenSSL's ``_hashlib``. numpy
+    2.4 imports numpy.random on first use; the 1.x line imports it with
+    numpy itself, and numpy.random imports secrets, hmac and so
+    ``_hashlib``. Where it does, busflux's built-in hashes cannot keep
+    OpenSSL out of a stage, and the tests of that skip the check."""
+    code = "import sys, numpy; print('_hashlib' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                            capture_output=True, text=True, timeout=60, check=True)
+    return result.stdout.strip() == "True"
 
 
 def mac(text: str) -> int:
