@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from busflux.cleaning import clean
-from busflux.aggregation import segment_hourly_counts
+from busflux.aggregation import hourly_counts
 from busflux.plots import hourly_series, line_chart
 from busflux.synth import default_scenario, generate
 
@@ -47,7 +47,7 @@ print(f"\nrecovered devices == planted devices: {kept_devices == planted_devices
 
 # Aggregate: the hourly mean of minute-level distinct-device counts,
 # zero-filled over the full observed range.
-hours = segment_hourly_counts(segments)
+hours = hourly_counts(segments)
 print(f"{len(segments)} segments -> {len(hours)} hourly rows")
 
 busiest = max(hours, key=lambda h: h.count)

@@ -11,7 +11,7 @@ the networks should win clearly here.
 
 from pathlib import Path
 
-from busflux.aggregation import segment_hourly_counts
+from busflux.aggregation import hourly_counts
 from busflux.cleaning import clean
 from busflux.config import default_calendar
 from busflux.features import FeatureCodec, SplitSpec, build_rows, split_rows
@@ -31,7 +31,7 @@ OUT.mkdir(exist_ok=True)
 # Pipeline front half: frames -> segments -> hourly counts -> joined rows.
 frames, weather, _ = generate(nonlinear_scenario(seed=11))
 segments, _ = clean(frames)
-hours = segment_hourly_counts(segments)
+hours = hourly_counts(segments)
 rows, join_report = build_rows(hours, hourly_lookup(weather), default_calendar())
 print(f"{len(frames)} frames -> {len(hours)} hourly rows -> {len(rows)} feature rows")
 

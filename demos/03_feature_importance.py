@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from busflux.aggregation import segment_hourly_counts
+from busflux.aggregation import hourly_counts
 from busflux.cleaning import clean
 from busflux.config import default_calendar
 from busflux.features import FeatureCodec, FeatureMatrix, SplitSpec, build_rows, split_rows
@@ -42,7 +42,7 @@ print(f"  importance sums to {probe.importance.sum():.9f}")
 # Now the real thing: importance over the pipeline's demand features.
 frames, weather, _ = generate(nonlinear_scenario(seed=11))
 segments, _ = clean(frames)
-hours = segment_hourly_counts(segments)
+hours = hourly_counts(segments)
 rows, _ = build_rows(hours, hourly_lookup(weather), default_calendar())
 train_rows, _, _ = split_rows(rows, SplitSpec(seed=1))
 train = FeatureCodec.fit(train_rows).transform(train_rows)

@@ -103,7 +103,7 @@ def _hourly_rows(
     return out
 
 
-def segment_hourly_counts(
+def hourly_counts(
     segments: Iterable[Segment],
     *,
     start: datetime | None = None,

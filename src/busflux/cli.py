@@ -37,9 +37,9 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import __version__
 from .aggregation import (
+    hourly_counts,
     minute_counts,
     read_hourly_csv,
-    segment_hourly_counts,
     write_hourly_csv,
     write_minute_csv,
 )
@@ -148,7 +148,7 @@ def cmd_aggregate(args, cfg: PipelineConfig, timings: dict[str, float]):
         raise BusfluxError(f"--start {args.start} is later than --end {args.end}")
     with _timed(timings, "aggregate"):
         segments = read_segment_csv(args.segments)
-        hours = segment_hourly_counts(segments, start=args.start, end=args.end)
+        hours = hourly_counts(segments, start=args.start, end=args.end)
     if segments and not hours:
         # A one-sided range that lies beyond the data's span.
         first = min(s.start for s in segments).replace(minute=0, second=0)

@@ -12,10 +12,10 @@ a device table of two arrays, (k, 20) uint8 digest rows and int64 MACs
 (-1 where the input gave no raw address), and int16 RSSI. The parser
 streams its input, plain or gzipped, in chunks of whole lines and
 appends accepted rows to array.array buffers, and each new device's
-digest and MAC to a bytearray and an array.array, so no per-frame Python
-object outlives its chunk, and no per-device one outlives the parse; the
-finished columns and device table are numpy views of those buffers
-(np.frombuffer), not copies. A chunk of canonical rows, as
+digest and MAC to a bytearray and an array.array, keyed by MAC field
+text in one dict that dies with the parse. No per-frame Python object
+outlives its chunk; the finished columns and device table are numpy
+views of those buffers, not copies. A chunk of canonical rows, as
 write_frame_csv writes them, is converted a column at a time: a shape
 check and numpy's ISO-8601 parser for the timestamps, and one check per
 distinct stop, MAC and RSSI text. From the first chunk that is not
@@ -125,8 +125,9 @@ class FrameRecord:
     """One captured frame observation.
 
     ``mac``, the raw address as its 48-bit integer, is carried only when
-    the input held one; files that arrive pre-anonymized leave it None,
-    which disables the randomization filter downstream.
+    the input held one, and then ``device`` is ``anonymize(mac)``; files
+    that arrive pre-anonymized leave it None, which disables the
+    randomization filter downstream.
     """
 
     stop: str
@@ -211,10 +212,10 @@ class FrameColumns:
     def from_records(cls, records: Iterable[FrameRecord]) -> "FrameColumns":
         columns = _ColumnBuilder()
         for r in records:
+            text, mac = (r.device.hex, -1) if r.mac is None else (format_mac(r.mac), r.mac)
             columns.stop.append(columns.stop_code(r.stop))
             columns.t.append(epoch_seconds(r.at))
-            columns.device.append(columns.device_code(r.device.digest,
-                                                      -1 if r.mac is None else r.mac))
+            columns.device.append(columns.device_code(text, r.device.digest, mac))
             columns.rssi.append(r.rssi)
         return columns.build()
 
@@ -254,23 +255,23 @@ class FrameColumns:
 class _ColumnBuilder:
     """array.array buffers for the four frame columns, and the two tables:
     a bytearray of the entries' digests, end to end, and an array of their
-    MACs, deduplicated through one dict keyed by the 28 bytes of digest and
-    little-endian MAC."""
+    MACs. ``devices`` maps MAC field text to entry: each entry's canonical
+    text, which names one (digest, MAC) pair, as format_mac or lowercase
+    hex writes it, and any other spelling that the parser meets."""
 
     def __init__(self):
         self.stops: dict[str, int] = {}
-        self.idents: dict[bytes, int] = {}
+        self.devices: dict[str, int] = {}
         self.digests, self.macs = bytearray(), array("q")
         self.stop, self.t, self.device, self.rssi = array("i"), array("q"), array("i"), array("h")
 
     def stop_code(self, name: str) -> int:
         return self.stops.setdefault(name, len(self.stops))
 
-    def device_code(self, digest: bytes, mac: int) -> int:
-        key = digest + mac.to_bytes(8, "little", signed=True)
-        code = self.idents.get(key)
+    def device_code(self, text: str, digest: bytes, mac: int) -> int:
+        code = self.devices.get(text)
         if code is None:
-            code = self.idents[key] = len(self.idents)
+            code = self.devices[text] = len(self.macs)
             self.digests += digest
             self.macs.append(mac)
         return code
@@ -392,13 +393,13 @@ def _stop_issue(stop: str) -> str | None:
     return None
 
 
-def _identity(mac_text: str, anonymized_input: bool) -> tuple[bytes, int] | None:
-    """The (digest, raw MAC or -1) that a MAC field names; None when it names none."""
+def _identity(mac_text: str, anonymized_input: bool) -> tuple[str, bytes, int] | None:
+    """The (canonical text, digest, MAC or -1) a MAC field names, or None."""
     try:
         if len(mac_text) == 17 and not anonymized_input:
             mac = parse_mac(mac_text)
-            return anonymize(mac).digest, mac
-        return DeviceId.from_hex(mac_text).digest, -1
+            return format_mac(mac), anonymize(mac).digest, mac
+        return mac_text.lower(), DeviceId.from_hex(mac_text).digest, -1
     except ValueError:
         return None
 
@@ -424,14 +425,13 @@ def _read_header(text: IO[str], report: ParseReport, source: PathOrStream) -> in
 
 class _FrameParser:
     """Parse state shared by the chunk and the per-row path: the column
-    buffers and tables, and the field texts already validated. A row's
-    stop and device join the tables only once its row, or its whole
-    chunk, has passed."""
+    buffers and tables, whose dicts hold the stop and MAC texts already
+    validated, and the RSSI texts already read. A row's stop and device
+    join the tables only once its row, or its whole chunk, has passed."""
 
     def __init__(self, report: ParseReport):
         self.report = report
         self.columns = _ColumnBuilder()
-        self.device_codes: dict[str, int] = {}
         self.rssi_values: dict[str, int] = {}
 
     def canonical_chunk(self, chunk: str) -> int:
@@ -452,12 +452,12 @@ class _FrameParser:
         t = _epoch_seconds_of(fields[1::4])
         if t is None:
             return 0
-        columns, device_codes, rssi_values = self.columns, self.device_codes, self.rssi_values
+        columns, devices, rssi_values = self.columns, self.columns.devices, self.rssi_values
         new_rssi = {r: _rssi(r) for r in dict.fromkeys(rssis) if r not in rssi_values}
         new_stops = [s for s in dict.fromkeys(stops) if s not in columns.stops]
         anonymized = self.report.anonymized_input
         new_devices = {
-            m: _identity(m, anonymized) for m in dict.fromkeys(macs) if m not in device_codes
+            m: _identity(m, anonymized) for m in dict.fromkeys(macs) if m not in devices
         }
         if (
             any(issue for _, issue in new_rssi.values())
@@ -469,10 +469,10 @@ class _FrameParser:
         for s in new_stops:
             columns.stop_code(s)
         for m, ident in new_devices.items():
-            device_codes[m] = columns.device_code(*ident)
+            devices[m] = columns.device_code(*ident)
         columns.stop.extend(map(columns.stops.__getitem__, stops))
         columns.t.frombytes(t.tobytes())
-        columns.device.extend(map(device_codes.__getitem__, macs))
+        columns.device.extend(map(devices.__getitem__, macs))
         columns.rssi.extend(map(rssi_values.__getitem__, rssis))
         return len(lines)
 
@@ -481,7 +481,7 @@ class _FrameParser:
         bad row's issue; ``line_no`` is the line before the first. Returns
         the rows seen."""
         columns, issues = self.columns, self.report.issues
-        stop_codes, device_codes, rssi_values = columns.stops, self.device_codes, self.rssi_values
+        stop_codes, devices, rssi_values = columns.stops, columns.devices, self.rssi_values
         add_stop, add_t = columns.stop.append, columns.t.append
         add_device, add_rssi = columns.device.append, columns.rssi.append
         rows_total = 0
@@ -506,7 +506,7 @@ class _FrameParser:
                 if rssi_issue and rssi_issue != _RSSI_SPELLING:
                     issues.append(ParseIssue(line_no, rssi_issue, rssi_text))
                     continue
-            d = device_codes.get(mac_text)
+            d = devices.get(mac_text)
             if d is None:
                 ident = _identity(mac_text, self.report.anonymized_input)
                 if ident is None:
@@ -525,7 +525,7 @@ class _FrameParser:
             if s is None:
                 s = columns.stop_code(stop)
             if d is None:
-                d = device_codes[mac_text] = columns.device_code(*ident)
+                d = devices[mac_text] = columns.device_code(*ident)
             add_stop(s)
             add_t(t)
             add_device(d)
@@ -646,7 +646,7 @@ def write_frame_csv(
     """
     digest_form = anonymize_output or bool((frames.used_macs() < 0).any())
     hexes = frames.digests.tobytes().hex()
-    idents = [hexes[40 * i:40 * i + 40] if digest_form or mac < 0 else format_mac(mac)
+    texts = [hexes[40 * i:40 * i + 40] if digest_form or mac < 0 else format_mac(mac)
               for i, mac in enumerate(frames.macs.tolist())]
     stops = frames.stops
     # csv.writer fills one block's text at a time. No TextIOWrapper over
@@ -668,7 +668,7 @@ def write_frame_csv(
             writer.writerows(zip(
                 map(stops.__getitem__, frames.stop[block].tolist()),
                 format_epoch_seconds(frames.t[block]),
-                map(idents.__getitem__, frames.device[block].tolist()),
+                map(texts.__getitem__, frames.device[block].tolist()),
                 frames.rssi[block].tolist(),
             ))
             out.write(text.getvalue().encode("utf-8"))

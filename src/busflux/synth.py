@@ -34,7 +34,7 @@ from .aggregation import HourlyCount
 from .cleaning import CleaningConfig
 from .errors import ConfigError
 from .features import FeatureMatrix
-from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize
+from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize, format_mac
 from .schema import read_json, to_dict, write_json
 from .weather import WeatherObservation
 
@@ -342,7 +342,7 @@ def generate(
                     mac = _device_mac(device_index, randomized)
                     device_index += 1
                     device = anonymize(mac)
-                    entry = frames.device_code(device.digest, mac)
+                    entry = frames.device_code(format_mac(mac), device.digest, mac)
 
                     if cls == "short_dwell":
                         draw = lambda: int(rng_t.integers(10, 91))

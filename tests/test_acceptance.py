@@ -16,7 +16,7 @@ from time import perf_counter
 import conftest
 import numpy as np
 
-from busflux.aggregation import segment_hourly_counts
+from busflux.aggregation import hourly_counts
 from busflux.cleaning import clean
 from busflux.cli import main as cli_main
 from busflux.config import default_calendar
@@ -124,7 +124,7 @@ def test_criterion_2_noise_free_hourly_counts_match_truth_exactly():
     segments, report = clean(frames)
     assert report.kept_frames == len(frames)
 
-    hourly = segment_hourly_counts(segments)
+    hourly = hourly_counts(segments)
     assert len(hourly) > 0
     assert len(hourly) == len(truth.hourly)
     for got, want in zip(hourly, truth.hourly):
@@ -216,7 +216,7 @@ def test_criterion_5_neural_models_beat_linear_baseline():
     t_start = perf_counter()
     frames, weather, _ = generate(nonlinear_scenario())
     segments, _ = clean(frames)
-    hours = segment_hourly_counts(segments)
+    hours = hourly_counts(segments)
     rows, _ = build_rows(hours, hourly_lookup(weather), default_calendar())
     assert len(rows) > 200
 

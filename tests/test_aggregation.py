@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from busflux.aggregation import (
     HourlyCount,
+    hourly_counts,
     minute_counts,
     read_hourly_csv,
     read_minute_csv,
-    segment_hourly_counts,
     write_hourly_csv,
     write_minute_csv,
 )
@@ -112,14 +112,14 @@ def test_minute_count_equals_covering_segments(spans):
 def test_hourly_is_minute_sum_over_sixty():
     # 45 covered minutes in one hour -> 45/60 device-hours
     s = seg("stop-01", T0, T0 + timedelta(minutes=44))
-    hours = segment_hourly_counts([s])
+    hours = hourly_counts([s])
     assert hours == [HourlyCount("stop-01", T0, 45 / 60.0)]
 
 
 def test_hourly_zero_fills_global_range_for_all_stops():
     early = seg("stop-01", T0, T0 + timedelta(minutes=5), idx=1)
     late = seg("stop-02", T0 + timedelta(hours=2), T0 + timedelta(hours=2, minutes=5), idx=2)
-    hours = segment_hourly_counts([early, late])
+    hours = hourly_counts([early, late])
     # 3 hours x 2 stops, hour-major then stop ordering
     assert [(h.stop, h.hour) for h in hours] == [
         ("stop-01", T0),
@@ -134,7 +134,7 @@ def test_hourly_zero_fills_global_range_for_all_stops():
 
 def test_hourly_explicit_range_extends_zero_fill():
     s = seg("stop-01", T0, T0 + timedelta(minutes=5))
-    hours = segment_hourly_counts(
+    hours = hourly_counts(
         [s],
         start=T0 - timedelta(hours=1),
         end=T0 + timedelta(hours=1),
@@ -148,13 +148,13 @@ def test_hourly_explicit_range_extends_zero_fill():
 
 def test_hourly_explicit_stops_add_all_zero_series():
     s = seg("stop-01", T0, T0 + timedelta(minutes=5))
-    hours = segment_hourly_counts([s], stops=["stop-01", "stop-03"])
+    hours = hourly_counts([s], stops=["stop-01", "stop-03"])
     assert {h.stop for h in hours} == {"stop-01", "stop-03"}
     assert all(h.count == 0.0 for h in hours if h.stop == "stop-03")
 
 
 def test_hourly_of_nothing_is_empty():
-    assert segment_hourly_counts([]) == []
+    assert hourly_counts([]) == []
 
 
 def test_hour_total_equals_minute_total_over_sixty():
@@ -163,7 +163,7 @@ def test_hour_total_equals_minute_total_over_sixty():
         for i in range(10)
     ]
     minutes = minute_counts(segments)
-    hours = segment_hourly_counts(segments)
+    hours = hourly_counts(segments)
     assert sum(h.count for h in hours) * 60 == pytest.approx(sum(m.count for m in minutes))
 
 
@@ -211,7 +211,7 @@ window_offsets = st.none() | st.integers(min_value=-2 * 3600, max_value=8 * 3600
     end=window_offsets,
     stops=st.none() | st.lists(st.sampled_from(STOPS + ["stop-09"]), max_size=4),
 )
-def test_segment_hourly_counts_equal_brute_force_minutes(spans, start, end, stops):
+def test_hourly_counts_equal_brute_force_minutes(spans, start, end, stops):
     segments = [
         seg(stop, LATE + timedelta(seconds=a), LATE + timedelta(seconds=a + d), idx=i)
         for i, (stop, a, d) in enumerate(spans)
@@ -222,7 +222,7 @@ def test_segment_hourly_counts_equal_brute_force_minutes(spans, start, end, stop
         stops=stops,
     )
     expected = brute_force_hours(segments, **window)
-    assert segment_hourly_counts(segments, **window) == expected
+    assert hourly_counts(segments, **window) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,9 +251,9 @@ def test_hourly_counts_are_additive_over_disjoint_stop_sets(spans, start, hours,
     for group in set(groups):
         subset = [stop for stop, g in zip(stops, groups) if g == group]
         part = [s for s in segments if s.stop in subset]
-        merged += segment_hourly_counts(part, stops=subset, **window)
+        merged += hourly_counts(part, stops=subset, **window)
     merged.sort(key=lambda h: (h.hour, h.stop))
-    assert segment_hourly_counts(segments, stops=stops, **window) == merged
+    assert hourly_counts(segments, stops=stops, **window) == merged
 
 
 # ── CSV round-trips ──────────────────────────────────────────────────────────
@@ -267,7 +267,7 @@ def test_minute_csv_round_trip(tmp_path):
 
 
 def test_hourly_csv_round_trip_preserves_exact_reals(tmp_path):
-    hours = segment_hourly_counts([seg("stop-01", T0, T0 + timedelta(minutes=44))])
+    hours = hourly_counts([seg("stop-01", T0, T0 + timedelta(minutes=44))])
     path = tmp_path / "hourly.csv"
     write_hourly_csv(hours, path)
     back = read_hourly_csv(path)

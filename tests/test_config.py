@@ -21,8 +21,8 @@ from busflux.errors import ConfigError, ParseError
 from busflux.features import SplitSpec
 from busflux.frames import parse_frame_csv
 from busflux.models.config import TrainConfig
-from busflux.schema import to_dict
-from busflux.synth import NoiseMix, ScenarioConfig, read_truth_json
+from busflux.schema import from_dict, to_dict
+from busflux.synth import DemandModel, NoiseMix, ScenarioConfig, read_truth_json
 
 # The dict form of the default config as the hand-written converters
 # produced it; run manifests and model files embed it, so it must not move.
@@ -190,11 +190,32 @@ def test_default_dicts_are_pinned():
         ({"calendar": 3}, "calendar"),
         ({"cleaning": {"gap_seconds": 30}}, "cleaning"),
         ({"scenario": {"cleaning": {"rssi_lo": -70}}}, "scenario.cleaning"),
+        ({"scenario": {"demand": {"stop_weights": 3}}}, "scenario.demand.stop_weights"),
+        # One per DemandModel and TrainConfig range check; they name the section.
+        ({"scenario": {"demand": {"base_rate": -0.5}}}, "scenario.demand"),
+        ({"scenario": {"demand": {"hour_shape": [1.0] * 20}}}, "scenario.demand"),
+        ({"scenario": {"demand": {"hour_shape": [0.0] * 23 + [1.0]}}}, "scenario.demand"),
+        ({"scenario": {"demand": {"weekday_weights": [1, 1, 1, 1, 1, 1, -1]}}},
+         "scenario.demand"),
+        ({"train": {"epochs": 0}}, "train"),
+        ({"train": {"batch_size": 0}}, "train"),
+        ({"train": {"learning_rate": -0.1}}, "train"),
+        ({"train": {"wnn_hidden": []}}, "train"),
+        ({"train": {"dnn_hidden": [16, 0]}}, "train"),
     ],
 )
 def test_unknown_keys_and_bad_values_name_the_dotted_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(repr(key))):
         config_from_dict(doc)
+
+
+def test_stop_weights_load_from_a_list_or_null():
+    weights = [2, 1.5, 1, 1, 0.5, 1, 1]
+    cfg = config_from_dict({"scenario": {"demand": {"stop_weights": weights}}})
+    assert cfg.scenario.demand.stop_weights == (2.0, 1.5, 1.0, 1.0, 0.5, 1.0, 1.0)
+    assert all(type(w) is float for w in cfg.scenario.demand.stop_weights)
+    # null replaces weights that the base holds, not only an absent default.
+    assert from_dict(DemandModel, {"stop_weights": None}, cfg.scenario.demand).stop_weights is None
 
 
 def test_float_fields_accept_integers():

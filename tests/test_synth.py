@@ -8,7 +8,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from busflux.aggregation import segment_hourly_counts
+from busflux.aggregation import hourly_counts
 from busflux.cleaning import clean
 from busflux.errors import ConfigError
 from busflux.frames import is_randomized
@@ -51,7 +51,7 @@ def test_noise_free_cleaning_recovers_planted_dwells_exactly():
 def test_noise_free_hourly_counts_match_planted_truth_bit_for_bit():
     frames, _, truth = generate(tiny())
     segments, _ = clean(frames)
-    hourly = segment_hourly_counts(segments)
+    hourly = hourly_counts(segments)
     assert [(h.stop, h.hour, h.count) for h in hourly] == [
         (h.stop, h.hour, h.count) for h in truth.hourly
     ]

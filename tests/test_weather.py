@@ -109,10 +109,27 @@ def test_range_violations_reject_rows(tmp_path):
         row(dt=DT_8AM + 3600, wind_deg=360.0),
         row(dt=DT_8AM + 7200, rain_1h=-1.0),
         row(dt=DT_8AM + 10800, temp=20.0),  # above temp_max
+        row(dt=DT_8AM + 14400, clouds_all=100.5),
+        row(dt=DT_8AM + 18000, wind_speed=-0.5),
     ]
     observations, report = parse_weather(write_json(tmp_path, rows))
     assert observations == []
-    assert len(report.rejected) == 4
+    assert report.rejected == [
+        (0, "humidity out of [0,100]: 101.0"),
+        (1, "wind_deg out of [0,360): 360.0"),
+        (2, "negative precipitation rain_1h: -1.0"),
+        (3, "temp ordering violated: 9.0 <= 20.0 <= 11.0"),
+        (4, "clouds_all out of [0,100]: 100.5"),
+        (5, "negative wind_speed: -0.5"),
+    ]
+
+
+@pytest.mark.parametrize("element", [None, 3, "row", [DT_8AM]])
+def test_json_element_that_is_not_an_object_rejects_its_row(tmp_path, element):
+    observations, report = parse_weather(write_json(tmp_path, [element, row()]))
+    assert [o.dt for o in observations] == [DT_8AM]
+    assert report.rows_total == 2 and report.rows_ok == 1
+    assert report.rejected == [(0, "not an object")]
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
