@@ -17,19 +17,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from typing import Iterable, Iterator, Sequence, Union
+from datetime import datetime
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-from .cleaning import Segment
-from .frames import format_timestamp, parse_timestamp
-from .schema import read_table, real, write_table
+from .schema import (EPOCH, format_timestamp, parse_timestamp, read_table, real, utc_datetime,
+                     whole_seconds, write_table)
+
+if TYPE_CHECKING:
+    from .cleaning import Segment
 
 MINUTE_HEADER = ("bus_stop", "timestamp_utc", "count")
 HOURLY_HEADER = ("bus_stop", "hour_utc", "count")
-
-_EPOCH = datetime(1970, 1, 1)
-_MINUTE = timedelta(minutes=1)
-_HOUR = timedelta(hours=1)
 
 # (stop, first minute index, last minute index) covered by one device
 _MinuteSpan = tuple[str, int, int]
@@ -49,12 +47,13 @@ class HourlyCount:
     count: float
 
 
+# Floored: the CLI's --start and --end may carry a fraction of a second.
 def _minute_index(at: datetime) -> int:
-    return (at - _EPOCH) // _MINUTE
+    return whole_seconds(at - EPOCH) // 60
 
 
 def _hour_index(at: datetime) -> int:
-    return (at - _EPOCH) // _HOUR
+    return whole_seconds(at - EPOCH) // 3600
 
 
 def _segment_spans(segments: Iterable[Segment]) -> Iterator[_MinuteSpan]:
@@ -97,7 +96,7 @@ def _hourly_rows(
     hi = _hour_index(end) if end is not None else max(hour for _, hour in totals)
     out: list[HourlyCount] = []
     for hour in range(lo, hi + 1):
-        at = _EPOCH + hour * _HOUR
+        at = utc_datetime(hour * 3600)
         for stop in stop_set:
             out.append(HourlyCount(stop=stop, hour=at, count=totals.get((stop, hour), 0) / 60.0))
     return out
@@ -131,7 +130,7 @@ def minute_counts(segments: Sequence[Segment]) -> list[MinuteCount]:
             key = (stop, m)
             counts[key] = counts.get(key, 0) + 1
     return [
-        MinuteCount(stop=stop, minute=_EPOCH + m * _MINUTE, count=n)
+        MinuteCount(stop=stop, minute=utc_datetime(m * 60), count=n)
         for (stop, m), n in sorted(counts.items())
     ]
 

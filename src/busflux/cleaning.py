@@ -53,10 +53,8 @@ from .frames import (
     _stop_ranks,
     device_ids,
     format_epoch_seconds,
-    parse_timestamp,
-    utc_datetime,
 )
-from .schema import read_table, real, write_table
+from .schema import parse_timestamp, read_table, real, utc_datetime, whole_seconds, write_table
 
 SEGMENT_HEADER = ("bus_stop", "device", "start_utc", "end_utc", "frame_count", "mean_rssi")
 _SEGMENT_TYPES = (str, DeviceId.from_hex, parse_timestamp, parse_timestamp, int, real)
@@ -284,11 +282,6 @@ class SegmentColumns:
             )
 
 
-def _whole_seconds(span: timedelta) -> int:
-    """``span`` in whole seconds, rounded down."""
-    return span // timedelta(seconds=1)
-
-
 def segment(frames: FrameColumns, cfg: CleaningConfig) -> SegmentColumns:
     """Split each (stop, device) frame series into gap-bounded segments.
 
@@ -302,7 +295,7 @@ def segment(frames: FrameColumns, cfg: CleaningConfig) -> SegmentColumns:
     n_devices = int(digest_rank.max(initial=-1)) + 1
     # Times are whole seconds, so "more than gap apart" is "more than the
     # gap's whole seconds apart".
-    gap = _whole_seconds(cfg.gap)
+    gap = whole_seconds(cfg.gap)
     t0 = int(frames.t.min()) if n else 0
     # Time offsets, then a gap's worth of room, so that the keys of two
     # (stop, device) series always lie more than the gap apart.
@@ -371,8 +364,8 @@ def filter_duration(
     duration = segments_in.end - segments_in.start
     # Whole-second durations: below d_min means below its seconds rounded
     # up, above d_max means above its seconds rounded down.
-    short = duration < -_whole_seconds(-cfg.d_min)
-    long_ = duration > _whole_seconds(cfg.d_max)
+    short = duration < -whole_seconds(-cfg.d_min)
+    long_ = duration > whole_seconds(cfg.d_max)
     return (
         segments_in.take(~(short | long_)),
         int(segments_in.frame_count[short].sum()),

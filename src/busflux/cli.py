@@ -21,7 +21,6 @@ entry module sets the default; library callers keep their own BLAS policy.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -74,7 +73,7 @@ from .plots import (
     report_bars,
     write_series_csv,
 )
-from .schema import decoding, from_dict, to_dict, write_json, write_table
+from .schema import from_dict, load_json, to_dict, write_json, write_table
 from .synth import (
     default_scenario,
     generate,
@@ -282,12 +281,11 @@ def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
             svg = line_chart(series, title="Hourly waiting devices per stop", x_label="hours since start", y_label="devices")
         else:
             source = args.mse_report
-            with open(args.mse_report, "r", encoding="utf-8") as fh, decoding(args.mse_report):
-                report = ComparisonReport.from_dict(json.load(fh))
+            report = ComparisonReport.from_dict(load_json(args.mse_report))
             labels, values = report_bars(report)
             series = [Series(name="mse", xs=tuple(range(len(values))), ys=tuple(values))]
             svg = bar_chart(labels, values, title="Model test MSE", y_label="mse")
-    except (ParseError, KeyError, json.JSONDecodeError) as exc:
+    except (ParseError, KeyError) as exc:
         # The file exists but does not hold the expected artifact.
         raise BusfluxError(f"unknown input schema in {source}: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -467,9 +465,6 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except BusfluxError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,17 +12,15 @@ is what run manifests snapshot.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Union
 
 from .cleaning import CleaningConfig
-from .errors import ParseError
 from .features import CampusCalendar, SplitSpec
 from .models.config import TrainConfig
-from .schema import decoding, from_dict, to_dict, write_json
+from .schema import from_dict, load_json, to_dict, write_json
 from .synth import ScenarioConfig
 
 DEFAULT_SEMESTER_START = date(2017, 1, 9)
@@ -48,12 +46,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 def load_config(path: Union[str, os.PathLike, None]) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
-    with open(path, "r", encoding="utf-8") as fh, decoding(path):
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(load_json(path))
 
 
 def write_config(cfg: PipelineConfig, dest: Union[str, os.PathLike]) -> None:

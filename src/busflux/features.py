@@ -20,8 +20,8 @@ import numpy as np
 
 from .aggregation import HourlyCount
 from .errors import BusfluxError, ConfigError
-from .frames import format_timestamp, parse_timestamp
-from .schema import read_json, read_table, real, to_dict, write_json, write_table
+from .schema import (format_timestamp, parse_timestamp, read_json, read_table, real, to_dict,
+                     write_json, write_table)
 from .weather import WeatherObservation
 
 WEEKDAY_NAMES = (

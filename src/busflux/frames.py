@@ -21,7 +21,9 @@ check and numpy's ISO-8601 parser for the timestamps, and one check per
 distinct stop, MAC and RSSI text. From the first chunk that is not
 canonical, csv.reader takes the rest a row at a time; that per-row path
 is the one authority on quoting and on every malformed row's reason and
-line. Both paths apply the same rule function per field.
+line. Both paths apply the same rule function per field. Timestamps follow
+``schema``'s codec, of which ``_epoch_seconds_of`` and
+``format_epoch_seconds`` are the vectorized numpy forms.
 
 The generator builds its frames with the parser's column builder, so
 FrameColumns is the one frame type from generator to cleaner.
@@ -43,14 +45,14 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
+from datetime import datetime
 from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
 from .errors import ParseError
-from .schema import decoding, sha1, source_name
+from .schema import decoding, epoch_seconds, parse_timestamp, sha1, source_name, utc_datetime
 
 FRAME_HEADER = "bus_stop,timestamp_utc,mac,rssi_dbm"
 ANONYMIZED_FLAG = "#anonymized=true"
@@ -161,23 +163,6 @@ class ParseReport:
         return dict(Counter(issue.reason for issue in self.issues))
 
 
-_EPOCH = datetime(1970, 1, 1)
-_SECOND = timedelta(seconds=1)
-
-
-def epoch_seconds(at: datetime) -> int:
-    """Whole seconds from the UTC epoch to the naive UTC time ``at``."""
-    seconds, rest = divmod(at - _EPOCH, _SECOND)
-    if rest:
-        raise ValueError(f"frame time has a fraction of a second: {at}")
-    return seconds
-
-
-def utc_datetime(seconds: int) -> datetime:
-    """The naive UTC time ``seconds`` after the epoch."""
-    return _EPOCH + timedelta(seconds=seconds)
-
-
 def device_ids(digests: np.ndarray) -> list[DeviceId]:
     """The DeviceId of each row of a digest array. Rows are sliced from
     one bytes object: numpy's S20 view of a row drops its trailing NULs."""
@@ -257,7 +242,9 @@ class _ColumnBuilder:
     a bytearray of the entries' digests, end to end, and an array of their
     MACs. ``devices`` maps MAC field text to entry: each entry's canonical
     text, which names one (digest, MAC) pair, as format_mac or lowercase
-    hex writes it, and any other spelling that the parser meets."""
+    hex writes it, and any other spelling that the parser meets. The
+    generator, which draws a new device for every trip, appends its
+    entries with ``add_device`` and keys none."""
 
     def __init__(self):
         self.stops: dict[str, int] = {}
@@ -271,10 +258,14 @@ class _ColumnBuilder:
     def device_code(self, text: str, digest: bytes, mac: int) -> int:
         code = self.devices.get(text)
         if code is None:
-            code = self.devices[text] = len(self.macs)
-            self.digests += digest
-            self.macs.append(mac)
+            code = self.devices[text] = self.add_device(digest, mac)
         return code
+
+    def add_device(self, digest: bytes, mac: int) -> int:
+        """Append a table entry, unkeyed, and return its index."""
+        self.digests += digest
+        self.macs.append(mac)
+        return len(self.macs) - 1
 
     def build(self) -> FrameColumns:
         """The columns and tables, wrapping the buffers without a copy; the
@@ -574,20 +565,6 @@ def parse_frame_csv(source: PathOrStream) -> tuple[FrameColumns, ParseReport]:
             report.rows_total += rows
     report.rows_ok = len(parser.columns.t)
     return parser.columns.build(), report
-
-
-def parse_timestamp(text: str) -> datetime:
-    """The naive UTC time that ``text`` names in the one timestamp shape of
-    busflux's files, exactly `YYYY-MM-DD hh:mm:ss`."""
-    # fromisoformat is much faster than strptime but accepts more shapes,
-    # so pin the separators first.
-    if len(text) != 19 or text[4] + text[7] + text[10] + text[13] + text[16] != "-- ::":
-        raise ValueError(f"bad timestamp: {text!r}")
-    return datetime.fromisoformat(text)
-
-
-def format_timestamp(at: datetime) -> str:
-    return at.isoformat(" ", "seconds")
 
 
 def format_epoch_seconds(seconds: np.ndarray) -> list[str]:

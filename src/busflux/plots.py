@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .aggregation import HourlyCount
 from .errors import ParseError
-from .models.metrics import ComparisonReport
-from .models.mlp import TrainHistory
 from .schema import write_table
+
+if TYPE_CHECKING:
+    from .aggregation import HourlyCount
+    from .models.metrics import ComparisonReport
+    from .models.mlp import TrainHistory
 
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 44, 48
@@ -193,14 +195,11 @@ def hourly_series(hours: Sequence[HourlyCount]) -> list[Series]:
     for h in hours:
         x = (h.hour - origin).total_seconds() / 3600.0
         by_stop.setdefault(h.stop, []).append((x, h.count))
-    return [
-        Series(
-            name=stop,
-            xs=tuple(x for x, _ in sorted(points)),
-            ys=tuple(y for _, y in sorted(points)),
-        )
-        for stop, points in sorted(by_stop.items())
-    ]
+    series = []
+    for stop, points in sorted(by_stop.items()):
+        xs, ys = zip(*sorted(points))
+        series.append(Series(name=stop, xs=xs, ys=ys))
+    return series
 
 
 def report_bars(report: ComparisonReport) -> tuple[list[str], list[float]]:

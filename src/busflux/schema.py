@@ -9,11 +9,18 @@ returns. Its own artifacts fail fast: a wrong header, a wrong field count,
 a cell that does not convert, or a non-finite number raises a ParseError
 naming the file and line. Floats are written as their shortest round-trip
 ``repr``, so a read-write cycle reproduces the bytes.
-Every JSON artifact is written by ``write_json``; those that carry a
-``format_version`` are read back through ``read_json``. Every reader of
-an input file, these two and the frame, weather and config readers,
-decodes it inside ``decoding``, so bytes that are not UTF-8, or gzip data
-that is cut short or corrupt, raise a ParseError naming the file.
+Every JSON artifact is written by ``write_json`` and every JSON document
+read by ``load_json``, so text that is not JSON raises a ParseError
+naming the file; ``read_json`` checks an artifact's ``format_version``.
+Only the weather reader, which has read its text to tell JSON from CSV,
+parses JSON itself. Every reader of an input file decodes it inside
+``decoding``, so bytes that are not UTF-8, or gzip data that is cut short
+or corrupt, raise a ParseError naming the file.
+
+A timestamp is a naive UTC ``datetime``, whole seconds since ``EPOCH``
+as an integer, and exactly `YYYY-MM-DD hh:mm:ss` as text; ``frames``
+holds the vectorized numpy forms of this codec. ``whole_seconds`` turns a
+``timedelta`` into integer seconds, rounded down.
 
 ``to_dict`` / ``from_dict`` convert config (and report) dataclasses,
 driven by their fields and type hints: a nested dataclass is a JSON
@@ -41,7 +48,7 @@ import json
 import os
 import typing
 import zlib
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from types import UnionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
@@ -68,6 +75,41 @@ def real(text: str) -> float:
     if value - value == 0.0:  # false for nan and ±inf; cheaper than math.isfinite
         return value
     raise ValueError(f"non-finite number {text!r}")
+
+
+EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+
+
+def whole_seconds(span: timedelta) -> int:
+    """``span`` in whole seconds, rounded down."""
+    return span // _SECOND
+
+
+def epoch_seconds(at: datetime) -> int:
+    """Whole seconds from the UTC epoch to the naive UTC time ``at``."""
+    if at.microsecond:
+        raise ValueError(f"time has a fraction of a second: {at}")
+    return whole_seconds(at - EPOCH)
+
+
+def utc_datetime(seconds: int) -> datetime:
+    """The naive UTC time ``seconds`` after the epoch."""
+    return EPOCH + timedelta(seconds=seconds)
+
+
+def parse_timestamp(text: str) -> datetime:
+    """The naive UTC time that ``text`` names in the one timestamp shape of
+    busflux's files, exactly `YYYY-MM-DD hh:mm:ss`."""
+    # fromisoformat is much faster than strptime but accepts more shapes,
+    # so pin the separators first.
+    if len(text) != 19 or text[4] + text[7] + text[10] + text[13] + text[16] != "-- ::":
+        raise ValueError(f"bad timestamp: {text!r}")
+    return datetime.fromisoformat(text)
+
+
+def format_timestamp(at: datetime) -> str:
+    return at.isoformat(" ", "seconds")
 
 
 def source_name(source) -> str:
@@ -103,6 +145,15 @@ def write_json(dest: PathLike, payload, compact: bool = False) -> None:
         fh.write("\n")
 
 
+def load_json(source: PathLike):
+    """The JSON document in ``source``; text that is not JSON raises a ParseError naming it."""
+    with open(source, "r", encoding="utf-8") as fh, decoding(source):
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{source}: not valid JSON: {exc}") from None
+
+
 @contextlib.contextmanager
 def read_json(source: PathLike, version: int) -> Iterator[dict]:
     """The JSON object in ``source``, for a with-block that builds an artifact.
@@ -111,8 +162,7 @@ def read_json(source: PathLike, version: int) -> Iterator[dict]:
     A missing key or a value of the wrong type or form met inside the block
     raises a ParseError naming the file.
     """
-    with open(source, "r", encoding="utf-8") as fh, decoding(source):
-        payload = json.load(fh)
+    payload = load_json(source)
     if not isinstance(payload, dict) or payload.get("format_version") != version:
         raise ParseError(f"{source}: expected a JSON object of format version {version}")
     try:
@@ -169,7 +219,7 @@ def to_dict(obj) -> dict:
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, timedelta):
-            out[f"{f.name}_seconds"] = int(value.total_seconds())
+            out[f"{f.name}_seconds"] = whole_seconds(value)
         else:
             out[f.name] = _dump(value)
     return out

@@ -34,11 +34,10 @@ from .aggregation import HourlyCount
 from .cleaning import CleaningConfig
 from .errors import ConfigError
 from .features import FeatureMatrix
-from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize, format_mac
-from .schema import read_json, to_dict, write_json
+from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize
+from .schema import (epoch_seconds, format_timestamp, parse_timestamp, read_json, to_dict,
+                     utc_datetime, whole_seconds, write_json)
 from .weather import WeatherObservation
-
-_EPOCH = datetime(1970, 1, 1)
 
 DEFAULT_STOPS = tuple(f"stop-{i:02d}" for i in range(1, 8))
 
@@ -180,8 +179,8 @@ def _truth_hourly(dwells: list[PlantedDwell]) -> list[HourlyCount]:
     """
     minute_hits: dict[tuple[str, int], int] = {}
     for d in dwells:
-        first = int((d.start - _EPOCH).total_seconds()) // 60
-        last = int((d.end - _EPOCH).total_seconds()) // 60
+        first = epoch_seconds(d.start) // 60
+        last = epoch_seconds(d.end) // 60
         for m in range(first, last + 1):
             key = (d.stop, m)
             minute_hits[key] = minute_hits.get(key, 0) + 1
@@ -197,7 +196,7 @@ def _truth_hourly(dwells: list[PlantedDwell]) -> list[HourlyCount]:
     return [
         HourlyCount(
             stop=stop,
-            hour=_EPOCH + timedelta(hours=h),
+            hour=utc_datetime(h * 3600),
             count=hour_sums.get((stop, h), 0) / 60.0,
         )
         for h in range(lo, hi + 1)
@@ -239,7 +238,7 @@ def _day_weather(day: date, rng: np.random.Generator, recent_rain: list[float]) 
         spread = round(float(rng.uniform(0.5, 2.0)), 2)
         out.append(
             WeatherObservation(
-                dt=int((datetime(day.year, day.month, day.day, hour) - _EPOCH).total_seconds()),
+                dt=epoch_seconds(datetime(day.year, day.month, day.day, hour)),
                 temp=round(temp, 2),
                 feels_like=round(temp - 1.5, 2),
                 temp_min=round(temp - spread, 2),
@@ -316,8 +315,8 @@ def generate(
     probs = probs / probs.sum()
     class_names = ("signal",) + NOISE_CLASSES
 
-    d_min = int(cleaning.d_min.total_seconds())
-    d_max = int(cleaning.d_max.total_seconds())
+    d_min = whole_seconds(cleaning.d_min)
+    d_max = whole_seconds(cleaning.d_max)
     keep_lo, keep_hi = cleaning.rssi_lo, cleaning.rssi_hi
     device_index = 0
     recent_rain: list[float] = []
@@ -329,7 +328,7 @@ def generate(
         rng_c = np.random.default_rng((cfg.seed, 3, day_index))
         day_weather = _day_weather(day, rng_w, recent_rain)
         weather.extend(day_weather)
-        day_start = int((datetime(day.year, day.month, day.day) - _EPOCH).total_seconds())
+        day_start = epoch_seconds(datetime(day.year, day.month, day.day))
 
         for stop_index, stop in enumerate(cfg.stops):
             for hour in range(24):
@@ -342,7 +341,8 @@ def generate(
                     mac = _device_mac(device_index, randomized)
                     device_index += 1
                     device = anonymize(mac)
-                    entry = frames.device_code(format_mac(mac), device.digest, mac)
+                    # A new device per trip: no lookup could find it again.
+                    entry = frames.add_device(device.digest, mac)
 
                     if cls == "short_dwell":
                         draw = lambda: int(rng_t.integers(10, 91))
@@ -374,16 +374,16 @@ def generate(
                             PlantedDwell(
                                 stop=stop,
                                 device=device,
-                                start=_EPOCH + timedelta(seconds=t0),
-                                end=_EPOCH + timedelta(seconds=t1),
+                                start=utc_datetime(t0),
+                                end=utc_datetime(t1),
                             )
                         )
                         truth.dwells.append(
                             PlantedDwell(
                                 stop=stop2,
                                 device=device,
-                                start=_EPOCH + timedelta(seconds=t2),
-                                end=_EPOCH + timedelta(seconds=t3),
+                                start=utc_datetime(t2),
+                                end=utc_datetime(t3),
                             )
                         )
                         truth.waiting.setdefault((stop, day), set()).add(device)
@@ -470,10 +470,10 @@ def write_truth_json(truth: GroundTruth, dest: Union[str, os.PathLike]) -> None:
         "format_version": 1,
         "waiting": waiting,
         "dwells": [
-            [d.stop, d.device.hex, d.start.isoformat(sep=" "), d.end.isoformat(sep=" ")]
+            [d.stop, d.device.hex, format_timestamp(d.start), format_timestamp(d.end)]
             for d in truth.dwells
         ],
-        "hourly": [[h.stop, h.hour.isoformat(sep=" "), h.count] for h in truth.hourly],
+        "hourly": [[h.stop, format_timestamp(h.hour), h.count] for h in truth.hourly],
         "coefficients": truth.coefficients,
         "signal_devices": truth.signal_devices,
         "signal_frames": truth.signal_frames,
@@ -495,13 +495,13 @@ def read_truth_json(source: Union[str, os.PathLike]) -> GroundTruth:
             PlantedDwell(
                 stop=stop,
                 device=DeviceId.from_hex(dev),
-                start=datetime.fromisoformat(start),
-                end=datetime.fromisoformat(end),
+                start=parse_timestamp(start),
+                end=parse_timestamp(end),
             )
             for stop, dev, start, end in payload["dwells"]
         ]
         truth.hourly = [
-            HourlyCount(stop=stop, hour=datetime.fromisoformat(hour), count=float(count))
+            HourlyCount(stop=stop, hour=parse_timestamp(hour), count=float(count))
             for stop, hour, count in payload["hourly"]
         ]
         truth.signal_devices = int(payload["signal_devices"])

@@ -14,11 +14,11 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import IO, Sequence, Union
 
 from .errors import ParseError
-from .schema import decoding, source_name, to_dict, write_json
+from .schema import decoding, epoch_seconds, source_name, to_dict, utc_datetime, write_json
 
 # Field names follow the OpenWeather bulk export exactly.
 NUMERIC_FIELDS = (
@@ -42,8 +42,6 @@ CATEGORICAL_FIELDS = ("weather_id", "weather_main", "weather_description")
 OPTIONAL_FIELDS = ("rain_1h", "rain_3h", "snow_1h", "snow_3h", "sea_level", "grnd_level")
 
 CSV_HEADER = "dt," + ",".join(NUMERIC_FIELDS) + "," + ",".join(CATEGORICAL_FIELDS)
-
-_EPOCH = datetime(1970, 1, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +70,7 @@ class WeatherObservation:
 
     @property
     def at(self) -> datetime:
-        return _EPOCH + timedelta(seconds=self.dt)
+        return utc_datetime(self.dt)
 
 
 @dataclass(slots=True)
@@ -163,10 +161,11 @@ def parse_weather(
     with a per-field absence counter. Duplicate dt keeps the first
     occurrence; out-of-order input is sorted. Both are warnings, not
     errors. Rows holding a non-finite number, a field of the wrong type or
-    a value violating range invariants are rejected into the report: ``dt``
-    and ``weather_id`` must be integers (a JSON integer, or integer text in
-    CSV), the other numbers JSON numbers or number text but never
-    booleans, and ``weather_main`` and ``weather_description`` strings.
+    a value violating range invariants, and CSV rows with more fields than
+    the header, are rejected into the report: ``dt`` and ``weather_id``
+    must be integers (a JSON integer, or integer text in CSV), the other
+    numbers JSON numbers or number text but never booleans, and
+    ``weather_main`` and ``weather_description`` strings.
     """
     with decoding(source):
         if hasattr(source, "read"):
@@ -178,7 +177,7 @@ def parse_weather(
 
     from_csv = text.lstrip()[:1] not in ("[", "{")
     report = WeatherParseReport()
-    rows: list[dict]
+    rows: list
     if from_csv:
         buf = io.StringIO(text)
         header = buf.readline().rstrip("\r\n")
@@ -186,7 +185,7 @@ def parse_weather(
             raise ParseError(f"{source_name(source)}: weather CSV needs header "
                              f"{CSV_HEADER!r}, got {header!r}")
         names = header.split(",")
-        rows = [dict(zip(names, row)) for row in csv.reader(buf) if row]
+        rows = [row for row in csv.reader(buf) if row]
     else:
         try:
             payload = json.loads(text)
@@ -202,7 +201,12 @@ def parse_weather(
     last_dt: int | None = None
     for index, raw in enumerate(rows):
         report.rows_total += 1
-        if not isinstance(raw, dict):
+        if from_csv:
+            if len(raw) > len(names):
+                report.rejected.append((index, f"{len(raw)} fields, the header has {len(names)}"))
+                continue
+            raw = dict(zip(names, raw))
+        elif not isinstance(raw, dict):
             report.rejected.append((index, "not an object"))
             continue
         obs = _build(raw, index, report, from_csv)
@@ -249,7 +253,7 @@ def hourly_lookup(
         if len(group) == 1:
             out[hour] = group[0]
             continue
-        merged = {"dt": int((hour - _EPOCH).total_seconds())}
+        merged = {"dt": epoch_seconds(hour)}
         for name in NUMERIC_FIELDS:
             merged[name] = sum(getattr(o, name) for o in group) / len(group)
         for name in CATEGORICAL_FIELDS:

@@ -14,7 +14,8 @@ import pytest
 
 import busflux
 from busflux.cleaning import Segment, SegmentColumns
-from busflux.frames import FrameRecord, anonymize, epoch_seconds, parse_mac
+from busflux.frames import FrameRecord, anonymize, parse_mac
+from busflux.schema import epoch_seconds
 
 T0 = datetime(2017, 4, 5, 8, 0, 0)
 

@@ -732,6 +732,29 @@ def test_importance_of_a_model_three_inputs_short_exits_2(ws, tmp_path, capsys):
     assert not (tmp_path / "i.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--meta"), ("train", "--meta"), ("importance", "--model"),
+])
+def test_a_json_input_that_is_not_json_exits_2_naming_the_file(ws, tmp_path, capsys,
+                                                                command, flag):
+    # Was "error: invalid JSON: Expecting value: …", which named no file.
+    bad = tmp_path / "not.json"
+    bad.write_text("feature,importance\n")
+    argv = {
+        "evaluate": ["--test", ws["test"], "--meta", ws["meta"], "--model", ws["lr"],
+                     "--out-report", tmp_path / "out.json"],
+        "train": ["--model", "lr", "--train", ws["train"], "--meta", ws["meta"],
+                  "--out-model", tmp_path / "out.json"],
+        "importance": ["--model", ws["gbt"], "--out", tmp_path / "out.json"],
+    }[command]
+    argv[argv.index(flag) + 1] = bad
+    assert run(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid JSON: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--history", "--mse-report"])
 def test_plotting_an_empty_artifact_exits_1(ws, tmp_path, capsys, flag):
     if flag == "--history":
@@ -838,8 +861,12 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("busflux ")
 
 
-def test_importing_the_package_loads_no_numpy():
-    code = "import sys, busflux; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+@pytest.mark.parametrize("module", [
+    "busflux", "busflux.schema", "busflux.weather", "busflux.manifest", "busflux.aggregation",
+    "busflux.plots",
+])
+def test_importing_the_package_loads_no_numpy(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
     result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"

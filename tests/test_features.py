@@ -39,8 +39,7 @@ from busflux.features import (
     write_joined_csv,
     write_matrix_meta,
 )
-from busflux.frames import format_timestamp, parse_timestamp
-from busflux.schema import read_table, real
+from busflux.schema import format_timestamp, parse_timestamp, read_table, real
 from busflux.weather import WeatherObservation
 
 SEMESTER = date(2017, 1, 9)  # a Monday

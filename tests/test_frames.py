@@ -31,17 +31,15 @@ from busflux.frames import (
     _epoch_seconds_of,
     anonymize,
     device_ids,
-    epoch_seconds,
     format_epoch_seconds,
     format_mac,
-    format_timestamp,
     is_randomized,
     parse_frame_csv,
     parse_mac,
-    parse_timestamp,
     sorted_frames,
     write_frame_csv,
 )
+from busflux.schema import epoch_seconds, format_timestamp, parse_timestamp
 from busflux.synth import default_scenario, generate
 from conftest import digest_rows, frame, mac
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 from datetime import date
 
@@ -90,6 +91,23 @@ def test_noise_class_lands_in_its_own_counter(name):
     for other, counter in COUNTER_OF.items():
         if other != name:
             assert getattr(report, counter) == 0
+
+
+def test_generate_holds_nothing_per_device_beyond_what_it_returns():
+    # Was a dict keyed by each device's MAC text, ≈135 traced bytes per
+    # device until build(), though every trip draws a new device and no
+    # lookup ever found one. Short dwells keep the frame arrays small
+    # against the device count, and plant no truth to aggregate.
+    cfg = tiny(days=4, noise=NoiseMix(short_dwell=1.0))
+    generate(cfg)
+    tracemalloc.start()
+    try:
+        frames, weather, truth = generate(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(frames.macs) > 500
+    assert peak - kept < 30_000
 
 
 def test_all_randomized_population_cleans_to_nothing():

@@ -214,6 +214,20 @@ def test_parse_csv_with_same_fields(tmp_path):
     assert report.rows_ok == 1
 
 
+def test_csv_rows_with_more_or_fewer_fields_than_the_header_are_rejected(tmp_path):
+    # A 20th cell was dropped without a trace, and the row accepted.
+    o = obs()
+    good = ",".join(str(getattr(o, name)) for name in CSV_HEADER.split(","))
+    short = good.rsplit(",", 1)[0]
+    path = tmp_path / "wx.csv"
+    path.write_text(f"{CSV_HEADER}\n{good}\n{good},EXTRA\n{short}\n")
+    observations, report = parse_weather(path)
+    assert observations == [o]
+    assert (report.rows_total, report.rows_ok) == (3, 1)
+    assert report.rejected[0] == (1, "20 fields, the header has 19")
+    assert [index for index, _ in report.rejected] == [1, 2]
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("wx.csv", "a,b\n1,2\n", "weather CSV needs header "),
     ("wx.json", "[1, 2", "weather JSON unreadable: "),
