@@ -105,6 +105,22 @@ def _setup_logging() -> None:
     )
 
 
+def _keep_openssl_out() -> None:
+    """Let the first ``np.random`` access load no OpenSSL ``libcrypto``.
+
+    numpy.random imports ``secrets``, and through ``hmac`` OpenSSL's
+    ``_hashlib``, only to seed from OS entropy; busflux always passes a
+    seed, and ``libcrypto`` adds ≈3.3 MB of resident pages to the stage.
+    A ``None`` entry marks a module as absent: ``hashlib`` and ``hmac`` take
+    their built-in paths, and no seeded draw changes. ``setdefault`` leaves
+    a ``_hashlib`` that is already loaded (numpy 1.x, or an interpreter
+    without the built-in hashes) in place. Called only by the stages that
+    draw random numbers: any extra module entry moves other stages' peaks
+    by a heap-layout step.
+    """
+    sys.modules.setdefault("_hashlib", None)
+
+
 @contextmanager
 def _timed(timings: dict[str, float], key: str):
     """Record the wall seconds of the with-block as ``timings[key]``."""
@@ -114,6 +130,7 @@ def _timed(timings: dict[str, float], key: str):
 
 
 def cmd_synth(args, cfg: PipelineConfig, timings: dict[str, float]):
+    _keep_openssl_out()
     with _timed(timings, "generate"):
         frames, weather, truth = generate(cfg.scenario, cfg.cleaning)
     write_frame_csv(sorted_frames(frames), args.out_frames)
@@ -174,6 +191,8 @@ def cmd_join(args, cfg: PipelineConfig, timings: dict[str, float]):
     if args.out_report:
         weather = {k: getattr(weather_report, k)
                    for k in ("rows_total", "rows_ok", "duplicate_dt", "sorted_input")}
+        weather["rejected_by_reason"] = weather_report.rejected_by_reason()
+        weather["absent_defaults"] = dict(weather_report.absent_defaults)
         write_json(args.out_report, {"weather": weather, "join": to_dict(join_report)})
         outputs.append(args.out_report)
     log.info("join: %d hourly rows -> %d feature rows (%d no weather, %d pre-semester)",
@@ -183,6 +202,7 @@ def cmd_join(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 
 def cmd_featurize(args, cfg: PipelineConfig, timings: dict[str, float]):
+    _keep_openssl_out()
     outputs = [args.out_train, args.out_val, args.out_test]
     with _timed(timings, "featurize"):
         # The joined table is freed once it is split, and each split once it
@@ -223,6 +243,7 @@ def cmd_train(args, cfg: PipelineConfig, timings: dict[str, float]):
             val = _load_rows(args.val, codec, "; featurize writes an empty validation "
                              "matrix when split.val_fraction_of_train is 0")
             inputs.append(args.val)
+            _keep_openssl_out()
             init = mlp_init(args.model, train.rows.shape[1], tcfg.seed, cfg=tcfg)
             model, history = mlp_train(init, train, val, tcfg)
         elif args.model == "cart":
@@ -270,23 +291,26 @@ def cmd_importance(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
     out_csv = args.out_csv or str(Path(args.out).with_suffix(".csv"))
+    source = args.history or args.counts or args.mse_report
+    read = read_history_csv if args.history else read_hourly_csv if args.counts else load_json
+    # A file that exists but does not hold the expected artifact is a domain
+    # error. The readers' errors name the file; the others get it here.
+    try:
+        artifact = read(source)
+    except ParseError as exc:
+        raise BusfluxError(f"unknown input schema: {exc}") from exc
     try:
         if args.history:
-            source = args.history
-            series = history_series(read_history_csv(args.history))
+            series = history_series(artifact)
             svg = line_chart(series, title="Training and validation MSE", x_label="epoch", y_label="mse")
         elif args.counts:
-            source = args.counts
-            series = hourly_series(read_hourly_csv(args.counts))
+            series = hourly_series(artifact)
             svg = line_chart(series, title="Hourly waiting devices per stop", x_label="hours since start", y_label="devices")
         else:
-            source = args.mse_report
-            report = ComparisonReport.from_dict(load_json(args.mse_report))
-            labels, values = report_bars(report)
+            labels, values = report_bars(ComparisonReport.from_dict(artifact))
             series = [Series(name="mse", xs=tuple(range(len(values))), ys=tuple(values))]
             svg = bar_chart(labels, values, title="Model test MSE", y_label="mse")
-    except (ParseError, KeyError) as exc:
-        # The file exists but does not hold the expected artifact.
+    except (ParseError, LookupError, TypeError, ValueError) as exc:
         raise BusfluxError(f"unknown input schema in {source}: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)

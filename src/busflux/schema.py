@@ -33,9 +33,10 @@ raise a ConfigError naming the dotted key.
 built-in hashes (``_sha1``; ``_sha2`` from 3.12, ``_sha256`` before), the
 lean modules that the stdlib's ``random`` also tries first for its
 SHA-512. Their digests are OpenSSL's, but they load no libcrypto, whose
-3.3 MB of resident pages every stage would otherwise carry only to hash.
-The OpenSSL-backed module is the fallback for an interpreter built
-without them.
+3.3 MB of resident pages every stage would otherwise carry only to hash;
+the CLI stages that draw random numbers keep numpy.random from loading
+it too. The OpenSSL-backed module is the fallback for an interpreter
+built without them, and there every stage maps libcrypto.
 """
 
 from __future__ import annotations

@@ -175,24 +175,25 @@ def _truth_hourly(dwells: list[PlantedDwell]) -> list[HourlyCount]:
     aggregation module) so pipeline output can be checked against an
     independent second implementation: a dwell covers every minute index in
     [floor(start/60), floor(end/60)], an hour averages its 60 minutes, and
-    hours are zero-filled over the scenario's observed span.
+    hours are zero-filled over the scenario's observed span. A dwell's
+    minutes are handed out hour by hour, each hour getting those before its
+    end less those already counted, so no minute is held on its own.
     """
-    minute_hits: dict[tuple[str, int], int] = {}
+    hour_sums: dict[tuple[str, int], int] = {}
     for d in dwells:
         first = epoch_seconds(d.start) // 60
-        last = epoch_seconds(d.end) // 60
-        for m in range(first, last + 1):
-            key = (d.stop, m)
-            minute_hits[key] = minute_hits.get(key, 0) + 1
-    if not minute_hits:
+        minutes = epoch_seconds(d.end) // 60 + 1 - first
+        hour, counted = first // 60, 0
+        while counted < minutes:
+            upto = min(60 * (hour + 1) - first, minutes)
+            key = (d.stop, hour)
+            hour_sums[key] = hour_sums.get(key, 0) + upto - counted
+            hour, counted = hour + 1, upto
+    if not hour_sums:
         return []
-    hour_sums: dict[tuple[str, int], int] = {}
-    for (stop, m), n in minute_hits.items():
-        key = (stop, m // 60)
-        hour_sums[key] = hour_sums.get(key, 0) + n
-    stops = sorted({stop for stop, _ in minute_hits})
-    lo = min(m for _, m in minute_hits) // 60
-    hi = max(m for _, m in minute_hits) // 60
+    stops = sorted({stop for stop, _ in hour_sums})
+    lo = min(h for _, h in hour_sums)
+    hi = max(h for _, h in hour_sums)
     return [
         HourlyCount(
             stop=stop,

@@ -82,6 +82,11 @@ class WeatherParseReport:
     absent_defaults: Counter = field(default_factory=Counter)
     rejected: list[tuple[int, str]] = field(default_factory=list)
 
+    def rejected_by_reason(self) -> dict[str, int]:
+        """Rejected rows counted by reason: a reason's text before its first
+        ": ", so rows failing one check with different values count together."""
+        return dict(Counter(reason.split(": ", 1)[0] for _, reason in self.rejected))
+
 
 def _validate(values: dict) -> str | None:
     for name in NUMERIC_FIELDS:

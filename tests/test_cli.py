@@ -34,6 +34,7 @@ from busflux.manifest import read_manifest, sha256_file
 from busflux.models.store import load_model, read_history_csv, write_history_csv
 from busflux.schema import from_dict
 from busflux.synth import read_truth_json
+from busflux.weather import CSV_HEADER, parse_weather
 
 
 def run(*argv):
@@ -442,6 +443,25 @@ def test_stop_names_with_a_comma_survive_clean_aggregate_join(ws, tmp_path):
     assert stop in {s for s, _ in read_joined_csv(joined).keys}
 
 
+def test_join_report_says_why_weather_rows_were_rejected(ws, tmp_path):
+    # Was rows_total and rows_ok alone: no reason, and no absent field.
+    names = CSV_HEADER.split(",")
+    rows = [[str(getattr(o, name)) for name in names] for o in parse_weather(ws["weather"])[0]]
+    rows[0].append("EXTRA")
+    rows[1][names.index("humidity")] = "101.0"
+    rows[2][names.index("humidity")] = "-3.0"
+    rows[3][names.index("rain_1h")] = ""
+    weather = tmp_path / "weather.csv"
+    weather.write_text("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
+    assert run("join", "--hourly", ws["hourly"], "--weather", weather,
+               "--out-joined", tmp_path / "joined.csv", "--out-report", tmp_path / "join.json") == 0
+    report = json.loads((tmp_path / "join.json").read_text())["weather"]
+    assert (report["rows_total"], report["rows_ok"]) == (len(rows), len(rows) - 3)
+    assert report["rejected_by_reason"] == {"20 fields, the header has 19": 1,
+                                            "humidity out of [0,100]": 2}
+    assert report["absent_defaults"] == {"rain_1h": 1}
+
+
 def test_aggregate_window_flags_narrow_the_zero_fill(ws, tmp_path):
     hourly = tmp_path / "hourly.csv"
     assert run("aggregate", "--segments", ws["segments"], "--out-hourly", hourly,
@@ -768,6 +788,27 @@ def test_plotting_an_empty_artifact_exits_1(ws, tmp_path, capsys, flag):
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("flag, text, reason", [
+    ("--mse-report", "{not json", "not valid JSON: "),
+    ("--history", "epoch,loss\n1,0.5\n", "header must be "),
+    ("--mse-report", "[1]", "list indices must be integers"),
+    ("--mse-report", '{"ranking": [{"name": "lr", "mse": "low"}], "improvements": {}}',
+     "could not convert string to float"),
+])
+def test_plot_names_an_input_without_its_artifact_once(tmp_path, capsys, flag, text, reason):
+    # Was "unknown input schema in x.json: x.json: not valid JSON: …", and a
+    # traceback for a JSON document that is not a report object.
+    source = tmp_path / "input.json"
+    source.write_text(text)
+    assert run("plot", flag, source, "--out", tmp_path / "p.svg") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown input schema")
+    assert err.count(str(source)) == 1
+    assert reason in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_aggregate_with_a_reversed_range_exits_1_naming_both_ends(ws, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -873,20 +914,24 @@ def test_importing_the_package_loads_no_numpy(module):
 
 
 def test_importing_the_cli_loads_no_network_modules():
-    """Nor OpenSSL's ``_hashlib``, unless numpy itself loads it."""
+    """Nor OpenSSL's ``_hashlib``, unless numpy itself loads it. A ``None``
+    entry marks a module as absent, so it does not count as loaded."""
     modules = ["xml.sax", "urllib.request", "http.client"]
     if not conftest.numpy_loads_openssl():
         modules.append("_hashlib")
     code = ("import sys, busflux.cli; "
-            f"print(sorted(m for m in {modules!r} if m in sys.modules))")
+            f"print(sorted(m for m in {modules!r} if sys.modules.get(m) is not None))")
     result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
 
 
-def test_stages_that_draw_no_random_numbers_never_load_openssl(ws, tmp_path):
-    """Only numpy.random (synth, featurize, the nets) may pull in OpenSSL's
-    libcrypto, through secrets and hmac; busflux hashes with the built-ins."""
+def test_no_cli_stage_loads_openssl(ws, tmp_path):
+    """busflux hashes with the built-ins, and the stages that draw random
+    numbers (synth, featurize, the nets) keep numpy.random, through secrets
+    and hmac, from loading OpenSSL's ``_hashlib``. On Linux no stage may map
+    ``libcrypto`` either. The drawing stages run last: their absent-module
+    marker would keep a later stage from loading ``_hashlib`` at all."""
     if conftest.numpy_loads_openssl():
         pytest.skip("this numpy imports numpy.random, and with it OpenSSL, in `import numpy`")
     train = ("--train", ws["train"], "--meta", ws["meta"])
@@ -902,15 +947,60 @@ def test_stages_that_draw_no_random_numbers_never_load_openssl(ws, tmp_path):
         ("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", ws["lr"],
          "--model", ws["gbt"], "--out-report", tmp_path / "eval.json"),
         ("importance", "--model", ws["gbt"], "--out", tmp_path / "importance.csv"),
+        ("synth", "--config", ws["cfg"], "--out-frames", tmp_path / "frames.csv",
+         "--out-weather", tmp_path / "weather.json", "--out-truth", tmp_path / "truth.json"),
+        ("featurize", "--joined", ws["joined"], "--out-train", tmp_path / "train.csv",
+         "--out-val", tmp_path / "val.csv", "--out-test", tmp_path / "test.csv",
+         "--out-meta", tmp_path / "meta.json"),
+        *(("train", "--model", model, "--config", ws["cfg"], *train, "--val", ws["val"],
+           "--out-model", tmp_path / f"{model}.json") for model in ("wnn", "dnn")),
     ]
-    code = ("import json, sys\n"
+    code = ("import json, os, sys\n"
             "from busflux.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"
-            "    print(' '.join(argv[:3]), '_hashlib' in sys.modules)\n")
+            "    maps = '/proc/self/maps'\n"
+            "    mapped = os.path.exists(maps) and 'libcrypto' in open(maps).read()\n"
+            "    print(' '.join(argv[:3]), sys.modules.get('_hashlib') is not None, mapped)\n")
     argvs = json.dumps([[str(a) for a in step] for step in steps])
     result = subprocess.run([sys.executable, "-c", code, argvs], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     loaded = result.stdout.splitlines()
     assert len(loaded) == len(steps)
-    assert [line for line in loaded if line.endswith("True")] == []
+    assert [line for line in loaded if "True" in line.split()[-2:]] == []
+
+
+def test_without_the_built_in_hashes_the_drawing_stages_keep_openssl(ws, tmp_path):
+    """An interpreter built without ``_sha1`` and ``_sha2``/``_sha256``:
+    busflux hashes through hashlib, which loads OpenSSL's ``_hashlib``, and
+    the drawing stages' absent-module marker must leave that module in
+    place. featurize and a net then write the same bytes as with the
+    built-in hashes."""
+    def steps(out):
+        return [["featurize", "--joined", str(ws["joined"]), "--out-train", str(out / "train.csv"),
+                 "--out-val", str(out / "val.csv"), "--out-test", str(out / "test.csv"),
+                 "--out-meta", str(out / "meta.json")],
+                ["train", "--model", "dnn", "--epochs", "1", "--train", str(out / "train.csv"),
+                 "--val", str(out / "val.csv"), "--meta", str(out / "meta.json"),
+                 "--out-model", str(out / "dnn.json"), "--out-history", str(out / "dnn.csv")]]
+
+    built_in, openssl = tmp_path / "built-in", tmp_path / "openssl"
+    built_in.mkdir()
+    openssl.mkdir()
+    for argv in steps(built_in):
+        assert main(argv) == 0
+    code = ("import json, sys\n"
+            "for name in ('_sha1', '_sha2', '_sha256'):\n"
+            "    sys.modules[name] = None\n"
+            "from busflux.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sys.modules.get('_hashlib') is not None)\n")
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(steps(openssl))],
+                            env=conftest.child_env(), capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout.split() == ["True"]
+    # Manifests record wall times, so only the stage outputs compare.
+    outputs = ["train.csv", "val.csv", "test.csv", "meta.json", "dnn.json", "dnn.csv"]
+    assert [sha256_file(openssl / name) for name in outputs] == [
+        sha256_file(built_in / name) for name in outputs]
