@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-from .schema import (EPOCH, format_timestamp, parse_timestamp, read_table, real, utc_datetime,
-                     whole_seconds, write_table)
+from .schema import (EPOCH, format_timestamp, nonempty, nonnegative_int, nonnegative_real,
+                     parse_timestamp, read_table, utc_datetime, whole_seconds, write_table)
 
 if TYPE_CHECKING:
     from .cleaning import Segment
@@ -144,7 +144,7 @@ def write_minute_csv(minutes: Iterable[MinuteCount], dest: Union[str, os.PathLik
 def read_minute_csv(source: Union[str, os.PathLike]) -> list[MinuteCount]:
     return [
         MinuteCount(*row)
-        for row in read_table(source, MINUTE_HEADER, (str, parse_timestamp, int))
+        for row in read_table(source, MINUTE_HEADER, (nonempty, parse_timestamp, nonnegative_int))
     ]
 
 
@@ -155,5 +155,5 @@ def write_hourly_csv(hours: Iterable[HourlyCount], dest: Union[str, os.PathLike]
 def read_hourly_csv(source: Union[str, os.PathLike]) -> list[HourlyCount]:
     return [
         HourlyCount(*row)
-        for row in read_table(source, HOURLY_HEADER, (str, parse_timestamp, real))
+        for row in read_table(source, HOURLY_HEADER, (nonempty, parse_timestamp, nonnegative_real))
     ]

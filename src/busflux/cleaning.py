@@ -42,8 +42,6 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from typing import Iterator, Union
 
-import numpy as np
-
 from .errors import ConfigError
 from .frames import (
     _BLOCK,
@@ -54,10 +52,13 @@ from .frames import (
     device_ids,
     format_epoch_seconds,
 )
-from .schema import parse_timestamp, read_table, real, utc_datetime, whole_seconds, write_table
+from .lazy import numpy as np
+from .schema import (nonempty, nonnegative_int, parse_timestamp, read_table, real, utc_datetime,
+                     whole_seconds, write_table)
 
 SEGMENT_HEADER = ("bus_stop", "device", "start_utc", "end_utc", "frame_count", "mean_rssi")
-_SEGMENT_TYPES = (str, DeviceId.from_hex, parse_timestamp, parse_timestamp, int, real)
+_SEGMENT_TYPES = (nonempty, DeviceId.from_hex, parse_timestamp, parse_timestamp, nonnegative_int,
+                  real)
 
 WINDOW_PER_DAY = "per-day"
 WINDOW_WHOLE_DATASET = "whole-dataset"

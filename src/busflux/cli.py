@@ -10,6 +10,11 @@ its value gets the same type and range checks and an error naming the key.
 Exit codes: 0 success, 1 domain error, 2 missing/undecodable input.
 ``BUSFLUX_LOG`` sets log verbosity and never changes outputs.
 
+Every stage module is imported here, but numpy is bound lazily
+(``busflux.lazy``) and runs only when a stage first touches an array:
+``--version``, ``aggregate``, ``join`` and ``plot`` never run it, and start
+up that much faster and smaller.
+
 Each stage runs on one BLAS thread: the models are small, and a second
 OpenBLAS thread mostly spin-waits between the many small products of a fit,
 costing CPU time and memory without saving wall time. Set
@@ -30,8 +35,10 @@ from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
-# Must precede the first package import below, which loads numpy and with
-# it the BLAS thread pool; a user's own thread setting still wins.
+# Must precede numpy's first run, which starts the BLAS thread pool. The
+# package imports below bind numpy without running it, and any program
+# that ran it before importing this module keeps its own thread count; a
+# user's own thread setting still wins.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import __version__
@@ -112,11 +119,12 @@ def _keep_openssl_out() -> None:
     ``_hashlib``, only to seed from OS entropy; busflux always passes a
     seed, and ``libcrypto`` adds ≈3.3 MB of resident pages to the stage.
     A ``None`` entry marks a module as absent: ``hashlib`` and ``hmac`` take
-    their built-in paths, and no seeded draw changes. ``setdefault`` leaves
-    a ``_hashlib`` that is already loaded (numpy 1.x, or an interpreter
-    without the built-in hashes) in place. Called only by the stages that
-    draw random numbers: any extra module entry moves other stages' peaks
-    by a heap-layout step.
+    their built-in paths, and no seeded draw changes. Each caller marks it
+    before numpy first runs, so this holds for numpy 1.x too, which imports
+    numpy.random with numpy itself. ``setdefault`` leaves a ``_hashlib``
+    that is already loaded (an interpreter without the built-in hashes)
+    in place. Called only by the stages that draw random numbers: any extra
+    module entry moves other stages' peaks by a heap-layout step.
     """
     sys.modules.setdefault("_hashlib", None)
 
@@ -230,6 +238,9 @@ def _load_rows(path, codec: FeatureCodec, why_empty: str = ""):
 
 def cmd_train(args, cfg: PipelineConfig, timings: dict[str, float]):
     tcfg = cfg.train
+    if args.model in ("wnn", "dnn"):
+        # Before the matrices, whose load runs numpy.
+        _keep_openssl_out()
     codec, _ = read_matrix_meta(args.meta)
     train = _load_rows(args.train, codec)
     inputs = [args.train, args.meta]
@@ -243,7 +254,6 @@ def cmd_train(args, cfg: PipelineConfig, timings: dict[str, float]):
             val = _load_rows(args.val, codec, "; featurize writes an empty validation "
                              "matrix when split.val_fraction_of_train is 0")
             inputs.append(args.val)
-            _keep_openssl_out()
             init = mlp_init(args.model, train.rows.shape[1], tcfg.seed, cfg=tcfg)
             model, history = mlp_train(init, train, val, tcfg)
         elif args.model == "cart":

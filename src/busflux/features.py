@@ -16,10 +16,9 @@ from datetime import date, datetime, timedelta
 from itertools import pairwise
 from typing import Iterable, Iterator, Sequence, Union
 
-import numpy as np
-
 from .aggregation import HourlyCount
 from .errors import BusfluxError, ConfigError
+from .lazy import numpy as np
 from .schema import (format_timestamp, parse_timestamp, read_json, read_table, real, to_dict,
                      write_json, write_table)
 from .weather import WeatherObservation
@@ -140,19 +139,22 @@ def derive_features(count: HourlyCount, wx: WeatherObservation, cal: CampusCalen
 
 @dataclass(slots=True)
 class JoinedTable:
-    """Joined (stop, hour) rows as columns.
+    """Joined (stop, hour) rows as flat, row-major ``array`` columns.
 
-    ``numeric`` has one column per ``NUMERIC_FEATURES`` name. Column g of
-    ``codes`` indexes ``vocab[g]``, the values of categorical group
-    ``CATEGORICAL_FEATURES[g]`` in the order they were first seen. A subset
-    made by ``take`` shares its parent's vocabularies.
+    ``numeric_cells`` holds one float64 per ``NUMERIC_FEATURES`` name and
+    row. Cell g of a row's ``code_cells`` indexes ``vocab[g]``, the values
+    of categorical group ``CATEGORICAL_FEATURES[g]`` in the order they were
+    first seen. A subset made by ``take`` shares its parent's vocabularies.
+    Reading the rows back and writing them in key order needs no numpy;
+    ``numeric``, ``codes`` and ``target`` are numpy views of the cells,
+    made without a copy where the codec and the split need arrays.
     """
 
     keys: list[tuple[str, datetime]]
-    numeric: np.ndarray
-    codes: np.ndarray
+    numeric_cells: array
+    code_cells: array
     vocab: tuple[list[str], ...]
-    target: np.ndarray
+    target_cells: array
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "JoinedTable":
@@ -169,34 +171,63 @@ class JoinedTable:
             for lookup, value in zip(seen, row[_FIRST_CATEGORICAL:-1]):
                 codes.append(lookup.setdefault(value, len(lookup)))
             target.append(row[-1])
-        n = len(keys)
-        return cls(keys, np.frombuffer(numeric).reshape(n, len(NUMERIC_FEATURES)),
-                   np.frombuffer(codes, dtype=np.int64).reshape(n, len(CATEGORICAL_FEATURES)),
-                   tuple(list(lookup) for lookup in seen), np.frombuffer(target))
+        return cls(keys, numeric, codes, tuple(list(lookup) for lookup in seen), target)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     n_rows = property(__len__)
 
+    @property
+    def numeric(self) -> np.ndarray:
+        return np.frombuffer(self.numeric_cells).reshape(len(self), len(NUMERIC_FEATURES))
+
+    @property
+    def codes(self) -> np.ndarray:
+        return np.frombuffer(self.code_cells, dtype=np.int64).reshape(
+            len(self), len(CATEGORICAL_FEATURES))
+
+    @property
+    def target(self) -> np.ndarray:
+        return np.frombuffer(self.target_cells)
+
+    def row(self, i: int) -> list:
+        """Row ``i``, in ``JOINED_HEADER`` order."""
+        k, g = len(NUMERIC_FEATURES), len(CATEGORICAL_FEATURES)
+        categorical = (vocab[c] for vocab, c in zip(self.vocab, self.code_cells[i * g : i * g + g]))
+        return [*self.keys[i], *self.numeric_cells[i * k : i * k + k], *categorical,
+                self.target_cells[i]]
+
     def __iter__(self) -> Iterator[list]:
         """Each joined row, made as it is yielded."""
-        for i, (stop, hour) in enumerate(self.keys):
-            categorical = (vocab[c] for vocab, c in zip(self.vocab, self.codes[i].tolist()))
-            yield [stop, hour, *self.numeric[i].tolist(), *categorical, self.target[i].item()]
+        return map(self.row, range(len(self)))
 
     def take(self, index: np.ndarray) -> "JoinedTable":
         """The rows at ``index``, in that order."""
-        return JoinedTable([self.keys[i] for i in index.tolist()], self.numeric[index],
-                           self.codes[index], self.vocab, self.target[index])
+        return JoinedTable([self.keys[i] for i in index.tolist()], _cells("d", self.numeric[index]),
+                           _cells("q", self.codes[index]), self.vocab,
+                           _cells("d", self.target[index]))
+
+    def key_order(self) -> list[int] | None:
+        """The row indices in (stop, hour) order, equal keys in input order;
+        None when the rows are already in that order."""
+        if all(a <= b for a, b in pairwise(self.keys)):
+            return None
+        return sorted(range(len(self.keys)), key=self.keys.__getitem__)
 
     def sorted_by_key(self) -> "JoinedTable":
-        """The rows in (stop, hour) order, equal keys in input order; the
-        table itself when it is already in that order."""
-        if all(a <= b for a, b in pairwise(self.keys)):
-            return self
-        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-        return self.take(np.array(order, dtype=np.intp))
+        """The rows in key order; the table itself when it is already in
+        that order."""
+        order = self.key_order()
+        return self if order is None else self.take(np.array(order, dtype=np.intp))
+
+
+def _cells(typecode: str, values: np.ndarray) -> array:
+    """A C-contiguous array's cells, copied into an ``array``."""
+    cells = array(typecode)
+    if values.size:  # a memoryview casts no empty view
+        cells.frombytes(memoryview(values).cast("B"))
+    return cells
 
 
 @dataclass(slots=True)
@@ -247,6 +278,12 @@ class ColumnMeta:
     std: float | None = None
     group: str | None = None
     value: str | None = None
+
+    def __post_init__(self):
+        # A codec read from a file: its names become a matrix header.
+        if not isinstance(self.name, str) or self.kind not in ("numeric", "onehot"):
+            raise TypeError(f"a column needs a string name and the kind 'numeric' or 'onehot', "
+                            f"not {self.name!r} and {self.kind!r}")
 
 
 @dataclass(slots=True)
@@ -382,7 +419,9 @@ def split_rows(
 def write_joined_csv(rows: JoinedTable, dest: Union[str, os.PathLike]) -> None:
     """Raw joined rows (pre-encoding) in key order: keys, numerics,
     categoricals, target."""
-    cells = ([stop, format_timestamp(hour), *rest] for stop, hour, *rest in rows.sorted_by_key())
+    order = rows.key_order()
+    ordered = rows if order is None else map(rows.row, order)
+    cells = ([stop, format_timestamp(hour), *rest] for stop, hour, *rest in ordered)
     write_table(dest, JOINED_HEADER, cells)
 
 

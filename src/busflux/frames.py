@@ -49,9 +49,8 @@ from datetime import datetime
 from itertools import chain, repeat
 from typing import IO, Iterable, Iterator, Union
 
-import numpy as np
-
 from .errors import ParseError
+from .lazy import numpy as np
 from .schema import decoding, epoch_seconds, parse_timestamp, sha1, source_name, utc_datetime
 
 FRAME_HEADER = "bus_stop,timestamp_utc,mac,rssi_dbm"
@@ -331,12 +330,12 @@ def _open_text(source: PathOrStream) -> Iterator[io.TextIOWrapper]:
 # that can hold a field over that limit.
 _CHUNK_CHARS = 1 << 15
 
-# Built from Python values: a numpy ufunc call at import would cost every
-# stage that imports this module ≈0.3 MB of peak RSS. A timestamp minus
-# this template is 0..9 at each digit and 0 at each separator; uint8
-# arithmetic wraps anything else above that.
-_TS_TEMPLATE = np.frombuffer(b"0000-00-00 00:00:00", np.uint8)
-_TS_MAX = np.array([9 if c == "0" else 0 for c in "0000-00-00 00:00:00"])
+# Bytes, not arrays: numpy runs on first use, and this module is imported
+# by stages that never parse frames. A timestamp minus this template is
+# 0..9 at each digit and 0 at each separator; uint8 arithmetic wraps
+# anything else above that.
+_TS_TEMPLATE = b"0000-00-00 00:00:00"
+_TS_MAX = bytes(9 if c == "0" else 0 for c in "0000-00-00 00:00:00")
 
 
 def _epoch_seconds_of(texts: list[str]) -> np.ndarray | None:
@@ -348,9 +347,10 @@ def _epoch_seconds_of(texts: list[str]) -> np.ndarray | None:
     joined = "".join(texts)
     if set(map(len, texts)) != {19} or not joined.isascii():
         return None
-    digits = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, 19) - _TS_TEMPLATE
+    template, highest = np.frombuffer(_TS_TEMPLATE, np.uint8), np.frombuffer(_TS_MAX, np.uint8)
+    digits = np.frombuffer(joined.encode("ascii"), np.uint8).reshape(-1, 19) - template
     # numpy accepts the year 0, which datetime does not.
-    if (digits.max(axis=0) > _TS_MAX).any() or not digits[:, :4].any(axis=1).all():
+    if (digits.max(axis=0) > highest).any() or not digits[:, :4].any(axis=1).all():
         return None
     try:
         return np.array(texts, dtype="datetime64[s]").view(np.int64)

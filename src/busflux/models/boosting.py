@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import BusfluxError
 from ..features import FeatureMatrix
+from ..lazy import numpy as np
 from .config import CartParams, GbtParams
 from .tree import RegressionTree, ValueCoding, grow
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import BusfluxError
 from ..features import FeatureMatrix
+from ..lazy import numpy as np
 
 
 @dataclass(slots=True)

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..errors import ColumnMismatchError
+from ..errors import BusfluxError, ColumnMismatchError
 from ..features import FeatureMatrix
+from ..lazy import numpy as np
 
 
 @dataclass(slots=True)
@@ -75,8 +74,15 @@ class ComparisonReport:
 
 
 def compare(models: dict[str, object], test: FeatureMatrix) -> ComparisonReport:
-    """Evaluate every named model on the same test matrix and rank them."""
+    """Evaluate every named model on the same test matrix and rank them.
+
+    A model whose predictions are not all finite cannot be ranked, and is
+    refused by name.
+    """
     results = {name: evaluate(model, test) for name, model in models.items()}
+    for name, res in results.items():
+        if not np.isfinite(res.predictions).all():
+            raise BusfluxError(f"model {name!r}: its test predictions are not all finite")
     ordered = sorted(results.items(), key=lambda kv: (kv[1].mse, kv[0]))
     report = ComparisonReport(
         ranking=[

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import BusfluxError, ConfigError, TrainingDivergedError
 from ..features import FeatureMatrix
+from ..lazy import numpy as np
 from .config import TrainConfig
 
 ARCH_WNN = "wnn"

@@ -5,8 +5,6 @@ from __future__ import annotations
 import os
 from typing import Union
 
-import numpy as np
-
 from ..errors import ParseError
 from ..schema import read_json, read_table, real, to_dict, write_json, write_table
 from .boosting import GbtEnsemble
@@ -88,5 +86,5 @@ def read_history_csv(source: Union[str, os.PathLike]) -> TrainHistory:
         history.train_mse.append(train_mse)
         history.val_mse.append(val_mse)
     if history.val_mse:
-        history.best_epoch = int(np.argmin(history.val_mse))
+        history.best_epoch = history.val_mse.index(min(history.val_mse))
     return history

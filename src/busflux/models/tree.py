@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import BusfluxError
 from ..features import FeatureMatrix
+from ..lazy import numpy as np
 from .config import CartParams
 
 # Rounding in the bin and prefix sums moves an estimated decrease off its
@@ -161,13 +160,14 @@ def grow(
     return tree, fitted
 
 
+# Each node array's dtype, by name: strings, as numpy runs on first use.
 _ARRAYS = {
-    "feature": np.intp,
-    "threshold": np.float64,
-    "right": np.intp,
-    "value": np.float64,
-    "n": np.intp,
-    "sse": np.float64,
+    "feature": "intp",
+    "threshold": "float64",
+    "right": "intp",
+    "value": "float64",
+    "n": "intp",
+    "sse": "float64",
 }
 
 

@@ -12,6 +12,8 @@ naming the file and line. Floats are written as their shortest round-trip
 Every JSON artifact is written by ``write_json`` and every JSON document
 read by ``load_json``, so text that is not JSON raises a ParseError
 naming the file; ``read_json`` checks an artifact's ``format_version``.
+Neither takes Python's ``NaN`` or ``Infinity``, which RFC 8259 leaves out
+of JSON: a non-finite number is refused where it is read and never written.
 Only the weather reader, which has read its text to tell JSON from CSV,
 parses JSON itself. Every reader of an input file decodes it inside
 ``decoding``, so bytes that are not UTF-8, or gzip data that is cut short
@@ -78,6 +80,29 @@ def real(text: str) -> float:
     raise ValueError(f"non-finite number {text!r}")
 
 
+def nonnegative_real(text: str) -> float:
+    """Column converter for a finite float count, 0 or more."""
+    value = real(text)
+    if value >= 0.0:
+        return value
+    raise ValueError(f"negative count {text!r}")
+
+
+def nonnegative_int(text: str) -> int:
+    """Column converter for an integer count, 0 or more."""
+    value = int(text)
+    if value >= 0:
+        return value
+    raise ValueError(f"negative count {text!r}")
+
+
+def nonempty(text: str) -> str:
+    """Column converter for a name, which may not be empty."""
+    if text:
+        return text
+    raise ValueError("empty name")
+
+
 EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 
@@ -135,22 +160,30 @@ def write_json(dest: PathLike, payload, compact: bool = False) -> None:
     """Write a JSON artifact: sorted keys, one-space indent, final newline.
 
     A compact artifact (a model file, mostly long number arrays) has no
-    whitespace between tokens instead of one array element per line.
+    whitespace between tokens instead of one array element per line. The
+    text is made before the file is opened, so a payload that is refused
+    (a non-finite number) leaves no file behind.
     """
+    if compact:
+        # The C encoder runs only without an indent.
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    else:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
     with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-        if compact:
-            # json.dumps runs the C encoder; json.dump and any indent do not.
-            fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        else:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write(text)
         fh.write("\n")
 
 
 def load_json(source: PathLike):
-    """The JSON document in ``source``; text that is not JSON raises a ParseError naming it."""
+    """The JSON document in ``source``; text that is not JSON, Python's
+    ``NaN``, ``Infinity`` and ``-Infinity`` included, raises a ParseError
+    naming it."""
+    def refuse(token: str):
+        raise ParseError(f"{source}: not valid JSON: {token} is not a JSON number")
+
     with open(source, "r", encoding="utf-8") as fh, decoding(source):
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: not valid JSON: {exc}") from None
 
@@ -168,7 +201,7 @@ def read_json(source: PathLike, version: int) -> Iterator[dict]:
         raise ParseError(f"{source}: expected a JSON object of format version {version}")
     try:
         yield payload
-    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"{source}: malformed artifact: {type(exc).__name__}: {exc}") from None
 
 

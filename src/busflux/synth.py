@@ -28,13 +28,12 @@ from datetime import date, datetime, timedelta
 from itertools import repeat
 from typing import Union
 
-import numpy as np
-
 from .aggregation import HourlyCount
 from .cleaning import CleaningConfig
 from .errors import ConfigError
 from .features import FeatureMatrix
 from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize
+from .lazy import numpy as np
 from .schema import (epoch_seconds, format_timestamp, parse_timestamp, read_json, to_dict,
                      utc_datetime, whole_seconds, write_json)
 from .weather import WeatherObservation

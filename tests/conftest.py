@@ -43,8 +43,8 @@ def numpy_loads_openssl() -> bool:
     """Whether ``import numpy`` alone loads OpenSSL's ``_hashlib``. numpy
     2.4 imports numpy.random on first use; the 1.x line imports it with
     numpy itself, and numpy.random imports secrets, hmac and so
-    ``_hashlib``. Where it does, busflux's built-in hashes cannot keep
-    OpenSSL out of a stage, and the tests of that skip the check."""
+    ``_hashlib``. Where it does, a stage that runs numpy without drawing
+    random numbers loads OpenSSL, and the test of every stage skips."""
     code = "import sys, numpy; print('_hashlib' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=child_env(),
                             capture_output=True, text=True, timeout=60, check=True)

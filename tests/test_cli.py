@@ -181,12 +181,12 @@ def test_featurize_frees_the_joined_table_and_each_split_before_writing(ws, tmp_
 
     def watched_read(source):
         table = read(source)
-        watched.append(weakref.ref(table.numeric))
+        watched.append(weakref.ref(table.numeric_cells))
         return table
 
     def watched_split(rows, spec):
         parts = split(rows, spec)
-        watched.extend(weakref.ref(part.numeric) for part in parts)
+        watched.extend(weakref.ref(part.numeric_cells) for part in parts)
         return parts
 
     def checked_save(matrix, dest):
@@ -582,12 +582,15 @@ def test_linear_training_records_no_history_file(ws, tmp_path):
     assert set(read_manifest(tmp_path / "lr.json.manifest.json").outputs) == {"lr.json"}
 
 
-def test_non_finite_config_values_exit_1(ws, tmp_path, capsys):
+def test_non_finite_config_values_exit_2(ws, tmp_path, capsys):
+    # NaN is not JSON: the file cannot be read, as a file with a syntax
+    # error cannot (it exited 1 naming the key when the reader took NaN).
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"scenario": {"days": 1, "demand": {"base_rate": NaN}}}')
     assert run("synth", "--config", cfg, "--out-frames", tmp_path / "f.csv",
-               "--out-weather", tmp_path / "w.json", "--out-truth", tmp_path / "t.json") == 1
-    assert "config key 'scenario.demand.base_rate' needs a finite number" in capsys.readouterr().err
+               "--out-weather", tmp_path / "w.json", "--out-truth", tmp_path / "t.json") == 2
+    assert capsys.readouterr().err == f"error: {cfg}: not valid JSON: NaN is not a JSON number\n"
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_non_finite_flag_values_exit_1(ws, tmp_path, capsys):
@@ -752,6 +755,86 @@ def test_importance_of_a_model_three_inputs_short_exits_2(ws, tmp_path, capsys):
     assert not (tmp_path / "i.csv").exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_model_file_holding_a_non_finite_number_exits_2(ws, tmp_path, capsys, token):
+    # Was exit 0 for NaN: the model ranked first with "mse": NaN in eval.json.
+    lr = _edited_json(ws["lr"], tmp_path / "lr.json",
+                      lambda m: m["parameters"]["theta"].__setitem__(0, float(token)))
+    assert token in lr.read_text()
+    assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", lr,
+               "--model", ws["gbt"], "--out-report", tmp_path / "eval.json") == 2
+    assert capsys.readouterr().err == f"error: {lr}: not valid JSON: {token} is not a JSON number\n"
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_a_model_whose_predictions_overflow_is_not_ranked(ws, tmp_path, capsys):
+    # Finite parameters, infinite predictions: was ranked with "mse": Infinity.
+    def overflow(m):
+        m["parameters"]["theta"] = [1e308] * len(m["parameters"]["theta"])
+        m["parameters"]["bias"] = 1e308
+
+    lr = _edited_json(ws["lr"], tmp_path / "huge.json", overflow)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", ws["gbt"],
+                   "--model", lr, "--out-report", tmp_path / "eval.json") == 1
+    assert capsys.readouterr().err == (
+        "error: model 'huge': its test predictions are not all finite\n")
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_a_tree_array_beyond_int64_exits_2(ws, tmp_path, capsys):
+    # Was an OverflowError traceback from RegressionTree.from_dict, exit 1.
+    gbt = _edited_json(ws["gbt"], tmp_path / "gbt.json",
+                       lambda m: m["parameters"]["trees"][0]["feature"].__setitem__(0, 10**30))
+    assert run("importance", "--model", gbt, "--out", tmp_path / "i.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gbt}: malformed artifact: OverflowError: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "i.csv").exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.__setitem__("name", 5),
+    lambda c: c.__setitem__("kind", "ordinal"),
+], ids=["number-name", "unknown-kind"])
+def test_a_codec_column_of_the_wrong_form_exits_2(ws, tmp_path, capsys, edit):
+    # A number as the name was a TypeError traceback from read_table's
+    # header message, exit 1.
+    meta = _edited_json(ws["meta"], tmp_path / "meta.json",
+                        lambda m: edit(m["codec"]["columns"][0]))
+    assert run("evaluate", "--test", ws["test"], "--meta", meta, "--model", ws["lr"],
+               "--out-report", tmp_path / "eval.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta}: malformed artifact: TypeError: a column needs ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("table, column, bad, reason", [
+    ("hourly", 2, "-1.0", "negative count '-1.0'"),
+    ("hourly", 0, "", "empty name"),
+    ("segments", 4, "-1", "negative count '-1'"),
+    ("segments", 0, "", "empty name"),
+])
+def test_a_count_table_row_out_of_range_exits_2_naming_the_line(ws, tmp_path, capsys,
+                                                                table, column, bad, reason):
+    # A count of -1 in hourly.csv was joined with exit 0, and the negative
+    # target reached joined.csv.
+    lines = ws[table].read_text().splitlines(keepends=True)
+    cells = lines[2].rstrip("\n").split(",")
+    cells[column] = bad
+    lines[2] = ",".join(cells) + "\n"
+    path = tmp_path / f"{table}.csv"
+    path.write_text("".join(lines))
+    out = tmp_path / "out.csv"
+    argv = {"hourly": ["join", "--hourly", path, "--weather", ws["weather"], "--out-joined", out],
+            "segments": ["aggregate", "--segments", path, "--out-hourly", out]}[table]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: {reason}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag", [
     ("evaluate", "--meta"), ("train", "--meta"), ("importance", "--model"),
 ])
@@ -902,23 +985,67 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("busflux ")
 
 
+# Prints the numpy submodules loaded, and whether numpy's own code has run:
+# a lazily bound numpy is not a plain module until its first attribute
+# access runs it, and reading its type does not.
+NUMPY_STATE = ("import types\n"
+               "np = sys.modules.get('numpy')\n"
+               "print(sorted(m for m in sys.modules if m.startswith('numpy.')),\n"
+               "      np is not None and type(np) is types.ModuleType)\n")
+
+
 @pytest.mark.parametrize("module", [
     "busflux", "busflux.schema", "busflux.weather", "busflux.manifest", "busflux.aggregation",
-    "busflux.plots",
+    "busflux.plots", "busflux.cli", "busflux.config", "busflux.cleaning", "busflux.frames",
+    "busflux.features", "busflux.synth", "busflux.models.linear", "busflux.models.mlp",
+    "busflux.models.tree", "busflux.models.boosting", "busflux.models.metrics",
+    "busflux.models.store",
 ])
 def test_importing_the_package_loads_no_numpy(module):
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    code = f"import sys, {module}\n" + NUMPY_STATE
     result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "[] False"
+
+
+@pytest.mark.parametrize("argv, runs_numpy", [
+    (["--version"], False),
+    (["aggregate", "--segments", "{segments}", "--out-hourly", "{out}/hourly.csv"], False),
+    (["join", "--hourly", "{hourly}", "--weather", "{weather}",
+      "--out-joined", "{out}/joined.csv"], False),
+    (["plot", "--counts", "{hourly}", "--out", "{out}/counts.svg"], False),
+    (["clean", "--frames", "{frames}", "--out-segments", "{out}/segments.csv",
+      "--out-report", "{out}/clean.json"], True),
+    (["featurize", "--joined", "{joined}", "--out-train", "{out}/train.csv",
+      "--out-val", "{out}/val.csv", "--out-test", "{out}/test.csv",
+      "--out-meta", "{out}/meta.json"], True),
+], ids=["version", "aggregate", "join", "plot-counts", "clean", "featurize"])
+def test_only_the_array_stages_run_numpy(ws, tmp_path, argv, runs_numpy):
+    """Up to joined.csv the pipeline needs no numpy, and a stage that needs
+    none does not run it; each stage runs in a fresh interpreter."""
+    argv = [a.format(out=tmp_path, **ws) for a in argv]
+    code = ("import sys\n"
+            "from busflux.cli import main\n"
+            "try:\n"
+            "    code = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(code)\n" + NUMPY_STATE)
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=conftest.child_env(),
+                            capture_output=True, text=True, timeout=60, check=True)
+    status, state = result.stdout.splitlines()[-2:]
+    assert status == "0"
+    if runs_numpy:
+        assert state.endswith("] True") and state != "[] True"
+    else:
+        assert state == "[] False"
 
 
 def test_importing_the_cli_loads_no_network_modules():
-    """Nor OpenSSL's ``_hashlib``, unless numpy itself loads it. A ``None``
-    entry marks a module as absent, so it does not count as loaded."""
-    modules = ["xml.sax", "urllib.request", "http.client"]
-    if not conftest.numpy_loads_openssl():
-        modules.append("_hashlib")
+    """Nor OpenSSL's ``_hashlib``, which only numpy 1.x would load, and the
+    import does not run numpy. A ``None`` entry marks a module as absent,
+    so it does not count as loaded."""
+    modules = ["xml.sax", "urllib.request", "http.client", "_hashlib"]
     code = ("import sys, busflux.cli; "
             f"print(sorted(m for m in {modules!r} if sys.modules.get(m) is not None))")
     result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
@@ -968,6 +1095,35 @@ def test_no_cli_stage_loads_openssl(ws, tmp_path):
     loaded = result.stdout.splitlines()
     assert len(loaded) == len(steps)
     assert [line for line in loaded if "True" in line.split()[-2:]] == []
+
+
+def test_the_drawing_stages_mark_openssl_absent_before_numpy_runs(ws, tmp_path):
+    """So that a numpy that imports numpy.random, and with it OpenSSL, in
+    ``import numpy`` (the 1.x line) loads no OpenSSL in these stages either."""
+    steps = [
+        ("synth", "--config", ws["cfg"], "--out-frames", tmp_path / "frames.csv",
+         "--out-weather", tmp_path / "weather.json", "--out-truth", tmp_path / "truth.json"),
+        ("featurize", "--joined", ws["joined"], "--out-train", tmp_path / "train.csv",
+         "--out-val", tmp_path / "val.csv", "--out-test", tmp_path / "test.csv",
+         "--out-meta", tmp_path / "meta.json"),
+        *(("train", "--model", model, "--epochs", "1", "--train", ws["train"], "--val", ws["val"],
+           "--meta", ws["meta"], "--out-model", tmp_path / f"{model}.json")
+          for model in ("wnn", "dnn")),
+    ]
+    code = ("import sys, types\n"
+            "import busflux.cli as cli\n"
+            "mark, ran = cli._keep_openssl_out, []\n"
+            "def marked():\n"
+            "    ran.append(type(sys.modules.get('numpy')) is types.ModuleType)\n"
+            "    mark()\n"
+            "cli._keep_openssl_out = marked\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(ran)\n")
+    for step in steps:
+        result = subprocess.run([sys.executable, "-c", code, *map(str, step)],
+                                env=conftest.child_env(), capture_output=True, text=True,
+                                timeout=120, check=True)
+        assert result.stdout.strip() == "[False]", step[:3]
 
 
 def test_without_the_built_in_hashes_the_drawing_stages_keep_openssl(ws, tmp_path):

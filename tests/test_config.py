@@ -234,11 +234,14 @@ def test_float_fields_accept_integers():
     ],
 )
 def test_non_finite_numbers_are_rejected(tmp_path, text, key):
-    # Python's json reads NaN and Infinity; the loader must not pass them on.
+    # Python's json reads NaN and Infinity, which are not JSON: the file is
+    # refused where it is read, and a dict holding them by the key.
     path = tmp_path / "cfg.json"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=re.escape(f"config key {key!r} needs a finite number")):
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not valid JSON: ")):
         load_config(path)
+    with pytest.raises(ConfigError, match=re.escape(f"config key {key!r} needs a finite number")):
+        config_from_dict(json.loads(text))
 
 
 def test_written_file_is_deterministic(tmp_path):

@@ -46,8 +46,8 @@ def test_digests_equal_hashlib_with_or_without_the_built_in_hashes(tmp_path, blo
     with none of them, as in an interpreter built without them, it falls
     back to hashlib. The 3.10/3.11 and the 3.12+ module names are both
     blocked, so either interpreter takes the fallback; a fresh interpreter
-    imports both busflux modules after the block. A numpy that loads
-    OpenSSL itself loads it in either case."""
+    imports both busflux modules after the block. Hashing runs no numpy,
+    so not even a numpy that loads OpenSSL in ``import numpy`` loads it."""
     path = tmp_path / "data.bin"
     payload = bytes(range(256)) * 5000
     path.write_bytes(payload)
@@ -57,14 +57,17 @@ def test_digests_equal_hashlib_with_or_without_the_built_in_hashes(tmp_path, blo
             "from busflux import frames, manifest\n"
             "print(manifest.sha256_file(sys.argv[1]))\n"
             "print(frames.anonymize(0x00B8000000FF).hex)\n"
-            "print('_hashlib' in sys.modules)\n")
+            "print('_hashlib' in sys.modules)\n"
+            "print(any(m == 'numpy' or m.startswith('numpy.') for m in sys.modules\n"
+            "          if type(sys.modules[m]) is type(sys)))\n")
     result = subprocess.run([sys.executable, "-c", code, str(path), json.dumps(blocked)],
                             env=conftest.child_env(), capture_output=True, text=True,
                             timeout=60, check=True)
     assert result.stdout.split() == [
         hashlib.sha256(payload).hexdigest(),
         hashlib.sha1(b"00:B8:00:00:00:FF").hexdigest(),
-        str(bool(blocked) or conftest.numpy_loads_openssl()),
+        str(bool(blocked)),
+        "False",
     ]
 
 
@@ -185,3 +188,11 @@ def test_unsupported_version_is_rejected(tmp_path):
     dest.write_text(json.dumps(payload))
     with pytest.raises(ParseError):
         read_manifest(dest)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_no_artifact_is_written_with_a_non_finite_number(tmp_path, value):
+    # JSON has no NaN or Infinity; Python's json writes them unless told not to.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_manifest(manifest(timings={"clean": value}), tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()

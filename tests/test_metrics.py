@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from busflux.errors import ColumnMismatchError
+from busflux.errors import BusfluxError, ColumnMismatchError
 from busflux.features import FeatureMatrix
 from busflux.models.linear import lr_fit
 from busflux.models.metrics import ComparisonReport, compare, evaluate, improvement_percent
@@ -136,6 +136,14 @@ def test_compare_improvement_keys_put_the_better_model_first():
     report = compare(models_with_mse({"worse": 3.0, "better": 1.0}), m)
     assert list(report.improvements) == ["better_vs_worse"]
     assert report.improvements["better_vs_worse"] > 0.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_compare_refuses_a_model_with_non_finite_predictions(value):
+    # A NaN model was ranked first: every comparison with NaN is false.
+    models = models_with_mse({"fine": 1.0, "broken": value})
+    with pytest.raises(BusfluxError, match="model 'broken': its test predictions are not all finite"):
+        compare(models, matrix(np.zeros(4)))
 
 
 def test_comparison_report_round_trip():
