@@ -42,6 +42,9 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from typing import Iterator, Union
 
+# CleaningConfig and its window names live in config; they stay importable
+# from here.
+from .config import WINDOW_PER_DAY, WINDOW_WHOLE_DATASET, CleaningConfig
 from .errors import ConfigError
 from .frames import (
     _BLOCK,
@@ -59,39 +62,6 @@ from .schema import (nonempty, nonnegative_int, parse_timestamp, read_table, rea
 SEGMENT_HEADER = ("bus_stop", "device", "start_utc", "end_utc", "frame_count", "mean_rssi")
 _SEGMENT_TYPES = (nonempty, DeviceId.from_hex, parse_timestamp, parse_timestamp, nonnegative_int,
                   real)
-
-WINDOW_PER_DAY = "per-day"
-WINDOW_WHOLE_DATASET = "whole-dataset"
-
-
-@dataclass(frozen=True, slots=True)
-class CleaningConfig:
-    """Thresholds for the cleaning pipeline.
-
-    The dwell bounds and RSSI range follow the field deployment defaults
-    (2/30 minutes, -80/-30 dBm, both ends inclusive); the segmentation gap
-    is not published anywhere, so it defaults to 5 minutes and is
-    configurable down to 60 s. A shorter gap would let one device's
-    segments share a minute, which the minute counts would count twice.
-    """
-
-    d_min: timedelta = timedelta(minutes=2)
-    d_max: timedelta = timedelta(minutes=30)
-    gap: timedelta = timedelta(minutes=5)
-    rssi_lo: int = -80
-    rssi_hi: int = -30
-    multi_stop_window: str = WINDOW_PER_DAY
-
-    def __post_init__(self):
-        if not (timedelta(0) < self.d_min < self.d_max):
-            raise ConfigError("need 0 < d_min < d_max")
-        if self.rssi_lo >= self.rssi_hi:
-            raise ConfigError("need rssi_lo < rssi_hi")
-        if self.gap < timedelta(minutes=1):
-            raise ConfigError("need gap >= 60 s")
-        if self.multi_stop_window not in (WINDOW_PER_DAY, WINDOW_WHOLE_DATASET):
-            raise ConfigError(f"unknown multi_stop_window: {self.multi_stop_window!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class Segment:

@@ -10,10 +10,17 @@ its value gets the same type and range checks and an error naming the key.
 Exit codes: 0 success, 1 domain error, 2 missing/undecodable input.
 ``BUSFLUX_LOG`` sets log verbosity and never changes outputs.
 
-Every stage module is imported here, but numpy is bound lazily
-(``busflux.lazy``) and runs only when a stage first touches an array:
-``--version``, ``aggregate``, ``join`` and ``plot`` never run it, and start
-up that much faster and smaller.
+A process imports only what every stage needs: errors, schema, config
+(with the model config) and manifest. Each library function a handler
+calls is a module-level name here, a stand-in from ``busflux.lazy`` until
+the stage runs; the stage then imports the modules its handler calls and
+binds their functions in place of the stand-ins (``STAGE_MODULES``), so
+``--version`` runs no stage module and ``plot`` runs no ``cleaning``.
+numpy is bound lazily too and runs only when a stage first touches an
+array: ``--version``, ``aggregate``, ``join`` and ``plot`` never run it,
+and start up that much faster and smaller. A stage refuses, before it
+writes anything, a run whose output would overwrite one of its inputs or
+another of its outputs.
 
 Each stage runs on one BLAS thread: the models are small, and a second
 OpenBLAS thread mostly spin-waits between the many small products of a fit,
@@ -26,6 +33,7 @@ entry module sets the default; library callers keep their own BLAS policy.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
@@ -42,53 +50,69 @@ from pathlib import Path
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from . import __version__
-from .aggregation import (
-    hourly_counts,
-    minute_counts,
-    read_hourly_csv,
-    write_hourly_csv,
-    write_minute_csv,
-)
-from .cleaning import clean, read_segment_csv, write_segment_csv
 from .config import PipelineConfig, load_config
 from .errors import BusfluxError, ConfigError, ParseError
-from .features import (
-    FeatureCodec,
-    build_rows,
-    load_matrix,
-    read_joined_csv,
-    read_matrix_meta,
-    save_matrix,
-    split_rows,
-    write_joined_csv,
-    write_matrix_meta,
-)
-from .frames import parse_frame_csv, sorted_frames, write_frame_csv
+from .lazy import lazy_function
 from .manifest import RunManifest, write_manifest
-from .models.boosting import GbtEnsemble, gbt_fit
-from .models.linear import lr_fit
-from .models.metrics import ComparisonReport, compare
-from .models.mlp import mlp_init, mlp_train
-from .models.store import MODELS, load_model, read_history_csv, save_model, write_history_csv
-from .models.tree import cart_fit
-from .plots import (
-    Series,
-    bar_chart,
-    history_series,
-    hourly_series,
-    line_chart,
-    report_bars,
-    write_series_csv,
-)
+from .models.config import MODEL_ARCHS
 from .schema import from_dict, load_json, to_dict, write_json, write_table
-from .synth import (
-    default_scenario,
-    generate,
-    noise_free_scenario,
-    nonlinear_scenario,
-    write_truth_json,
-)
-from .weather import hourly_lookup, parse_weather, write_weather_json
+
+# The library functions the handlers call, by busflux module. Each is a
+# module-level function here, where the bench's tracer finds it. Until a
+# stage binds its modules (_bind), each name holds a stand-in that imports
+# its module when called.
+HANDLER_FUNCTIONS = {
+    "aggregation": ("hourly_counts", "minute_counts", "read_hourly_csv", "write_hourly_csv",
+                    "write_minute_csv"),
+    "cleaning": ("clean", "read_segment_csv", "write_segment_csv"),
+    "features": ("build_rows", "load_matrix", "read_joined_csv", "read_matrix_meta",
+                 "save_matrix", "split_rows", "write_joined_csv", "write_matrix_meta"),
+    "frames": ("parse_frame_csv", "sorted_frames", "write_frame_csv"),
+    "models.boosting": ("gbt_fit",),
+    "models.linear": ("lr_fit",),
+    "models.metrics": ("compare",),
+    "models.mlp": ("mlp_init", "mlp_train"),
+    "models.store": ("load_model", "read_history_csv", "save_model", "write_history_csv"),
+    "models.tree": ("cart_fit",),
+    "plots": ("bar_chart", "history_series", "hourly_series", "line_chart", "report_bars",
+              "write_series_csv"),
+    "synth": ("default_scenario", "generate", "noise_free_scenario", "nonlinear_scenario",
+              "write_truth_json"),
+    "weather": ("hourly_lookup", "parse_weather", "write_weather_json"),
+}
+_STAND_INS = {name: lazy_function(f"{__package__}.{module}", name)
+              for module, names in HANDLER_FUNCTIONS.items() for name in names}
+globals().update(_STAND_INS)
+
+# The modules whose functions each subcommand's handler calls. plot also
+# binds the module that reads the input it is given.
+STAGE_MODULES = {
+    "synth": ("synth", "frames", "weather"),
+    "clean": ("frames", "cleaning"),
+    "aggregate": ("cleaning", "aggregation"),
+    "join": ("aggregation", "weather", "features"),
+    "featurize": ("features",),
+    "train": ("features", "models.linear", "models.mlp", "models.tree", "models.boosting",
+              "models.store"),
+    "evaluate": ("features", "models.store", "models.metrics"),
+    "importance": ("models.store",),
+    "plot": ("plots",),
+}
+PLOT_READERS = {"history": "models.store", "counts": "aggregation",
+                "mse_report": "models.metrics"}
+
+# Classes and tables the handlers import where they use them, importable
+# from here as from their own modules.
+_LAZY_ATTRS = {"FeatureCodec": "features", "GbtEnsemble": "models.boosting",
+               "ComparisonReport": "models.metrics", "Series": "plots",
+               "MODELS": "models.store"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_ATTRS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{_LAZY_ATTRS[name]}"), name)
+
 
 log = logging.getLogger("busflux.cli")
 
@@ -210,6 +234,8 @@ def cmd_join(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 
 def cmd_featurize(args, cfg: PipelineConfig, timings: dict[str, float]):
+    from .features import FeatureCodec
+
     _keep_openssl_out()
     outputs = [args.out_train, args.out_val, args.out_test]
     with _timed(timings, "featurize"):
@@ -228,7 +254,7 @@ def cmd_featurize(args, cfg: PipelineConfig, timings: dict[str, float]):
     return [args.joined], [*outputs, args.out_meta]
 
 
-def _load_rows(path, codec: FeatureCodec, why_empty: str = ""):
+def _load_rows(path, codec, why_empty: str = ""):
     """The matrix at ``path``; a matrix with no rows is a domain error."""
     matrix = load_matrix(path, codec)
     if matrix.n_rows == 0:
@@ -288,6 +314,8 @@ def cmd_evaluate(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 
 def cmd_importance(args, cfg: PipelineConfig, timings: dict[str, float]):
+    from .models.boosting import GbtEnsemble
+
     model = load_model(args.model)
     if not isinstance(model, GbtEnsemble):
         raise BusfluxError("feature importance needs a gradient-boosted model file")
@@ -300,7 +328,6 @@ def cmd_importance(args, cfg: PipelineConfig, timings: dict[str, float]):
 
 
 def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
-    out_csv = args.out_csv or str(Path(args.out).with_suffix(".csv"))
     source = args.history or args.counts or args.mse_report
     read = read_history_csv if args.history else read_hourly_csv if args.counts else load_json
     # A file that exists but does not hold the expected artifact is a domain
@@ -317,6 +344,9 @@ def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
             series = hourly_series(artifact)
             svg = line_chart(series, title="Hourly waiting devices per stop", x_label="hours since start", y_label="devices")
         else:
+            from .models.metrics import ComparisonReport
+            from .plots import Series
+
             labels, values = report_bars(ComparisonReport.from_dict(artifact))
             series = [Series(name="mse", xs=tuple(range(len(values))), ys=tuple(values))]
             svg = bar_chart(labels, values, title="Model test MSE", y_label="mse")
@@ -324,8 +354,8 @@ def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
         raise BusfluxError(f"unknown input schema in {source}: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
-    write_series_csv(series, out_csv)
-    return [source], [args.out, out_csv]
+    write_series_csv(series, args.out_csv)
+    return [source], [args.out, args.out_csv]
 
 
 def _resolve_config(args) -> PipelineConfig:
@@ -341,14 +371,51 @@ def _resolve_config(args) -> PipelineConfig:
     return from_dict(PipelineConfig, flags, cfg)
 
 
+def _check_paths(args) -> None:
+    """Refuse a run that would write over one of its inputs, or write two of
+    its outputs to one file. ``args.reads`` and ``args.writes`` name the
+    stage's path flags by dest; each flag holds a path, a list of them or
+    nothing."""
+    seen: dict[str, str] = {}
+    for writing, dests in ((False, ("config", *args.reads)), (True, (*args.writes, "manifest"))):
+        for dest in dests:
+            paths = getattr(args, dest) or []
+            for path in [paths] if isinstance(paths, str) else paths:
+                flag = "--" + dest.replace("_", "-")
+                key = os.path.realpath(path)
+                if writing and key in seen:
+                    raise BusfluxError(f"{flag} and {seen[key]} both name {path}; "
+                                       "the stage would write over it")
+                seen.setdefault(key, flag)
+
+
+def _bind(modules) -> None:
+    """Import ``modules`` and put each function of theirs in place of its
+    stand-in here, so that the handler calls it directly. A name that no
+    longer holds its stand-in (a tracer or a test rebound it) is left alone."""
+    for module in modules:
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for name in HANDLER_FUNCTIONS[module]:
+            if globals()[name] is _STAND_INS[name]:
+                globals()[name] = getattr(loaded, name)
+
+
 def _run_stage(args) -> None:
     """Resolve the config, run the stage's handler and write its manifest.
 
     A handler takes (args, cfg, timings), records its timings through
     ``_timed`` and returns the (inputs, outputs) the manifest lists; the
-    first output names the manifest by default.
+    first output names the manifest by default. Before it runs, the
+    stage's paths are checked and its modules bound.
     """
+    modules = STAGE_MODULES[args.command]
+    if args.command == "plot":
+        # The series CSV sits next to the SVG by default.
+        args.out_csv = args.out_csv or str(Path(args.out).with_suffix(".csv"))
+        modules += tuple(module for dest, module in PLOT_READERS.items() if getattr(args, dest))
+    _check_paths(args)
     cfg = _resolve_config(args)
+    _bind(modules)
     timings: dict[str, float] = {}
     inputs, outputs = args.func(args, cfg, timings)
     manifest_path = args.manifest or f"{outputs[0]}.manifest.json"
@@ -404,14 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-weather", required=True)
     p.add_argument("--out-truth", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, reads=(), writes=("out_frames", "out_weather", "out_truth"))
 
     p = subs.add_parser("clean", help="filter frames and emit dwell segments")
     p.add_argument("--frames", required=True)
     p.add_argument("--out-segments", required=True)
     p.add_argument("--out-report", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_clean)
+    p.set_defaults(func=cmd_clean, reads=("frames",), writes=("out_segments", "out_report"))
 
     p = subs.add_parser("aggregate", help="segments to minute and hourly counts")
     p.add_argument("--segments", required=True)
@@ -420,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=utc_timestamp, help="zero-fill range start (UTC)")
     p.add_argument("--end", type=utc_timestamp, help="zero-fill range end (UTC)")
     _add_common(p)
-    p.set_defaults(func=cmd_aggregate)
+    p.set_defaults(func=cmd_aggregate, reads=("segments",), writes=("out_minutes", "out_hourly"))
 
     p = subs.add_parser("join", help="join hourly counts with weather")
     p.add_argument("--hourly", required=True)
@@ -428,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-joined", required=True)
     p.add_argument("--out-report")
     _add_common(p)
-    p.set_defaults(func=cmd_join)
+    p.set_defaults(func=cmd_join, reads=("hourly", "weather"), writes=("out_joined", "out_report"))
 
     p = subs.add_parser("featurize", help="encode joined rows and split train/val/test")
     p.add_argument("--joined", required=True)
@@ -438,10 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-test", required=True)
     p.add_argument("--out-meta", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_featurize)
+    p.set_defaults(func=cmd_featurize, reads=("joined",),
+                   writes=("out_train", "out_val", "out_test", "out_meta"))
 
     p = subs.add_parser("train", help="fit one model on encoded matrices")
-    p.add_argument("--model", required=True, choices=tuple(MODELS))
+    p.add_argument("--model", required=True, choices=MODEL_ARCHS)
     p.add_argument("--train", required=True, help="training matrix CSV")
     p.add_argument("--val", help="validation matrix CSV (wnn/dnn)")
     p.add_argument("--meta", required=True, help="matrix metadata JSON")
@@ -452,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-model", required=True)
     p.add_argument("--out-history", help="per-epoch loss CSV (wnn/dnn)")
     _add_common(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, reads=("train", "val", "meta"),
+                   writes=("out_model", "out_history"))
 
     p = subs.add_parser("evaluate", help="rank trained models on the test matrix")
     p.add_argument("--test", required=True)
@@ -460,13 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, action="append", help="model JSON (repeatable)")
     p.add_argument("--out-report", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, reads=("test", "meta", "model"), writes=("out_report",))
 
     p = subs.add_parser("importance", help="ranked feature importance of a boosted model")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_importance)
+    p.set_defaults(func=cmd_importance, reads=("model",), writes=("out",))
 
     p = subs.add_parser("plot", help="render a pipeline artifact as SVG + series CSV")
     group = p.add_mutually_exclusive_group(required=True)
@@ -476,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output SVG path")
     p.add_argument("--out-csv", help="series CSV path (default: SVG path with .csv)")
     _add_common(p)
-    p.set_defaults(func=cmd_plot)
+    p.set_defaults(func=cmd_plot, reads=("history", "counts", "mse_report"),
+                   writes=("out", "out_csv"))
 
     return parser
 

@@ -17,6 +17,7 @@ from itertools import pairwise
 from typing import Iterable, Iterator, Sequence, Union
 
 from .aggregation import HourlyCount
+from .config import CampusCalendar, SplitSpec
 from .errors import BusfluxError, ConfigError
 from .lazy import numpy as np
 from .schema import (format_timestamp, parse_timestamp, read_json, read_table, real, to_dict,
@@ -79,36 +80,6 @@ _FIRST_CATEGORICAL = len(JOINED_KEY_COLUMNS) + len(NUMERIC_FEATURES)
 
 class RowRejected(BusfluxError):
     """A (stop, hour) row cannot become a feature row; carries the reason."""
-
-
-@dataclass(frozen=True, slots=True)
-class CampusCalendar:
-    """Campus clock context: semester start (local), UTC offset, morning cut."""
-
-    semester_start: date
-    utc_offset_hours: int = -4
-    morning_end_hour: int = 12
-
-    def __post_init__(self):
-        if not -12 <= self.utc_offset_hours <= 14:
-            raise ConfigError("utc_offset_hours must be in [-12, 14]")
-        if not 0 <= self.morning_end_hour <= 23:
-            raise ConfigError("morning_end_hour must be a valid hour")
-
-
-@dataclass(frozen=True, slots=True)
-class SplitSpec:
-    seed: int = 7
-    test_fraction: float = 0.2
-    val_fraction_of_train: float = 0.2
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("split seed must be a nonnegative integer")
-        if not 0 < self.test_fraction < 1:
-            raise ConfigError("test_fraction must lie in (0, 1)")
-        if not 0 <= self.val_fraction_of_train < 1:
-            raise ConfigError("val_fraction_of_train must lie in [0, 1)")
 
 
 def derive_features(count: HourlyCount, wx: WeatherObservation, cal: CampusCalendar) -> list:

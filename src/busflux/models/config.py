@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 
+# The archs a model file may name, which are also `train --model`'s choices.
+MODEL_ARCHS = ("lr", "wnn", "dnn", "cart", "gbt")
+
 
 @dataclass(frozen=True, slots=True)
 class CartParams:

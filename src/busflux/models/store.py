@@ -8,7 +8,7 @@ from typing import Union
 from ..errors import ParseError
 from ..schema import read_json, read_table, real, to_dict, write_json, write_table
 from .boosting import GbtEnsemble
-from .config import TrainConfig
+from .config import MODEL_ARCHS, TrainConfig
 from .linear import LinearModel
 from .mlp import ARCH_DNN, ARCH_WNN, MlpModel, TrainHistory
 from .tree import RegressionTree
@@ -16,13 +16,7 @@ from .tree import RegressionTree
 FORMAT_VERSION = 2
 
 # The class of each arch a model file may name; a class names its own arch.
-MODELS = {
-    LinearModel.arch: LinearModel,
-    ARCH_WNN: MlpModel,
-    ARCH_DNN: MlpModel,
-    RegressionTree.arch: RegressionTree,
-    GbtEnsemble.arch: GbtEnsemble,
-}
+MODELS = dict(zip(MODEL_ARCHS, (LinearModel, MlpModel, MlpModel, RegressionTree, GbtEnsemble)))
 
 
 def save_model(

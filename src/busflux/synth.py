@@ -29,7 +29,10 @@ from itertools import repeat
 from typing import Union
 
 from .aggregation import HourlyCount
-from .cleaning import CleaningConfig
+# The scenario sections and their constants live in config; they stay
+# importable from here.
+from .config import (DEFAULT_HOUR_SHAPE, DEFAULT_STOPS, LAST_TRIP_START_HOUR, CleaningConfig,
+                     DemandModel, NoiseMix, ScenarioConfig)
 from .errors import ConfigError
 from .features import FeatureMatrix
 from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize
@@ -38,113 +41,11 @@ from .schema import (epoch_seconds, format_timestamp, parse_timestamp, read_json
                      utc_datetime, whole_seconds, write_json)
 from .weather import WeatherObservation
 
-DEFAULT_STOPS = tuple(f"stop-{i:02d}" for i in range(1, 8))
-
-# Expected departures per hour relative to base_rate: quiet nights, a
-# morning and an evening peak. Hours 21-23 stay zero so both dwells of a
-# trip always finish before midnight UTC.
-DEFAULT_HOUR_SHAPE = (
-    0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-    0.4, 1.2, 1.8, 1.2, 0.7, 0.6,
-    0.8, 0.7, 0.6, 0.8, 1.3, 1.8,
-    1.4, 0.8, 0.5, 0.0, 0.0, 0.0,
-)
-
-LAST_TRIP_START_HOUR = 20
-
-
-@dataclass(frozen=True, slots=True)
-class DemandModel:
-    """Multiplicative intensity: base x stop x hour shape x weekday x weather."""
-
-    base_rate: float = 2.0
-    stop_weights: tuple[float, ...] | None = None
-    hour_shape: tuple[float, ...] = DEFAULT_HOUR_SHAPE
-    weekday_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 1.0, 0.6, 0.5)
-    rain_multiplier: float = 0.5
-    cold_multiplier: float = 0.7
-    cold_threshold_c: float = 5.0
-
-    def __post_init__(self):
-        if self.base_rate < 0:
-            raise ConfigError("base_rate must be >= 0")
-        if len(self.hour_shape) != 24 or any(v < 0 for v in self.hour_shape):
-            raise ConfigError("hour_shape needs 24 nonnegative entries")
-        if any(self.hour_shape[h] > 0 for h in range(LAST_TRIP_START_HOUR + 1, 24)):
-            raise ConfigError(
-                f"hour_shape must be zero after hour {LAST_TRIP_START_HOUR} "
-                "so trips finish within their UTC day"
-            )
-        if len(self.weekday_weights) != 7 or any(v < 0 for v in self.weekday_weights):
-            raise ConfigError("weekday_weights needs 7 nonnegative entries")
-
-    def rate(self, stop_index: int, day: date, hour: int, wx: WeatherObservation) -> float:
-        shape = self.hour_shape[hour]
-        if shape == 0.0:
-            return 0.0
-        weight = 1.0 if self.stop_weights is None else self.stop_weights[stop_index]
-        rate = self.base_rate * weight * shape * self.weekday_weights[day.weekday()]
-        if wx.rain_1h > 0:
-            rate *= self.rain_multiplier
-        if wx.temp < self.cold_threshold_c:
-            rate *= self.cold_multiplier
-        return rate
-
-
 NOISE_CLASSES = ("randomized", "single_stop", "out_of_rssi", "short_dwell", "long_dwell")
-
-
-@dataclass(frozen=True, slots=True)
-class NoiseMix:
-    """Fractions of the total device population per noise class."""
-
-    randomized: float = 0.0
-    single_stop: float = 0.0
-    out_of_rssi: float = 0.0
-    short_dwell: float = 0.0
-    long_dwell: float = 0.0
-
-    def __post_init__(self):
-        fractions = self.as_tuple()
-        if any(not 0.0 <= f <= 1.0 for f in fractions):
-            raise ConfigError("noise fractions must lie in [0, 1]")
-        if sum(fractions) > 1.0 + 1e-12:
-            raise ConfigError("noise fractions must sum to at most 1")
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.randomized,
-            self.single_stop,
-            self.out_of_rssi,
-            self.short_dwell,
-            self.long_dwell,
-        )
 
 
 def default_noise_mix() -> NoiseMix:
     return NoiseMix(**{name: 0.1 for name in NOISE_CLASSES})
-
-
-@dataclass(frozen=True, slots=True)
-class ScenarioConfig:
-    seed: int = 11
-    stops: tuple[str, ...] = DEFAULT_STOPS
-    start_date: date = date(2017, 4, 5)
-    days: int = 30
-    demand: DemandModel = field(default_factory=DemandModel)
-    noise: NoiseMix = field(default_factory=NoiseMix)
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if self.days < 1:
-            raise ConfigError("days must be >= 1")
-        if len(self.stops) < 2:
-            raise ConfigError("need at least 2 stops so trips can span two stops")
-        if len(set(self.stops)) != len(self.stops):
-            raise ConfigError("stop names must be unique")
-        if self.demand.stop_weights is not None and len(self.demand.stop_weights) != len(self.stops):
-            raise ConfigError("stop_weights length must match the stop list")
 
 
 @dataclass(frozen=True, slots=True)

@@ -314,7 +314,7 @@ def _run_pipeline(root) -> list[tuple[str, str, str]]:
          "--model", root / "lr.json", "--model", root / "gbt.json",
          "--model", root / "wnn.json", "--out-report", root / "eval.json"],
         ["importance", "--model", root / "gbt.json", "--out", root / "importance.csv"],
-        ["plot", "--counts", root / "hourly.csv", "--out", root / "hourly.svg"],
+        ["plot", "--counts", root / "hourly.csv", "--out", root / "counts.svg"],
     ]
     for argv in order:
         rc = cli_main([str(a) for a in argv])

@@ -892,6 +892,28 @@ def test_plot_names_an_input_without_its_artifact_once(tmp_path, capsys, flag, t
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("argv, flags, target", [
+    # plot's series CSV defaults to the SVG path with .csv: here, its input.
+    (["plot", "--counts", "{tmp}/hourly.csv", "--out", "{tmp}/hourly.svg"],
+     ("--out-csv", "--counts"), "hourly.csv"),
+    (["clean", "--frames", "{tmp}/frames.csv", "--out-segments", "{tmp}/frames.csv",
+      "--out-report", "{tmp}/clean.json"], ("--out-segments", "--frames"), "frames.csv"),
+    (["clean", "--frames", "{tmp}/frames.csv", "--out-segments", "{tmp}/segments.csv",
+      "--out-report", "{tmp}/./segments.csv"], ("--out-report", "--out-segments"),
+     "segments.csv"),
+], ids=["plot-default-csv", "clean-input", "clean-outputs"])
+def test_a_stage_refuses_to_write_over_its_input_or_another_output(ws, tmp_path, capsys, argv,
+                                                                  flags, target):
+    for key in ("hourly", "frames"):
+        shutil.copy(ws[key], tmp_path / ws[key].name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} and {flags[1]} both name ")
+    assert target in err and len(err.splitlines()) == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_aggregate_with_a_reversed_range_exits_1_naming_both_ends(ws, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -992,6 +1014,16 @@ NUMPY_STATE = ("import types\n"
                "np = sys.modules.get('numpy')\n"
                "print(sorted(m for m in sys.modules if m.startswith('numpy.')),\n"
                "      np is not None and type(np) is types.ModuleType)\n")
+# Prints, as JSON, the busflux modules whose code has run: as for numpy, a
+# module bound lazily sits in sys.modules before it runs.
+BUSFLUX_RAN = ("import json, types\n"
+               "print(json.dumps(sorted(name for name, m in sys.modules.items()\n"
+               "                        if name.partition('.')[0] == 'busflux'\n"
+               "                        and type(m) is types.ModuleType)))\n")
+# What every CLI process runs, `--version` included.
+STARTUP_MODULES = {"busflux", "busflux.cli", "busflux.config", "busflux.errors", "busflux.lazy",
+                   "busflux.manifest", "busflux.models", "busflux.models.config",
+                   "busflux.schema"}
 
 
 @pytest.mark.parametrize("module", [
@@ -1002,43 +1034,65 @@ NUMPY_STATE = ("import types\n"
     "busflux.models.store",
 ])
 def test_importing_the_package_loads_no_numpy(module):
-    code = f"import sys, {module}\n" + NUMPY_STATE
+    """Nor does reading a config, or the CLI's import, run any stage module."""
+    code = f"import sys, {module}\n" + NUMPY_STATE + BUSFLUX_RAN
     result = subprocess.run([sys.executable, "-c", code], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[] False"
+    numpy_state, ran = result.stdout.splitlines()
+    assert numpy_state == "[] False"
+    if module in ("busflux.config", "busflux.cli"):
+        assert set(json.loads(ran)) <= STARTUP_MODULES
 
 
-@pytest.mark.parametrize("argv, runs_numpy", [
-    (["--version"], False),
-    (["aggregate", "--segments", "{segments}", "--out-hourly", "{out}/hourly.csv"], False),
+@pytest.mark.parametrize("argv, runs_numpy, stage_modules", [
+    (["--version"], False, set()),
+    (["aggregate", "--segments", "{segments}", "--out-hourly", "{out}/hourly.csv"], False,
+     {"cleaning", "frames", "aggregation"}),
     (["join", "--hourly", "{hourly}", "--weather", "{weather}",
-      "--out-joined", "{out}/joined.csv"], False),
-    (["plot", "--counts", "{hourly}", "--out", "{out}/counts.svg"], False),
+      "--out-joined", "{out}/joined.csv"], False, {"aggregation", "weather", "features"}),
+    (["plot", "--counts", "{hourly}", "--out", "{out}/counts.svg"], False,
+     {"plots", "aggregation"}),
     (["clean", "--frames", "{frames}", "--out-segments", "{out}/segments.csv",
-      "--out-report", "{out}/clean.json"], True),
+      "--out-report", "{out}/clean.json"], True, {"frames", "cleaning"}),
     (["featurize", "--joined", "{joined}", "--out-train", "{out}/train.csv",
       "--out-val", "{out}/val.csv", "--out-test", "{out}/test.csv",
-      "--out-meta", "{out}/meta.json"], True),
-], ids=["version", "aggregate", "join", "plot-counts", "clean", "featurize"])
-def test_only_the_array_stages_run_numpy(ws, tmp_path, argv, runs_numpy):
+      "--out-meta", "{out}/meta.json"], True, {"features", "aggregation", "weather"}),
+    (["train", "--model", "lr", "--train", "{train}", "--meta", "{meta}",
+      "--out-model", "{out}/lr.json"], True,
+     {"features", "aggregation", "weather", "models.store", "models.linear", "models.mlp",
+      "models.tree", "models.boosting"}),
+], ids=["version", "aggregate", "join", "plot-counts", "clean", "featurize", "train-lr"])
+def test_only_the_array_stages_run_numpy(ws, tmp_path, argv, runs_numpy, stage_modules):
     """Up to joined.csv the pipeline needs no numpy, and a stage that needs
-    none does not run it; each stage runs in a fresh interpreter."""
+    none does not run it. Each stage runs the start-up modules and those
+    its handler calls, and no other busflux module: `plot --counts` no
+    `cleaning`, `clean` no `aggregation`, and none of them `synth`. The
+    handler calls each library function directly, not through its
+    stand-in. Each stage runs in a fresh interpreter."""
     argv = [a.format(out=tmp_path, **ws) for a in argv]
+    # Also counts the calls made through a stand-in, whose frame would hold
+    # the call's arguments: all stand-ins share one code object.
     code = ("import sys\n"
             "from busflux.cli import main\n"
+            "from busflux.lazy import lazy_function\n"
+            "stand_in, calls = lazy_function('json', 'dumps').__code__, []\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call'\n"
+            "               and frame.f_code is stand_in and calls.append(1))\n"
             "try:\n"
             "    code = main(sys.argv[1:])\n"
             "except SystemExit as exc:\n"
             "    code = exc.code\n"
-            "print(code)\n" + NUMPY_STATE)
+            "sys.setprofile(None)\n"
+            "print(code, len(calls))\n" + NUMPY_STATE + BUSFLUX_RAN)
     result = subprocess.run([sys.executable, "-c", code, *argv], env=conftest.child_env(),
                             capture_output=True, text=True, timeout=60, check=True)
-    status, state = result.stdout.splitlines()[-2:]
-    assert status == "0"
+    status, state, ran = result.stdout.splitlines()[-3:]
+    assert status == "0 0"
     if runs_numpy:
         assert state.endswith("] True") and state != "[] True"
     else:
         assert state == "[] False"
+    assert set(json.loads(ran)) == STARTUP_MODULES | {f"busflux.{m}" for m in stage_modules}
 
 
 def test_importing_the_cli_loads_no_network_modules():

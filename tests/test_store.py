@@ -10,7 +10,7 @@ import pytest
 from busflux.errors import ParseError
 from busflux.features import FeatureMatrix
 from busflux.models.boosting import gbt_fit
-from busflux.models.config import CartParams, GbtParams, TrainConfig
+from busflux.models.config import MODEL_ARCHS, CartParams, GbtParams, TrainConfig
 from busflux.models.linear import lr_fit
 from busflux.models.mlp import ARCH_DNN, ARCH_WNN, TrainHistory, mlp_init, mlp_train
 from busflux.models.store import load_model, read_history_csv, save_model, write_history_csv
@@ -185,7 +185,10 @@ def test_columns_of_another_width_are_rejected_on_load(tmp_path, arch):
 
 
 def test_every_arch_loads_as_its_own_class_with_its_columns(tmp_path):
-    for arch, model in one_of_each().items():
+    # MODEL_ARCHS is also `train --model`'s list of choices.
+    models = one_of_each()
+    assert tuple(models) == MODEL_ARCHS
+    for arch, model in models.items():
         dest = tmp_path / f"{arch}.json"
         save_model(model, dest)
         back = load_model(dest)
