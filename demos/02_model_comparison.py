@@ -65,9 +65,9 @@ for arch in (ARCH_WNN, ARCH_DNN):
 report = compare(models, test)
 print("\ntest MSE ranking")
 for entry in report.ranking:
-    print(f"  {entry['name']:<5} mse {entry['mse']:.3f}  mae {entry['mae']:.3f}")
+    print(f"  {entry.name:<5} mse {entry.mse:.3f}  mae {entry.mae:.3f}")
 
-best = report.ranking[0]["name"]
+best = report.ranking[0].name
 gain = report.improvements.get(f"{best}_vs_lr")
 if gain is not None:
     print(f"\n{best} beats the linear baseline by {gain:.1f}%")

@@ -307,9 +307,9 @@ def cmd_evaluate(args, cfg: PipelineConfig, timings: dict[str, float]):
         models[name] = load_model(path)
     with _timed(timings, "evaluate"):
         report = compare(models, test)
-    write_json(args.out_report, report.to_dict())
+    write_json(args.out_report, to_dict(report))
     for entry in report.ranking:
-        log.info("evaluate: %s mse=%.6g mae=%.6g", entry["name"], entry["mse"], entry["mae"])
+        log.info("evaluate: %s mse=%.6g mae=%.6g", entry.name, entry.mse, entry.mae)
     return [args.test, args.meta, *args.model], [args.out_report]
 
 
@@ -336,6 +336,8 @@ def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
         artifact = read(source)
     except ParseError as exc:
         raise BusfluxError(f"unknown input schema: {exc}") from exc
+    # So is one with nothing to draw; a report of the wrong form is a
+    # malformed artifact, as in evaluate.
     try:
         if args.history:
             series = history_series(artifact)
@@ -347,10 +349,10 @@ def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
             from .models.metrics import ComparisonReport
             from .plots import Series
 
-            labels, values = report_bars(ComparisonReport.from_dict(artifact))
+            labels, values = report_bars(from_dict(ComparisonReport, artifact, source=source))
             series = [Series(name="mse", xs=tuple(range(len(values))), ys=tuple(values))]
             svg = bar_chart(labels, values, title="Model test MSE", y_label="mse")
-    except (ParseError, LookupError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise BusfluxError(f"unknown input schema in {source}: {exc}") from exc
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)

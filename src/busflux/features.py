@@ -14,15 +14,17 @@ from array import array
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from itertools import pairwise
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-from .aggregation import HourlyCount
 from .config import CampusCalendar, SplitSpec
 from .errors import BusfluxError, ConfigError
 from .lazy import numpy as np
-from .schema import (format_timestamp, parse_timestamp, read_json, read_table, real, to_dict,
-                     write_json, write_table)
-from .weather import WeatherObservation
+from .schema import (format_timestamp, from_dict, parse_timestamp, read_json, read_table, real,
+                     to_dict, write_json, write_table)
+
+if TYPE_CHECKING:
+    from .aggregation import HourlyCount
+    from .weather import WeatherObservation
 
 WEEKDAY_NAMES = (
     "Monday",
@@ -251,10 +253,8 @@ class ColumnMeta:
     value: str | None = None
 
     def __post_init__(self):
-        # A codec read from a file: its names become a matrix header.
-        if not isinstance(self.name, str) or self.kind not in ("numeric", "onehot"):
-            raise TypeError(f"a column needs a string name and the kind 'numeric' or 'onehot', "
-                            f"not {self.name!r} and {self.kind!r}")
+        if self.kind not in ("numeric", "onehot"):
+            raise ValueError(f"a column needs the kind 'numeric' or 'onehot', not {self.kind!r}")
 
 
 @dataclass(slots=True)
@@ -351,14 +351,13 @@ class FeatureCodec:
             X[every[seen], cols[seen]] = 1.0
         return FeatureMatrix(list(self.columns), X, rows.target.copy(), list(rows.keys))
 
-    def to_dict(self) -> dict:
-        return {"columns": [to_dict(c) for c in self.columns],
-                "dropped_constant": self.dropped_constant}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FeatureCodec":
-        return cls([ColumnMeta(**c) for c in data["columns"]],
-                   list(data.get("dropped_constant", [])))
+@dataclass(frozen=True, slots=True)
+class MatrixMeta:
+    """The sidecar JSON of the encoded matrices: codec and split recipe."""
+
+    codec: FeatureCodec
+    split: SplitSpec
 
 
 def split_rows(
@@ -404,12 +403,14 @@ def write_matrix_meta(
     codec: FeatureCodec, split: SplitSpec, dest: Union[str, os.PathLike]
 ) -> None:
     """Sidecar JSON describing the encoded matrices: codec + split recipe."""
-    write_json(dest, {"format_version": 1, "codec": codec.to_dict(), "split": to_dict(split)})
+    write_json(dest, {"format_version": 1, **to_dict(MatrixMeta(codec, split))})
 
 
 def read_matrix_meta(source: Union[str, os.PathLike]) -> tuple[FeatureCodec, SplitSpec]:
     with read_json(source, 1) as payload:
-        return FeatureCodec.from_dict(payload["codec"]), SplitSpec(**payload["split"])
+        del payload["format_version"]
+        meta = from_dict(MatrixMeta, payload, source=source)
+    return meta.codec, meta.split
 
 
 def save_matrix(matrix: FeatureMatrix, dest: Union[str, os.PathLike]) -> None:

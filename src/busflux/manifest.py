@@ -10,10 +10,10 @@ which loads no OpenSSL.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .schema import read_json, sha256, to_dict, write_json
+from .schema import from_dict, read_json, sha256, to_dict, write_json
 
 FORMAT_VERSION = 1
 
@@ -64,7 +64,8 @@ def write_manifest(manifest: RunManifest, dest: Union[str, os.PathLike]) -> None
 
 def read_manifest(source: Union[str, os.PathLike]) -> RunManifest:
     with read_json(source, FORMAT_VERSION) as payload:
-        return RunManifest(**{f.name: payload[f.name] for f in fields(RunManifest)})
+        del payload["format_version"]
+        return from_dict(RunManifest, payload, source=source)
 
 
 def combined_digest_list(manifests: Iterable[RunManifest]) -> list[tuple[str, str, str]]:

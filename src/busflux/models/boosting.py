@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from ..errors import BusfluxError
 from ..features import FeatureMatrix
 from ..lazy import numpy as np
+from ..schema import LEFT_OUT
 from .config import CartParams, GbtParams
 from .tree import RegressionTree, ValueCoding, grow
 
@@ -20,9 +22,13 @@ class GbtEnsemble:
     arch = "gbt"  # a class attribute, not a field
     base_prediction: float
     shrinkage: float
-    trees: list[RegressionTree] = field(default_factory=list)
-    importance: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    columns: tuple[str, ...] | None = None
+    trees: list[RegressionTree]
+    importance: Annotated[np.ndarray, "float64", 1]
+    columns: tuple[str, ...] | None = field(default=None, metadata=LEFT_OUT)
+
+    def __post_init__(self):
+        if any(tree.n_features != self.n_features for tree in self.trees):
+            raise ValueError("every tree must take as many features as the importance has entries")
 
     @property
     def n_features(self) -> int:
@@ -33,26 +39,6 @@ class GbtEnsemble:
         for tree in self.trees:
             out += self.shrinkage * tree.predict(X)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "base_prediction": self.base_prediction,
-            "shrinkage": self.shrinkage,
-            "trees": [t.to_dict() for t in self.trees],
-            "importance": self.importance.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GbtEnsemble":
-        model = cls(
-            base_prediction=float(data["base_prediction"]),
-            shrinkage=float(data["shrinkage"]),
-            trees=[RegressionTree.from_dict(t) for t in data["trees"]],
-            importance=np.array(data["importance"], dtype=np.float64),
-        )
-        if any(tree.n_features != model.n_features for tree in model.trees):
-            raise ValueError("every tree must take as many features as the importance has entries")
-        return model
 
 
 def gbt_fit(train: FeatureMatrix, params: GbtParams | None = None) -> GbtEnsemble:

@@ -11,20 +11,22 @@ others. The model records the rank lstsq found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Annotated
 
 from ..errors import BusfluxError
 from ..features import FeatureMatrix
 from ..lazy import numpy as np
+from ..schema import LEFT_OUT
 
 
 @dataclass(slots=True)
 class LinearModel:
     arch = "lr"  # a class attribute, not a field
-    theta: np.ndarray
+    theta: Annotated[np.ndarray, "float64", 1]
     bias: float
     rank: int
-    columns: tuple[str, ...] | None = None
+    columns: tuple[str, ...] | None = field(default=None, metadata=LEFT_OUT)
 
     @property
     def n_features(self) -> int:
@@ -32,17 +34,6 @@ class LinearModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.theta + self.bias
-
-    def to_dict(self) -> dict:
-        return {"theta": self.theta.tolist(), "bias": self.bias, "rank": self.rank}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LinearModel":
-        return cls(
-            theta=np.array(data["theta"], dtype=np.float64),
-            bias=float(data["bias"]),
-            rank=int(data["rank"]),
-        )
 
 
 def lr_fit(train: FeatureMatrix) -> LinearModel:

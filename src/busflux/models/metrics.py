@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import BusfluxError, ColumnMismatchError
 from ..features import FeatureMatrix
@@ -50,6 +50,13 @@ def improvement_percent(mse_a: float, mse_b: float) -> float:
     return round((1.0 - mse_a / mse_b) * 100.0, 1)
 
 
+@dataclass(frozen=True, slots=True)
+class RankedModel:
+    name: str
+    mse: float
+    mae: float
+
+
 @dataclass(slots=True)
 class ComparisonReport:
     """Models ranked by test MSE plus pairwise relative improvements.
@@ -59,18 +66,8 @@ class ComparisonReport:
     percent rounded to one decimal.
     """
 
-    ranking: list[dict] = field(default_factory=list)
-    improvements: dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"ranking": self.ranking, "improvements": self.improvements}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ComparisonReport":
-        return cls(
-            ranking=list(data["ranking"]),
-            improvements=dict(data["improvements"]),
-        )
+    ranking: list[RankedModel]
+    improvements: dict[str, float]
 
 
 def compare(models: dict[str, object], test: FeatureMatrix) -> ComparisonReport:
@@ -84,14 +81,8 @@ def compare(models: dict[str, object], test: FeatureMatrix) -> ComparisonReport:
         if not np.isfinite(res.predictions).all():
             raise BusfluxError(f"model {name!r}: its test predictions are not all finite")
     ordered = sorted(results.items(), key=lambda kv: (kv[1].mse, kv[0]))
-    report = ComparisonReport(
-        ranking=[
-            {"name": name, "mse": res.mse, "mae": res.mae} for name, res in ordered
-        ]
-    )
-    for i, (name_a, res_a) in enumerate(ordered):
-        for name_b, res_b in ordered[i + 1 :]:
-            report.improvements[f"{name_a}_vs_{name_b}"] = improvement_percent(
-                res_a.mse, res_b.mse
-            )
-    return report
+    ranking = [RankedModel(name, res.mse, res.mae) for name, res in ordered]
+    return ComparisonReport(ranking, {
+        f"{a.name}_vs_{b.name}": improvement_percent(a.mse, b.mse)
+        for i, a in enumerate(ranking) for b in ranking[i + 1 :]
+    })

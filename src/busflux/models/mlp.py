@@ -25,11 +25,13 @@ whole-matrix product; a one-row product goes to gemv, which may not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 from ..errors import BusfluxError, ConfigError, TrainingDivergedError
 from ..features import FeatureMatrix
 from ..lazy import numpy as np
+from ..schema import LEFT_OUT
 from .config import TrainConfig
 
 ARCH_WNN = "wnn"
@@ -41,31 +43,15 @@ FORWARD_BLOCK = 256
 
 @dataclass(slots=True)
 class MlpModel:
-    weights: list[np.ndarray]  # each (n_in, n_out)
-    biases: list[np.ndarray]  # each (n_out,)
+    weights: list[Annotated[np.ndarray, "float64", 2]]  # each (n_in, n_out)
+    biases: list[Annotated[np.ndarray, "float64", 1]]  # each (n_out,)
     arch: str
     seed: int
-    columns: tuple[str, ...] | None = None
+    columns: tuple[str, ...] | None = field(default=None, metadata=LEFT_OUT)
 
-    @property
-    def n_features(self) -> int:
-        return int(self.weights[0].shape[0])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return mlp_forward(self, X)
-
-    def clone(self) -> "MlpModel":
-        return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            arch=self.arch,
-            seed=self.seed,
-            columns=self.columns,
-        )
-
-    def check_shapes(self) -> None:
-        if len(self.biases) != len(self.weights):
-            raise ValueError("need one bias vector per weight matrix")
+    def __post_init__(self):
+        if len(self.biases) != len(self.weights) or not self.weights:
+            raise ValueError("need one or more layers, each with one bias vector")
         for k, (W, b) in enumerate(zip(self.weights, self.biases)):
             if W.ndim != 2 or b.shape != (W.shape[1],):
                 raise ValueError(f"layer {k} bias does not match its weight matrix")
@@ -75,24 +61,16 @@ class MlpModel:
         if self.weights[-1].shape[1] != 1:
             raise ValueError("output layer must have exactly one unit")
 
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "seed": self.seed,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
+    @property
+    def n_features(self) -> int:
+        return int(self.weights[0].shape[0])
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MlpModel":
-        model = cls(
-            weights=[np.array(w, dtype=np.float64) for w in data["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in data["biases"]],
-            arch=str(data["arch"]),
-            seed=int(data["seed"]),
-        )
-        model.check_shapes()
-        return model
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return mlp_forward(self, X)
+
+    def clone(self) -> "MlpModel":
+        return replace(self, weights=[w.copy() for w in self.weights],
+                       biases=[b.copy() for b in self.biases])
 
 
 def mlp_init(
@@ -293,7 +271,6 @@ def mlp_train(
     always spans exactly cfg.epochs entries. Neither the returned model
     nor the caller's shares memory with the training state.
     """
-    model.check_shapes()
     for name, matrix in (("train", train), ("validation", val)):
         if matrix.n_rows == 0:
             raise BusfluxError(f"cannot train a network: the {name} matrix has no rows")

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ParseError
-from ..schema import read_json, read_table, real, to_dict, write_json, write_table
+from ..schema import from_dict, read_json, read_table, real, to_dict, write_json, write_table
 from .boosting import GbtEnsemble
 from .config import MODEL_ARCHS, TrainConfig
 from .linear import LinearModel
@@ -19,6 +20,18 @@ FORMAT_VERSION = 2
 MODELS = dict(zip(MODEL_ARCHS, (LinearModel, MlpModel, MlpModel, RegressionTree, GbtEnsemble)))
 
 
+@dataclass(slots=True)
+class ModelFile:
+    """A model file; ``parameters`` hold a ``MODELS[arch]`` without its ``columns``."""
+
+    format_version: int
+    arch: str
+    columns: tuple[str, ...] | None
+    parameters: dict
+    config: TrainConfig | None
+    seed: int | None
+
+
 def save_model(
     model,
     dest: Union[str, os.PathLike],
@@ -27,15 +40,9 @@ def save_model(
     """Write a model as deterministic compact JSON (sorted keys, no whitespace)."""
     if MODELS.get(getattr(model, "arch", None)) is not type(model):
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "arch": model.arch,
-        "columns": list(model.columns) if model.columns is not None else None,
-        "parameters": model.to_dict(),
-        "config": to_dict(config) if config is not None else None,
-        "seed": getattr(model, "seed", None),
-    }
-    write_json(dest, payload, compact=True)
+    stored = ModelFile(FORMAT_VERSION, model.arch, model.columns, to_dict(model), config,
+                       getattr(model, "seed", None))
+    write_json(dest, to_dict(stored), compact=True)
 
 
 def load_model(source: Union[str, os.PathLike]):
@@ -45,21 +52,17 @@ def load_model(source: Union[str, os.PathLike]):
     rejected, as is an arch that ``MODELS`` does not hold.
     """
     with read_json(source, FORMAT_VERSION) as payload:
-        arch = payload["arch"]
-        if arch not in MODELS:
-            raise ParseError(f"unknown model arch {arch!r} in {source}")
-        model = MODELS[arch].from_dict(payload["parameters"])
-        if model.arch != arch:
-            raise ParseError(f"{source}: arch {arch!r}, but parameters.arch {model.arch!r}")
-        columns = payload.get("columns")
-        if columns is not None:
-            if len(columns) != model.n_features:
-                raise ParseError(
-                    f"{source}: columns has {len(columns)} names, "
-                    f"but the {arch} model takes {model.n_features} inputs"
-                )
-            model.columns = tuple(columns)
-        return model
+        stored = from_dict(ModelFile, payload, source=source)
+    if stored.arch not in MODELS:
+        raise ParseError(f"unknown model arch {stored.arch!r} in {source}")
+    model = from_dict(MODELS[stored.arch], stored.parameters, source=source, key="parameters")
+    if model.arch != stored.arch:
+        raise ParseError(f"{source}: arch {stored.arch!r}, but parameters.arch {model.arch!r}")
+    if stored.columns is not None and len(stored.columns) != model.n_features:
+        raise ParseError(f"{source}: columns has {len(stored.columns)} names, "
+                         f"but the {stored.arch} model takes {model.n_features} inputs")
+    model.columns = stored.columns
+    return model
 
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse")

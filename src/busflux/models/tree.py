@@ -21,11 +21,13 @@ strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Annotated
 
 from ..errors import BusfluxError
 from ..features import FeatureMatrix
 from ..lazy import numpy as np
+from ..schema import LEFT_OUT
 from .config import CartParams
 
 # Rounding in the bin and prefix sums moves an estimated decrease off its
@@ -154,21 +156,9 @@ def grow(
         node[0], node[1], left = split
         stack.append((rows[~left], depth + 1, len(nodes) - 1))
         stack.append((rows[left], depth + 1, -1))
-    arrays = dict(zip(_ARRAYS, zip(*nodes)))
-    tree = RegressionTree.from_dict({**arrays, "n_features": coding.X.shape[1]})
-    tree.columns = columns
-    return tree, fitted
-
-
-# Each node array's dtype, by name: strings, as numpy runs on first use.
-_ARRAYS = {
-    "feature": "intp",
-    "threshold": "float64",
-    "right": "intp",
-    "value": "float64",
-    "n": "intp",
-    "sse": "float64",
-}
+    # A node's entries are the node arrays in field order, Python ints or floats.
+    arrays = map(np.array, zip(*nodes))
+    return RegressionTree(*arrays, n_features=coding.X.shape[1], columns=columns), fitted
 
 
 @dataclass(slots=True, eq=False)
@@ -179,14 +169,24 @@ class RegressionTree:
     target, row count and within-node sum of squares."""
 
     arch = "cart"  # a class attribute, not a field
-    feature: np.ndarray
-    threshold: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    n: np.ndarray
-    sse: np.ndarray
+    feature: Annotated[np.ndarray, "intp", 1]
+    threshold: Annotated[np.ndarray, "float64", 1]
+    right: Annotated[np.ndarray, "intp", 1]
+    value: Annotated[np.ndarray, "float64", 1]
+    n: Annotated[np.ndarray, "intp", 1]
+    sse: Annotated[np.ndarray, "float64", 1]
     n_features: int
-    columns: tuple[str, ...] | None = None
+    columns: tuple[str, ...] | None = field(default=None, metadata=LEFT_OUT)
+
+    def __post_init__(self):
+        arrays = (self.feature, self.threshold, self.right, self.value, self.n, self.sse)
+        split = self.feature >= 0
+        i = np.flatnonzero(split)
+        if {a.size for a in arrays} != {self.n.size} or self.n.size == 0 or not (
+            (i + 1 < self.right[i]) & (self.right[i] < self.n.size)
+            & (self.feature[i] < self.n_features)
+        ).all() or (self.right[~split] != -1).any():
+            raise ValueError("node arrays are not one preorder tree")
 
     @property
     def splits(self) -> list[CartSplit]:
@@ -210,25 +210,6 @@ class RegressionTree:
                 return self.value[node]
             left = X[rows, feature] <= self.threshold[node]
             node = np.where(split, np.where(left, node + 1, self.right[node]), node)
-
-    def to_dict(self) -> dict:
-        return {
-            **{name: getattr(self, name).tolist() for name in _ARRAYS},
-            "n_features": self.n_features,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RegressionTree":
-        tree = cls(
-            **{name: np.array(data[name], dtype=dtype) for name, dtype in _ARRAYS.items()},
-            n_features=int(data["n_features"]),
-        )
-        i = np.flatnonzero(tree.feature >= 0)
-        if len({getattr(tree, name).size for name in _ARRAYS}) != 1 or not (
-            (i + 1 < tree.right[i]) & (tree.right[i] < tree.n.size) & (tree.feature[i] < tree.n_features)
-        ).all():
-            raise ValueError("node arrays are not one preorder tree")
-        return tree
 
 
 def cart_fit(train: FeatureMatrix, params: CartParams | None = None) -> RegressionTree:

@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
-from .errors import ParseError
 from .schema import write_table
 
 if TYPE_CHECKING:
@@ -178,7 +177,7 @@ def bar_chart(
 
 def history_series(history: TrainHistory) -> list[Series]:
     if not history.train_mse:
-        raise ParseError("training history is empty")
+        raise ValueError("training history is empty")
     epochs = tuple(float(i + 1) for i in range(len(history.train_mse)))
     return [
         Series(name="train", xs=epochs, ys=tuple(history.train_mse)),
@@ -189,7 +188,7 @@ def history_series(history: TrainHistory) -> list[Series]:
 def hourly_series(hours: Sequence[HourlyCount]) -> list[Series]:
     """One series per stop; x is hours since the first plotted hour."""
     if not hours:
-        raise ParseError("hourly counts are empty")
+        raise ValueError("hourly counts are empty")
     origin = min(h.hour for h in hours)
     by_stop: dict[str, list[tuple[float, float]]] = {}
     for h in hours:
@@ -204,9 +203,9 @@ def hourly_series(hours: Sequence[HourlyCount]) -> list[Series]:
 
 def report_bars(report: ComparisonReport) -> tuple[list[str], list[float]]:
     if not report.ranking:
-        raise ParseError("model report ranks no models")
-    labels = [entry["name"] for entry in report.ranking]
-    values = [float(entry["mse"]) for entry in report.ranking]
+        raise ValueError("model report ranks no models")
+    labels = [entry.name for entry in report.ranking]
+    values = [entry.mse for entry in report.ranking]
     return labels, values
 
 

@@ -24,12 +24,16 @@ as an integer, and exactly `YYYY-MM-DD hh:mm:ss` as text; ``frames``
 holds the vectorized numpy forms of this codec. ``whole_seconds`` turns a
 ``timedelta`` into integer seconds, rounded down.
 
-``to_dict`` / ``from_dict`` convert config (and report) dataclasses,
-driven by their fields and type hints: a nested dataclass is a JSON
-object, a ``timedelta`` field ``x`` is the integer key ``x_seconds``, a
-``date`` is an ISO string and a tuple is a list. Unknown keys, values of
-the wrong type and non-finite numbers (JSON's ``NaN`` and ``Infinity``)
-raise a ConfigError naming the dotted key.
+``to_dict`` / ``from_dict`` convert config sections and JSON artifacts,
+driven by their fields and type hints: a nested dataclass is an object, a
+list or tuple a list, a ``timedelta`` field ``x`` the integer key
+``x_seconds`` and a ``date`` an ISO string. A numpy array field, hinted
+``Annotated[np.ndarray, dtype, ndim]``, is lists nested ``ndim`` deep of
+one length per level, of numbers (integers for an integer dtype). A field
+marked ``LEFT_OUT`` is neither written nor read. No bool is a number and
+a float is finite. An unknown key, a missing one in an artifact, a wrong
+type or a failed cross-field check (each class's ``__post_init__``) raises
+a ConfigError naming the dotted key, or a ParseError naming file and key.
 
 ``sha1`` and ``sha256``, for device digests and manifests, are CPython's
 built-in hashes (``_sha1``; ``_sha2`` from 3.12, ``_sha256`` before), the
@@ -46,9 +50,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import gzip
 import json
 import os
+import reprlib
 import typing
 import zlib
 from datetime import date, datetime, timedelta
@@ -176,14 +182,21 @@ def write_json(dest: PathLike, payload, compact: bool = False) -> None:
 
 def load_json(source: PathLike):
     """The JSON document in ``source``; text that is not JSON, Python's
-    ``NaN``, ``Infinity`` and ``-Infinity`` included, raises a ParseError
-    naming it."""
+    ``NaN``, ``Infinity`` and ``-Infinity`` included, or a number beyond
+    the range of a double, such as ``1e309``, raises a ParseError naming
+    it."""
     def refuse(token: str):
         raise ParseError(f"{source}: not valid JSON: {token} is not a JSON number")
 
+    def finite(token: str) -> float:
+        value = float(token)
+        if value - value == 0.0:
+            return value
+        raise ParseError(f"{source}: not valid JSON: {token} overflows a double")
+
     with open(source, "r", encoding="utf-8") as fh, decoding(source):
         try:
-            return json.load(fh, parse_constant=refuse)
+            return json.load(fh, parse_constant=refuse, parse_float=finite)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{source}: not valid JSON: {exc}") from None
 
@@ -247,10 +260,16 @@ def read_table(
             yield cells
 
 
+# Field metadata for a field that ``to_dict`` and ``from_dict`` leave out.
+LEFT_OUT = {"left_out": True}
+
+
 def to_dict(obj) -> dict:
-    """A config dataclass as a JSON-ready dict (see the module docstring)."""
+    """A dataclass as a JSON-ready dict (see the module docstring)."""
     out = {}
     for f in dataclasses.fields(obj):
+        if f.metadata.get("left_out"):
+            continue
         value = getattr(obj, f.name)
         if isinstance(value, timedelta):
             out[f"{f.name}_seconds"] = whole_seconds(value)
@@ -264,47 +283,71 @@ def _dump(value):
         return to_dict(value)
     if isinstance(value, date):
         return value.isoformat()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_dump(v) for v in value]
-    return value
+    tolist = getattr(value, "tolist", None)  # a numpy array
+    return value if tolist is None else tolist()
 
 
-def from_dict(cls, data, base):
-    """``base`` with the fields that ``data`` names replaced.
+def from_dict(cls, data, base=None, *, source=None, key: str = ""):
+    """``cls`` from the JSON object ``data`` (see the module docstring).
 
-    Nested sections are merged the same way into the matching field of
-    ``base``, so a document only spells out what it changes.
+    With a ``base``, the fields that ``data`` names replace base's; without
+    one, ``data`` names every field. Errors name the dotted key, which
+    starts at ``key``, and ``source``, the file ``data`` came from, if given.
     """
-    return _load(cls, data, base, "")
+    try:
+        return _load(cls, data, base, key)
+    except _Refused as exc:
+        before, at, after = exc.args
+        if source is None:
+            raise ConfigError(f"{before}{f'config key {at!r}' if at else 'config root'}{after}")
+        raise ParseError(f"{source}: {before}{f'key {at!r}' if at else 'the top level'}{after}")
 
 
-def _where(key: str) -> str:
-    return f"config key {key!r}" if key else "config root"
+class _Refused(Exception):
+    """A value from_dict refuses: (text before its dotted key, the key, text after)."""
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """The JSON key of each field of ``cls``: its name and type hint."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return {f"{f.name}_seconds" if hints[f.name] is timedelta else f.name: (f.name, hints[f.name])
+            for f in dataclasses.fields(cls) if not f.metadata.get("left_out")}
 
 
 def _load(cls, data, base, key: str):
     if not isinstance(data, dict):
-        raise ConfigError(f"{_where(key)} needs a JSON object, got {data!r}")
+        raise _Refused("", key, f" needs a JSON object, got {reprlib.repr(data)}")
     prefix = f"{key}." if key else ""
-    hints = typing.get_type_hints(cls)
-    fields = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        fields[f"{f.name}_seconds" if hint is timedelta else f.name] = (f.name, hint)
+    fields = _fields(cls)
     changes = {}
     for name, value in data.items():
         if name not in fields:
-            raise ConfigError(f"unknown config key {prefix + name!r}")
+            raise _Refused("unknown ", prefix + name, "")
         attr, hint = fields[name]
-        changes[attr] = _value(hint, value, getattr(base, attr), prefix + name)
+        changes[attr] = _value(hint, value, getattr(base, attr, None), prefix + name)
+    if base is None and len(changes) < len(fields):
+        raise _Refused("missing ", prefix + min(fields.keys() - data.keys()), "")
     try:
-        return dataclasses.replace(base, **changes)
-    except ConfigError as exc:
-        raise ConfigError(f"{_where(key)}: {exc}") from None
+        return cls(**changes) if base is None else dataclasses.replace(base, **changes)
+    except (ConfigError, ValueError) as exc:
+        raise _Refused("", key, f": {exc}") from None
 
 
 def _value(hint, value, base, key: str):
     origin = typing.get_origin(hint)
+    if origin is typing.Annotated:  # a numpy array: only reading one runs numpy
+        import numpy as np
+
+        dtype, ndim = hint.__metadata__
+        numbers = {int} if np.dtype(dtype).kind in "iu" else {int, float}
+        shape = _shape(value, ndim, numbers, key)
+        try:
+            return np.array(value, dtype=dtype).reshape(shape)
+        except OverflowError:
+            raise _Refused("", key, f" needs numbers that fit {dtype}") from None
     if origin in (Union, UnionType):
         if value is None:
             return None
@@ -312,11 +355,19 @@ def _value(hint, value, base, key: str):
         return _value(hint, value, base, key)
     if dataclasses.is_dataclass(hint):
         return _load(hint, value, base, key)
-    if origin is tuple:
+    if origin in (tuple, list):
         if not isinstance(value, list):
-            raise ConfigError(f"{_where(key)} needs a list, got {value!r}")
+            raise _Refused("", key, f" needs a list, got {reprlib.repr(value)}")
         item = typing.get_args(hint)[0]
-        return tuple(_value(item, v, None, f"{key}[{i}]") for i, v in enumerate(value))
+        items = [_value(item, v, None, f"{key}[{i}]") for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if dict in (hint, origin):
+        if not isinstance(value, dict):
+            raise _Refused("", key, f" needs a JSON object, got {reprlib.repr(value)}")
+        if hint is dict:  # any object, taken as it is
+            return value
+        item = typing.get_args(hint)[1]
+        return {k: _value(item, v, None, f"{key}.{k}") for k, v in value.items()}
     if hint is date and isinstance(value, str):
         try:
             return date.fromisoformat(value)
@@ -326,12 +377,28 @@ def _value(hint, value, base, key: str):
         try:
             return real(value)
         except (ValueError, OverflowError):
-            raise ConfigError(f"{_where(key)} needs a finite number, got {value!r}") from None
+            raise _Refused("", key, f" needs a finite number, got {reprlib.repr(value)}") from None
     elif hint in (int, timedelta) and isinstance(value, int) and not isinstance(value, bool):
         return timedelta(seconds=value) if hint is timedelta else value
     elif hint in (str, bool) and isinstance(value, hint):
         return value
-    raise ConfigError(f"{_where(key)} needs {_NAMES[hint]}, got {value!r}")
+    raise _Refused("", key, f" needs {_NAMES[hint]}, got {reprlib.repr(value)}")
+
+
+def _shape(value, ndim: int, numbers: set, key: str) -> tuple:
+    """The shape of ``value``, lists of leaves whose types ``numbers`` holds."""
+    if type(value) is not list:
+        raise _Refused("", key, f" needs a list, got {reprlib.repr(value)}")
+    if ndim > 1:
+        shapes = {_shape(v, ndim - 1, numbers, f"{key}[{i}]") for i, v in enumerate(value)}
+        if len(shapes) > 1:
+            raise _Refused("", key, " needs lists of one length")
+        return (len(value), *(shapes.pop() if shapes else (0,) * (ndim - 1)))
+    if not set(map(type, value)) <= numbers:
+        i = next(i for i, v in enumerate(value) if type(v) not in numbers)
+        noun = "an integer" if numbers == {int} else "a number"
+        raise _Refused("", f"{key}[{i}]", f" needs {noun}, got {reprlib.repr(value[i])}")
+    return (len(value),)
 
 
 _NAMES = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -111,3 +112,98 @@ def segment_columns(segments: list[Segment]) -> SegmentColumns:
 @pytest.fixture
 def semester_start() -> date:
     return date(2017, 1, 9)
+
+
+def run(*argv):
+    """``busflux`` with ``argv``, in process; the exit code."""
+    from busflux.cli import main
+
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="session")
+def ws(tmp_path_factory):
+    """One tiny but complete pipeline run, made once per session and only
+    read by the tests: a test that edits a file edits a copy."""
+    root = tmp_path_factory.mktemp("pipeline")
+    cfg = root / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "scenario": {"days": 2, "seed": 9},
+                "train": {
+                    "epochs": 3,
+                    "batch_size": 32,
+                    "wnn_hidden": [16],
+                    "gbt": {"n_trees": 5},
+                },
+            }
+        )
+    )
+    p = {
+        "root": root,
+        "cfg": cfg,
+        "frames": root / "frames.csv",
+        "weather": root / "weather.json",
+        "truth": root / "truth.json",
+        "segments": root / "segments.csv",
+        "clean_report": root / "clean_report.json",
+        "hourly": root / "hourly.csv",
+        "minutes": root / "minutes.csv",
+        "joined": root / "joined.csv",
+        "train": root / "train.csv",
+        "val": root / "val.csv",
+        "test": root / "test.csv",
+        "meta": root / "meta.json",
+        "lr": root / "lr.json",
+        "gbt": root / "gbt.json",
+        "cart": root / "cart.json",
+        "wnn": root / "wnn.json",
+        "history": root / "history.csv",
+        "eval_report": root / "eval_report.json",
+        "importance": root / "importance.csv",
+        "svg": root / "demand.svg",
+    }
+    steps = [
+        ("synth", "--config", cfg, "--out-frames", p["frames"],
+         "--out-weather", p["weather"], "--out-truth", p["truth"]),
+        ("clean", "--config", cfg, "--frames", p["frames"],
+         "--out-segments", p["segments"], "--out-report", p["clean_report"]),
+        ("aggregate", "--segments", p["segments"], "--out-hourly", p["hourly"],
+         "--out-minutes", p["minutes"]),
+        ("join", "--hourly", p["hourly"], "--weather", p["weather"],
+         "--out-joined", p["joined"]),
+        ("featurize", "--joined", p["joined"], "--out-train", p["train"],
+         "--out-val", p["val"], "--out-test", p["test"], "--out-meta", p["meta"]),
+        ("train", "--config", cfg, "--model", "lr", "--train", p["train"],
+         "--meta", p["meta"], "--out-model", p["lr"]),
+        ("train", "--config", cfg, "--model", "gbt", "--train", p["train"],
+         "--meta", p["meta"], "--out-model", p["gbt"]),
+        ("train", "--config", cfg, "--model", "cart", "--train", p["train"],
+         "--meta", p["meta"], "--out-model", p["cart"]),
+        ("train", "--config", cfg, "--model", "wnn", "--train", p["train"],
+         "--val", p["val"], "--meta", p["meta"], "--out-model", p["wnn"],
+         "--out-history", p["history"]),
+        ("evaluate", "--test", p["test"], "--meta", p["meta"],
+         "--model", p["lr"], "--model", p["gbt"], "--model", p["wnn"],
+         "--out-report", p["eval_report"]),
+        ("importance", "--model", p["gbt"], "--out", p["importance"]),
+        ("plot", "--counts", p["hourly"], "--out", p["svg"]),
+    ]
+    for step in steps:
+        assert run(*step) == 0, f"stage {step[0]} failed"
+    return p
+
+
+def with_leaf(src: Path, dest: Path, path: tuple, value) -> Path:
+    """A copy at ``dest`` of the JSON file ``src`` whose value at ``path``, a
+    tuple of keys and indices, is ``value``, or ``value(old)`` when
+    ``value`` is callable."""
+    payload = json.loads(src.read_text())
+    *parents, last = path
+    node = payload
+    for step in parents:
+        node = node[step]
+    node[last] = value(node[last]) if callable(value) else value
+    dest.write_text(json.dumps(payload))
+    return dest

@@ -9,6 +9,7 @@ from busflux.errors import BusfluxError, ConfigError
 from busflux.features import FeatureMatrix
 from busflux.models.boosting import GbtEnsemble, gbt_fit
 from busflux.models.config import GbtParams
+from busflux.schema import from_dict, to_dict
 
 
 def matrix(seed=0, n=160, d=5):
@@ -100,18 +101,17 @@ def test_base_trees_use_configured_depth():
 def test_serialization_round_trip():
     m = matrix()
     model = gbt_fit(m, GbtParams(n_trees=8))
-    back = GbtEnsemble.from_dict(model.to_dict())
+    back = from_dict(GbtEnsemble, to_dict(model))
     probe = np.random.default_rng(1).standard_normal((20, 5))
     assert np.array_equal(back.predict(probe), model.predict(probe))
     assert np.array_equal(back.importance, model.importance)
 
 
 def test_trees_of_another_width_are_rejected():
-    data = gbt_fit(matrix(), GbtParams(n_trees=3)).to_dict()
-    GbtEnsemble.from_dict(data)
-    for short in (data["importance"][:-1], data["importance"] + [0.0]):
+    model = gbt_fit(matrix(), GbtParams(n_trees=3))
+    for short in (model.importance[:-1], np.append(model.importance, 0.0)):
         with pytest.raises(ValueError, match="every tree must take"):
-            GbtEnsemble.from_dict({**data, "importance": short})
+            GbtEnsemble(model.base_prediction, model.shrinkage, model.trees, short)
 
 
 def test_params_validation():

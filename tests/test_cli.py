@@ -15,6 +15,9 @@ import xml.etree.ElementTree as ET
 
 import conftest
 import pytest
+from conftest import run, with_leaf
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import busflux.cleaning
 import busflux.cli
@@ -32,83 +35,9 @@ from busflux.features import (
 )
 from busflux.manifest import read_manifest, sha256_file
 from busflux.models.store import load_model, read_history_csv, write_history_csv
-from busflux.schema import from_dict
+from busflux.schema import from_dict, load_json
 from busflux.synth import read_truth_json
 from busflux.weather import CSV_HEADER, parse_weather
-
-
-def run(*argv):
-    return main([str(a) for a in argv])
-
-
-@pytest.fixture(scope="module")
-def ws(tmp_path_factory):
-    """One tiny but complete pipeline run shared by the assertions below."""
-    root = tmp_path_factory.mktemp("pipeline")
-    cfg = root / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "scenario": {"days": 2, "seed": 9},
-                "train": {
-                    "epochs": 3,
-                    "batch_size": 32,
-                    "wnn_hidden": [16],
-                    "gbt": {"n_trees": 5},
-                },
-            }
-        )
-    )
-    p = {
-        "root": root,
-        "cfg": cfg,
-        "frames": root / "frames.csv",
-        "weather": root / "weather.json",
-        "truth": root / "truth.json",
-        "segments": root / "segments.csv",
-        "clean_report": root / "clean_report.json",
-        "hourly": root / "hourly.csv",
-        "minutes": root / "minutes.csv",
-        "joined": root / "joined.csv",
-        "train": root / "train.csv",
-        "val": root / "val.csv",
-        "test": root / "test.csv",
-        "meta": root / "meta.json",
-        "lr": root / "lr.json",
-        "gbt": root / "gbt.json",
-        "wnn": root / "wnn.json",
-        "history": root / "history.csv",
-        "eval_report": root / "eval_report.json",
-        "importance": root / "importance.csv",
-        "svg": root / "demand.svg",
-    }
-    steps = [
-        ("synth", "--config", cfg, "--out-frames", p["frames"],
-         "--out-weather", p["weather"], "--out-truth", p["truth"]),
-        ("clean", "--config", cfg, "--frames", p["frames"],
-         "--out-segments", p["segments"], "--out-report", p["clean_report"]),
-        ("aggregate", "--segments", p["segments"], "--out-hourly", p["hourly"],
-         "--out-minutes", p["minutes"]),
-        ("join", "--hourly", p["hourly"], "--weather", p["weather"],
-         "--out-joined", p["joined"]),
-        ("featurize", "--joined", p["joined"], "--out-train", p["train"],
-         "--out-val", p["val"], "--out-test", p["test"], "--out-meta", p["meta"]),
-        ("train", "--config", cfg, "--model", "lr", "--train", p["train"],
-         "--meta", p["meta"], "--out-model", p["lr"]),
-        ("train", "--config", cfg, "--model", "gbt", "--train", p["train"],
-         "--meta", p["meta"], "--out-model", p["gbt"]),
-        ("train", "--config", cfg, "--model", "wnn", "--train", p["train"],
-         "--val", p["val"], "--meta", p["meta"], "--out-model", p["wnn"],
-         "--out-history", p["history"]),
-        ("evaluate", "--test", p["test"], "--meta", p["meta"],
-         "--model", p["lr"], "--model", p["gbt"], "--model", p["wnn"],
-         "--out-report", p["eval_report"]),
-        ("importance", "--model", p["gbt"], "--out", p["importance"]),
-        ("plot", "--counts", p["hourly"], "--out", p["svg"]),
-    ]
-    for step in steps:
-        assert run(*step) == 0, f"stage {step[0]} failed"
-    return p
 
 
 # ── happy path artifacts ─────────────────────────────────────────────────
@@ -728,16 +657,9 @@ def test_plot_rejects_files_with_the_wrong_schema(ws, tmp_path):
     assert run("plot", "--counts", counts, "--out", tmp_path / "p.svg") == 1
 
 
-def _edited_json(src, dest, edit):
-    payload = json.loads(src.read_text())
-    edit(payload)
-    dest.write_text(json.dumps(payload))
-    return dest
-
-
 def test_evaluating_a_model_one_input_short_exits_2(ws, tmp_path, capsys):
     # Was a numpy matmul traceback inside evaluate.
-    lr = _edited_json(ws["lr"], tmp_path / "lr.json", lambda m: m["parameters"]["theta"].pop())
+    lr = with_leaf(ws["lr"], tmp_path / "lr.json", ("parameters", "theta"), lambda t: t[:-1])
     assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", lr,
                "--out-report", tmp_path / "eval.json") == 2
     err = capsys.readouterr().err
@@ -748,18 +670,82 @@ def test_evaluating_a_model_one_input_short_exits_2(ws, tmp_path, capsys):
 
 def test_importance_of_a_model_three_inputs_short_exits_2(ws, tmp_path, capsys):
     # Was exit 0 with three features silently left out of the CSV.
-    gbt = _edited_json(ws["gbt"], tmp_path / "gbt.json",
-                       lambda m: m["parameters"]["importance"].__delitem__(slice(-3, None)))
+    gbt = with_leaf(ws["gbt"], tmp_path / "gbt.json", ("parameters", "importance"),
+                    lambda v: v[:-3])
     assert run("importance", "--model", gbt, "--out", tmp_path / "i.csv") == 2
     assert f"error: {gbt}: " in capsys.readouterr().err
     assert not (tmp_path / "i.csv").exists()
 
 
+def _leaves(node, path=()):
+    """The path of every leaf (not an object or a list) of a JSON value."""
+    if isinstance(node, (dict, list)):
+        for step, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaves(child, (*path, step))
+    else:
+        yield path, node
+
+
+OVERFLOW = "1e309"  # a token json.dumps cannot write: it is put in as text
+PROBE_TOKENS = [None, "", "x", -1, 1.5, 10**30, True, [], {}, OVERFLOW]
+PROBE_FILES = ("lr", "cart", "gbt", "wnn", "meta", "eval_report")
+
+
+def _declares(path, original, token) -> bool | None:
+    """Whether the field at ``path``, holding ``original``, declares the
+    JSON type of ``token``; None where the probe cannot tell."""
+    if token is None:
+        # Nullable: a model file's seed and a codec column's optional stats.
+        return original is None or path == ("seed",) or path[0] == "codec" and path[-1] in (
+            "mean", "std", "group", "value")
+    if token == OVERFLOW:
+        return False  # a number, but not a finite double
+    if type(original) is str:
+        return type(token) is str
+    if type(original) is int:
+        return type(token) is int
+    if type(original) is float:
+        return type(token) in (int, float)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_wrong_leaf_of_an_artifact_exits_0_1_or_2_and_never_raises(ws, tmp_path_factory,
+                                                                      data):
+    # Before every leaf was typed, this probe met a TypeError traceback in
+    # evaluate (a model column that is {} or []) and an AttributeError one
+    # in plot (a ranked name that is not a string).
+    file = data.draw(st.sampled_from(PROBE_FILES))
+    leaves = list(_leaves(json.loads(ws[file].read_text())))
+    path, original = data.draw(st.sampled_from(leaves))
+    token = data.draw(st.sampled_from(PROBE_TOKENS))
+    root = tmp_path_factory.mktemp("probe")
+    edited = with_leaf(ws[file], root / ws[file].name, path, token)
+    if token == OVERFLOW:
+        text = edited.read_text().replace(f'"{OVERFLOW}"', OVERFLOW)
+        edited.write_text(text)
+    out = root / "out.json"
+    argv = {
+        "meta": ["evaluate", "--test", ws["test"], "--meta", edited, "--model", ws["lr"],
+                 "--out-report", out],
+        "eval_report": ["plot", "--mse-report", edited, "--out", root / "out.svg"],
+    }.get(file, ["evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", edited,
+                 "--out-report", out])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a model whose predictions overflow
+        code = run(*argv)
+    assert code in (0, 1, 2)
+    if _declares(path, original, token) is False:
+        assert code == 2, (file, path, token)
+    if code == 0 and out.exists():
+        load_json(out)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_a_model_file_holding_a_non_finite_number_exits_2(ws, tmp_path, capsys, token):
     # Was exit 0 for NaN: the model ranked first with "mse": NaN in eval.json.
-    lr = _edited_json(ws["lr"], tmp_path / "lr.json",
-                      lambda m: m["parameters"]["theta"].__setitem__(0, float(token)))
+    lr = with_leaf(ws["lr"], tmp_path / "lr.json", ("parameters", "theta", 0), float(token))
     assert token in lr.read_text()
     assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", lr,
                "--model", ws["gbt"], "--out-report", tmp_path / "eval.json") == 2
@@ -769,11 +755,9 @@ def test_a_model_file_holding_a_non_finite_number_exits_2(ws, tmp_path, capsys, 
 
 def test_a_model_whose_predictions_overflow_is_not_ranked(ws, tmp_path, capsys):
     # Finite parameters, infinite predictions: was ranked with "mse": Infinity.
-    def overflow(m):
-        m["parameters"]["theta"] = [1e308] * len(m["parameters"]["theta"])
-        m["parameters"]["bias"] = 1e308
-
-    lr = _edited_json(ws["lr"], tmp_path / "huge.json", overflow)
+    lr = with_leaf(ws["lr"], tmp_path / "huge.json", ("parameters", "theta"),
+                   lambda theta: [1e308] * len(theta))
+    with_leaf(lr, lr, ("parameters", "bias"), 1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", ws["gbt"],
@@ -785,29 +769,26 @@ def test_a_model_whose_predictions_overflow_is_not_ranked(ws, tmp_path, capsys):
 
 def test_a_tree_array_beyond_int64_exits_2(ws, tmp_path, capsys):
     # Was an OverflowError traceback from RegressionTree.from_dict, exit 1.
-    gbt = _edited_json(ws["gbt"], tmp_path / "gbt.json",
-                       lambda m: m["parameters"]["trees"][0]["feature"].__setitem__(0, 10**30))
+    gbt = with_leaf(ws["gbt"], tmp_path / "gbt.json", ("parameters", "trees", 0, "feature", 0),
+                    10**30)
     assert run("importance", "--model", gbt, "--out", tmp_path / "i.csv") == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {gbt}: malformed artifact: OverflowError: ")
-    assert len(err.splitlines()) == 1
+    assert err == f"error: {gbt}: key 'parameters.trees[0].feature' needs numbers that fit intp\n"
     assert not (tmp_path / "i.csv").exists()
 
 
-@pytest.mark.parametrize("edit", [
-    lambda c: c.__setitem__("name", 5),
-    lambda c: c.__setitem__("kind", "ordinal"),
+@pytest.mark.parametrize("field, value, reason", [
+    ("name", 5, "'codec.columns[0].name' needs a string, got 5"),
+    ("kind", "ordinal",
+     "'codec.columns[0]': a column needs the kind 'numeric' or 'onehot', not 'ordinal'"),
 ], ids=["number-name", "unknown-kind"])
-def test_a_codec_column_of_the_wrong_form_exits_2(ws, tmp_path, capsys, edit):
+def test_a_codec_column_of_the_wrong_form_exits_2(ws, tmp_path, capsys, field, value, reason):
     # A number as the name was a TypeError traceback from read_table's
     # header message, exit 1.
-    meta = _edited_json(ws["meta"], tmp_path / "meta.json",
-                        lambda m: edit(m["codec"]["columns"][0]))
+    meta = with_leaf(ws["meta"], tmp_path / "meta.json", ("codec", "columns", 0, field), value)
     assert run("evaluate", "--test", ws["test"], "--meta", meta, "--model", ws["lr"],
                "--out-report", tmp_path / "eval.json") == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {meta}: malformed artifact: TypeError: a column needs ")
-    assert len(err.splitlines()) == 1
+    assert capsys.readouterr().err == f"error: {meta}: key {reason}\n"
     assert not (tmp_path / "eval.json").exists()
 
 
@@ -871,21 +852,23 @@ def test_plotting_an_empty_artifact_exits_1(ws, tmp_path, capsys, flag):
     assert not (tmp_path / "p.svg").exists()
 
 
-@pytest.mark.parametrize("flag, text, reason", [
-    ("--mse-report", "{not json", "not valid JSON: "),
-    ("--history", "epoch,loss\n1,0.5\n", "header must be "),
-    ("--mse-report", "[1]", "list indices must be integers"),
-    ("--mse-report", '{"ranking": [{"name": "lr", "mse": "low"}], "improvements": {}}',
-     "could not convert string to float"),
+@pytest.mark.parametrize("flag, text, code, reason", [
+    ("--mse-report", "{not json", 1, "not valid JSON: "),
+    ("--history", "epoch,loss\n1,0.5\n", 1, "header must be "),
+    ("--mse-report", "[1]", 2, "the top level needs a JSON object, got [1]"),
+    ("--mse-report", '{"ranking": [{"name": "lr", "mse": "low"}], "improvements": {}}', 2,
+     "key 'ranking[0].mse' needs a number, got 'low'"),
 ])
-def test_plot_names_an_input_without_its_artifact_once(tmp_path, capsys, flag, text, reason):
+def test_plot_names_an_input_without_its_artifact_once(tmp_path, capsys, flag, text, code,
+                                                       reason):
     # Was "unknown input schema in x.json: x.json: not valid JSON: …", and a
-    # traceback for a JSON document that is not a report object.
+    # traceback for a JSON document that is not a report object. A report
+    # of the wrong form is a malformed artifact, exit 2, as in evaluate.
     source = tmp_path / "input.json"
     source.write_text(text)
-    assert run("plot", flag, source, "--out", tmp_path / "p.svg") == 1
+    assert run("plot", flag, source, "--out", tmp_path / "p.svg") == code
     err = capsys.readouterr().err
-    assert err.startswith("error: unknown input schema")
+    assert err.startswith("error: unknown input schema" if code == 1 else f"error: {source}: ")
     assert err.count(str(source)) == 1
     assert reason in err
     assert len(err.splitlines()) == 1
@@ -988,8 +971,7 @@ def test_aggregate_with_one_end_beyond_the_data_exits_1_naming_the_span(ws, tmp_
 
 def test_an_mlp_file_naming_two_archs_exits_2(ws, tmp_path, capsys):
     # Was loaded as a dnn model.
-    wnn = _edited_json(ws["wnn"], tmp_path / "wnn.json",
-                       lambda m: m["parameters"].__setitem__("arch", "dnn"))
+    wnn = with_leaf(ws["wnn"], tmp_path / "wnn.json", ("parameters", "arch"), "dnn")
     assert run("evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", wnn,
                "--out-report", tmp_path / "eval.json") == 2
     assert f"error: {wnn}: arch 'wnn', but parameters.arch 'dnn'" in capsys.readouterr().err
@@ -1056,11 +1038,11 @@ def test_importing_the_package_loads_no_numpy(module):
       "--out-report", "{out}/clean.json"], True, {"frames", "cleaning"}),
     (["featurize", "--joined", "{joined}", "--out-train", "{out}/train.csv",
       "--out-val", "{out}/val.csv", "--out-test", "{out}/test.csv",
-      "--out-meta", "{out}/meta.json"], True, {"features", "aggregation", "weather"}),
+      "--out-meta", "{out}/meta.json"], True, {"features"}),
     (["train", "--model", "lr", "--train", "{train}", "--meta", "{meta}",
       "--out-model", "{out}/lr.json"], True,
-     {"features", "aggregation", "weather", "models.store", "models.linear", "models.mlp",
-      "models.tree", "models.boosting"}),
+     {"features", "models.store", "models.linear", "models.mlp", "models.tree",
+      "models.boosting"}),
 ], ids=["version", "aggregate", "join", "plot-counts", "clean", "featurize", "train-lr"])
 def test_only_the_array_stages_run_numpy(ws, tmp_path, argv, runs_numpy, stage_modules):
     """Up to joined.csv the pipeline needs no numpy, and a stage that needs

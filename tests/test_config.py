@@ -231,11 +231,14 @@ def test_float_fields_accept_integers():
         ('{"train": {"learning_rate": Infinity}}', "train.learning_rate"),
         ('{"split": {"test_fraction": -Infinity}}', "split.test_fraction"),
         ('{"scenario": {"demand": {"hour_shape": [1, NaN]}}}', "scenario.demand.hour_shape[1]"),
+        ('{"train": {"learning_rate": 1e309}}', "train.learning_rate"),
+        ('{"split": {"test_fraction": -1e309}}', "split.test_fraction"),
     ],
 )
 def test_non_finite_numbers_are_rejected(tmp_path, text, key):
-    # Python's json reads NaN and Infinity, which are not JSON: the file is
-    # refused where it is read, and a dict holding them by the key.
+    # Python's json reads NaN and Infinity, which are not JSON, and reads a
+    # number beyond a double's range as infinite: the file is refused where
+    # it is read, and a dict holding them by the key.
     path = tmp_path / "cfg.json"
     path.write_text(text)
     with pytest.raises(ParseError, match=re.escape(f"{path}: not valid JSON: ")):

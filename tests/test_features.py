@@ -12,6 +12,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from conftest import run, with_leaf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -719,3 +720,20 @@ def test_columnar_encoding_equals_the_row_wise_reference(joined, seed, test_frac
     reference = _encoded(reference_split_rows, reference_fit, reference_transform,
                          reference_rows(joined), spec)
     assert columnar == reference
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("split", "seed"), 1.5, "key 'split.seed' needs an integer, got 1.5"),
+    (("codec", "columns", 0, "mean"), "x", "key 'codec.columns[0].mean' needs a number, got 'x'"),
+    (("codec", "dropped_constant"), "abc",
+     "key 'codec.dropped_constant' needs a list, got 'abc'"),
+    (("split", "test_fraction"), 5, "key 'split': test_fraction must lie in (0, 1)"),
+], ids=["seed-fraction", "mean-string", "dropped-string", "test-fraction-out-of-range"])
+def test_a_matrix_meta_with_a_malformed_leaf_exits_2(ws, tmp_path, capsys, path, value, message):
+    # The first three exited 0 (a dropped_constant of "abc" loaded as
+    # ['a', 'b', 'c']); the last exited 1 with a message naming no file.
+    meta = with_leaf(ws["meta"], tmp_path / "meta.json", path, value)
+    assert run("evaluate", "--test", ws["test"], "--meta", meta, "--model", ws["lr"],
+               "--out-report", tmp_path / "eval.json") == 2
+    assert capsys.readouterr().err == f"error: {meta}: {message}\n"
+    assert not (tmp_path / "eval.json").exists()

@@ -12,6 +12,7 @@ from busflux.errors import BusfluxError, ParseError
 from busflux.features import FeatureMatrix
 from busflux.models.linear import LinearModel, lr_fit
 from busflux.models.store import load_model, save_model
+from busflux.schema import from_dict, to_dict
 from busflux.synth import LinearScenarioConfig, linear_scenario
 
 
@@ -86,7 +87,7 @@ def test_predict_is_affine():
 def test_serialization_round_trip():
     m = linear_scenario(LinearScenarioConfig(theta=(1.0, -2.0, 0.5), n=40, sigma=0.2))
     model = lr_fit(m)
-    back = LinearModel.from_dict(model.to_dict())
+    back = from_dict(LinearModel, to_dict(model))
     assert np.array_equal(back.theta, model.theta)
     assert back.bias == model.bias
     assert back.rank == model.rank

@@ -13,6 +13,7 @@ from busflux.errors import BusfluxError, ColumnMismatchError
 from busflux.features import FeatureMatrix
 from busflux.models.linear import lr_fit
 from busflux.models.metrics import ComparisonReport, compare, evaluate, improvement_percent
+from busflux.schema import from_dict, to_dict
 
 
 class ConstantModel:
@@ -118,8 +119,8 @@ def test_compare_ranks_by_mse_then_name():
     m = matrix(np.zeros(10))
     models = models_with_mse({"slow": 2.0, "fast": 1.0, "tied": -1.0})
     report = compare(models, m)
-    assert [r["name"] for r in report.ranking] == ["fast", "tied", "slow"]
-    assert [r["mse"] for r in report.ranking] == pytest.approx([1.0, 1.0, 4.0])
+    assert [r.name for r in report.ranking] == ["fast", "tied", "slow"]
+    assert [r.mse for r in report.ranking] == pytest.approx([1.0, 1.0, 4.0])
 
 
 def test_compare_emits_one_improvement_per_ranked_pair():
@@ -149,6 +150,6 @@ def test_compare_refuses_a_model_with_non_finite_predictions(value):
 def test_comparison_report_round_trip():
     m = matrix(np.zeros(8))
     report = compare(models_with_mse({"a": 1.0, "b": 2.0}), m)
-    back = ComparisonReport.from_dict(report.to_dict())
+    back = from_dict(ComparisonReport, to_dict(report))
     assert back.ranking == report.ranking
     assert back.improvements == report.improvements

@@ -132,11 +132,11 @@ def test_init_is_seed_deterministic():
 
 
 def test_model_with_a_mismatched_bias_is_rejected():
-    good = hand_model().to_dict()
-    for biases in ([[0.5], [0.25]], good["biases"][:1]):  # layer 0 has two units
+    good = hand_model()
+    for biases in ([[0.5], [0.25]], good.biases[:1]):  # layer 0 has two units
         with pytest.raises(ValueError):
-            MlpModel.from_dict({**good, "biases": biases})
-    MlpModel.from_dict(good)
+            MlpModel(good.weights, [np.asarray(b) for b in biases], good.arch, good.seed)
+    MlpModel(good.weights, good.biases, good.arch, good.seed)
 
 
 def test_unknown_arch_is_a_config_error():

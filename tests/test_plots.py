@@ -12,8 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from busflux.aggregation import HourlyCount
-from busflux.errors import ParseError
-from busflux.models.metrics import ComparisonReport
+from busflux.models.metrics import ComparisonReport, RankedModel
 from busflux.models.mlp import TrainHistory
 from busflux.plots import (
     Series,
@@ -154,15 +153,15 @@ def test_hourly_series_groups_by_stop_with_hour_offsets():
 
 
 def test_hourly_series_rejects_empty_counts():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError):
         hourly_series([])
 
 
 def test_report_bars_follow_the_ranking_order():
     report = ComparisonReport(
         ranking=[
-            {"name": "dnn", "mse": 1.9, "mae": 1.0},
-            {"name": "lr", "mse": 3.5, "mae": 1.4},
+            RankedModel(name="dnn", mse=1.9, mae=1.0),
+            RankedModel(name="lr", mse=3.5, mae=1.4),
         ],
         improvements={"dnn_vs_lr": 45.7},
     )

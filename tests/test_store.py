@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import run, with_leaf
 
 from busflux.errors import ParseError
 from busflux.features import FeatureMatrix
@@ -128,6 +129,11 @@ TREE_CORRUPTIONS = {
     "right child past the end": lambda t: t["right"].__setitem__(0, len(t["right"])),
     "feature out of range": lambda t: t["feature"].__setitem__(0, t["n_features"]),
     "array one short": lambda t: t["value"].pop(),
+    # A leaf's right child was never checked; an empty tree was an
+    # IndexError traceback from predict.
+    "leaf with a right child": lambda t: t["right"].__setitem__(t["feature"].index(-1), 1),
+    "no nodes": lambda t: [t[name].clear() for name in
+                           ("feature", "threshold", "right", "value", "n", "sse")],
 }
 
 
@@ -250,3 +256,42 @@ def test_trained_history_round_trips(tmp_path):
     assert back.train_mse == hist.train_mse
     assert back.val_mse == hist.val_mse
     assert back.best_epoch == hist.best_epoch
+
+
+# ── malformed artifacts ──────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("file, path, value, key", [
+    ("lr", ("parameters", "theta"), lambda theta: [[t] for t in theta], "parameters.theta[0]"),
+    ("lr", ("parameters", "bias"), "1.0", "parameters.bias"),
+    ("lr", ("parameters", "bias"), True, "parameters.bias"),
+    ("lr", ("parameters", "rank"), 1.5, "parameters.rank"),
+    ("gbt", ("parameters", "trees", 0, "feature", 0), 1.7, "parameters.trees[0].feature[0]"),
+    ("gbt", ("parameters", "trees", 0, "threshold", 0), "0.5",
+     "parameters.trees[0].threshold[0]"),
+    ("gbt", ("parameters", "shrinkage"), "0.1", "parameters.shrinkage"),
+    ("cart", ("parameters", "value", 0), True, "parameters.value[0]"),
+    ("wnn", ("parameters", "seed"), 1.5, "parameters.seed"),
+    ("lr", ("columns", 0), {}, "columns[0]"),
+    ("gbt", ("columns", 0), [], "columns[0]"),
+    ("eval_report", ("ranking", 0, "name"), 5, "ranking[0].name"),
+], ids=["lr-theta-column", "lr-bias-string", "lr-bias-bool", "lr-rank-fraction",
+        "gbt-feature-fraction", "gbt-threshold-string", "gbt-shrinkage-string",
+        "cart-value-bool", "wnn-seed-fraction", "lr-column-object", "gbt-column-list",
+        "eval-name-number"])
+def test_an_artifact_with_a_leaf_of_the_wrong_type_exits_2(ws, tmp_path, capsys,
+                                                           file, path, value, key):
+    # Each exited 0, coercing the leaf (a 1.7 feature loaded as feature 1),
+    # or ended in a traceback (a column that is not a string in evaluate,
+    # a ranked name that is not a string in plot).
+    edited = with_leaf(ws[file], tmp_path / ws[file].name, path, value)
+    if file == "eval_report":
+        argv = ["plot", "--mse-report", edited, "--out", tmp_path / "out.svg"]
+    else:
+        argv = ["evaluate", "--test", ws["test"], "--meta", ws["meta"], "--model", edited,
+                "--out-report", tmp_path / "out.json"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {edited}: key {key!r} needs ")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("out.*"))

@@ -14,6 +14,7 @@ from busflux.features import FeatureMatrix
 from busflux.models.boosting import gbt_fit
 from busflux.models.config import CartParams, GbtParams
 from busflux.models.tree import RegressionTree, ValueCoding, cart_fit, grow, node_sse
+from busflux.schema import from_dict, to_dict
 
 
 def matrix(X, y) -> FeatureMatrix:
@@ -277,7 +278,7 @@ def test_serialization_round_trip():
     X = rng.normal(0, 1, (60, 3))
     y = rng.normal(0, 1, 60)
     tree = cart_fit(matrix(X, y), CartParams(max_depth=4, min_leaf=2))
-    back = RegressionTree.from_dict(tree.to_dict())
+    back = from_dict(RegressionTree, to_dict(tree))
     probe = rng.normal(0, 1, (25, 3))
     assert np.array_equal(back.predict(probe), tree.predict(probe))
 
@@ -395,7 +396,7 @@ def test_node_arrays_form_a_preorder_tree(seed):
     probe = np.vstack([X, rng.normal(0, 2, (10, d)), on_threshold])
     assert np.array_equal(tree.predict(probe), [walk(tree, row) for row in probe])
 
-    back = RegressionTree.from_dict(tree.to_dict())
+    back = from_dict(RegressionTree, to_dict(tree))
     for name in ("feature", "threshold", "right", "value", "n", "sse"):
         assert np.array_equal(getattr(back, name), getattr(tree, name))
         assert getattr(back, name).dtype == getattr(tree, name).dtype
