@@ -101,19 +101,6 @@ STAGE_MODULES = {
 PLOT_READERS = {"history": "models.store", "counts": "aggregation",
                 "mse_report": "models.metrics"}
 
-# Classes and tables the handlers import where they use them, importable
-# from here as from their own modules.
-_LAZY_ATTRS = {"FeatureCodec": "features", "GbtEnsemble": "models.boosting",
-               "ComparisonReport": "models.metrics", "Series": "plots",
-               "MODELS": "models.store"}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY_ATTRS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__package__}.{_LAZY_ATTRS[name]}"), name)
-
-
 log = logging.getLogger("busflux.cli")
 
 PRESETS = {
@@ -336,8 +323,8 @@ def cmd_plot(args, cfg: PipelineConfig, timings: dict[str, float]):
         artifact = read(source)
     except ParseError as exc:
         raise BusfluxError(f"unknown input schema: {exc}") from exc
-    # So is one with nothing to draw; a report of the wrong form is a
-    # malformed artifact, as in evaluate.
+    # So is one with nothing to draw; a report of the wrong form exits 2
+    # naming the file and key, as in evaluate.
     try:
         if args.history:
             series = history_series(artifact)

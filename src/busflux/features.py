@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 from .config import CampusCalendar, SplitSpec
 from .errors import BusfluxError, ConfigError
 from .lazy import numpy as np
-from .schema import (format_timestamp, from_dict, parse_timestamp, read_json, read_table, real,
-                     to_dict, write_json, write_table)
+from .schema import (format_timestamp, parse_timestamp, read_artifact, read_table, real,
+                     write_artifact, write_table)
 
 if TYPE_CHECKING:
     from .aggregation import HourlyCount
@@ -403,13 +403,11 @@ def write_matrix_meta(
     codec: FeatureCodec, split: SplitSpec, dest: Union[str, os.PathLike]
 ) -> None:
     """Sidecar JSON describing the encoded matrices: codec + split recipe."""
-    write_json(dest, {"format_version": 1, **to_dict(MatrixMeta(codec, split))})
+    write_artifact(dest, MatrixMeta(codec, split), 1)
 
 
 def read_matrix_meta(source: Union[str, os.PathLike]) -> tuple[FeatureCodec, SplitSpec]:
-    with read_json(source, 1) as payload:
-        del payload["format_version"]
-        meta = from_dict(MatrixMeta, payload, source=source)
+    meta = read_artifact(MatrixMeta, source, 1)
     return meta.codec, meta.split
 
 

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .schema import from_dict, read_json, sha256, to_dict, write_json
+from .schema import read_artifact, sha256, write_artifact
 
 FORMAT_VERSION = 1
 
@@ -59,13 +59,11 @@ def _label(path: Union[str, os.PathLike], base: str | None) -> str:
 
 
 def write_manifest(manifest: RunManifest, dest: Union[str, os.PathLike]) -> None:
-    write_json(dest, {"format_version": FORMAT_VERSION, **to_dict(manifest)})
+    write_artifact(dest, manifest, FORMAT_VERSION)
 
 
 def read_manifest(source: Union[str, os.PathLike]) -> RunManifest:
-    with read_json(source, FORMAT_VERSION) as payload:
-        del payload["format_version"]
-        return from_dict(RunManifest, payload, source=source)
+    return read_artifact(RunManifest, source, FORMAT_VERSION)
 
 
 def combined_digest_list(manifests: Iterable[RunManifest]) -> list[tuple[str, str, str]]:

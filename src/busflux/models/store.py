@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ParseError
-from ..schema import from_dict, read_json, read_table, real, to_dict, write_json, write_table
+from ..schema import (from_dict, read_artifact, read_table, real, to_dict, write_artifact,
+                      write_table)
 from .boosting import GbtEnsemble
 from .config import MODEL_ARCHS, TrainConfig
 from .linear import LinearModel
@@ -24,7 +25,6 @@ MODELS = dict(zip(MODEL_ARCHS, (LinearModel, MlpModel, MlpModel, RegressionTree,
 class ModelFile:
     """A model file; ``parameters`` hold a ``MODELS[arch]`` without its ``columns``."""
 
-    format_version: int
     arch: str
     columns: tuple[str, ...] | None
     parameters: dict
@@ -40,9 +40,8 @@ def save_model(
     """Write a model as deterministic compact JSON (sorted keys, no whitespace)."""
     if MODELS.get(getattr(model, "arch", None)) is not type(model):
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    stored = ModelFile(FORMAT_VERSION, model.arch, model.columns, to_dict(model), config,
-                       getattr(model, "seed", None))
-    write_json(dest, to_dict(stored), compact=True)
+    stored = ModelFile(model.arch, model.columns, to_dict(model), config, getattr(model, "seed", None))
+    write_artifact(dest, stored, FORMAT_VERSION, compact=True)
 
 
 def load_model(source: Union[str, os.PathLike]):
@@ -51,8 +50,7 @@ def load_model(source: Union[str, os.PathLike]):
     A file whose ``columns`` do not name one input per model feature is
     rejected, as is an arch that ``MODELS`` does not hold.
     """
-    with read_json(source, FORMAT_VERSION) as payload:
-        stored = from_dict(ModelFile, payload, source=source)
+    stored = read_artifact(ModelFile, source, FORMAT_VERSION)
     if stored.arch not in MODELS:
         raise ParseError(f"unknown model arch {stored.arch!r} in {source}")
     model = from_dict(MODELS[stored.arch], stored.parameters, source=source, key="parameters")

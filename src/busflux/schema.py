@@ -9,11 +9,14 @@ returns. Its own artifacts fail fast: a wrong header, a wrong field count,
 a cell that does not convert, or a non-finite number raises a ParseError
 naming the file and line. Floats are written as their shortest round-trip
 ``repr``, so a read-write cycle reproduces the bytes.
-Every JSON artifact is written by ``write_json`` and every JSON document
-read by ``load_json``, so text that is not JSON raises a ParseError
-naming the file; ``read_json`` checks an artifact's ``format_version``.
-Neither takes Python's ``NaN`` or ``Infinity``, which RFC 8259 leaves out
-of JSON: a non-finite number is refused where it is read and never written.
+Every JSON document is written by ``write_json`` and read by
+``load_json``, so text that is not JSON raises a ParseError naming the
+file. Neither takes Python's ``NaN`` or ``Infinity``, which RFC 8259
+leaves out of JSON: a non-finite number is refused where it is read and
+never written. Every versioned artifact (a model file, ``meta.json``, a
+manifest, ``truth.json``) is one dataclass, written by ``write_artifact``
+under a top-level ``format_version`` and read by ``read_artifact``,
+which refuses another version naming the file and the version it found.
 Only the weather reader, which has read its text to tell JSON from CSV,
 parses JSON itself. Every reader of an input file decodes it inside
 ``decoding``, so bytes that are not UTF-8, or gzip data that is cut short
@@ -27,13 +30,15 @@ holds the vectorized numpy forms of this codec. ``whole_seconds`` turns a
 ``to_dict`` / ``from_dict`` convert config sections and JSON artifacts,
 driven by their fields and type hints: a nested dataclass is an object, a
 list or tuple a list, a ``timedelta`` field ``x`` the integer key
-``x_seconds`` and a ``date`` an ISO string. A numpy array field, hinted
-``Annotated[np.ndarray, dtype, ndim]``, is lists nested ``ndim`` deep of
-one length per level, of numbers (integers for an integer dtype). A field
-marked ``LEFT_OUT`` is neither written nor read. No bool is a number and
-a float is finite. An unknown key, a missing one in an artifact, a wrong
-type or a failed cross-field check (each class's ``__post_init__``) raises
-a ConfigError naming the dotted key, or a ParseError naming file and key.
+``x_seconds``, a ``date`` an ISO string, a ``datetime`` the one timestamp
+text and ``bytes`` an even number of hex digits with no whitespace. A
+numpy array field, hinted ``Annotated[np.ndarray, dtype, ndim]``, is
+lists nested ``ndim`` deep of one length per level, of numbers (integers
+for an integer dtype). A field marked ``LEFT_OUT`` is neither written nor
+read. No bool is a number and a float is finite. An unknown key, a
+missing one in an artifact, a wrong type or a failed cross-field check
+(each class's ``__post_init__``) raises a ConfigError naming the dotted
+key, or a ParseError naming file and key.
 
 ``sha1`` and ``sha256``, for device digests and manifests, are CPython's
 built-in hashes (``_sha1``; ``_sha2`` from 3.12, ``_sha256`` before), the
@@ -201,21 +206,21 @@ def load_json(source: PathLike):
             raise ParseError(f"{source}: not valid JSON: {exc}") from None
 
 
-@contextlib.contextmanager
-def read_json(source: PathLike, version: int) -> Iterator[dict]:
-    """The JSON object in ``source``, for a with-block that builds an artifact.
+def write_artifact(dest: PathLike, obj, version: int, compact: bool = False) -> None:
+    """Write the dataclass ``obj`` as an artifact of format ``version``."""
+    write_json(dest, {"format_version": version, **to_dict(obj)}, compact)
 
-    The file must hold an object whose ``format_version`` is ``version``.
-    A missing key or a value of the wrong type or form met inside the block
-    raises a ParseError naming the file.
-    """
+
+def read_artifact(cls, source: PathLike, version: int):
+    """The ``cls`` in the artifact ``source``, which must be a JSON object
+    of format ``version``."""
     payload = load_json(source)
-    if not isinstance(payload, dict) or payload.get("format_version") != version:
-        raise ParseError(f"{source}: expected a JSON object of format version {version}")
-    try:
-        yield payload
-    except (AttributeError, LookupError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"{source}: malformed artifact: {type(exc).__name__}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"{source}: expected a JSON object, got {reprlib.repr(payload)}")
+    found = payload.pop("format_version", None)
+    if type(found) is not int or found != version:
+        raise ParseError(f"{source}: expected format version {version}, got {found!r}")
+    return from_dict(cls, payload, source=source)
 
 
 def write_table(dest: PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -281,8 +286,12 @@ def to_dict(obj) -> dict:
 def _dump(value):
     if dataclasses.is_dataclass(value):
         return to_dict(value)
+    if isinstance(value, datetime):  # a date too, so it goes first
+        return format_timestamp(value)
     if isinstance(value, date):
         return value.isoformat()
+    if isinstance(value, bytes):
+        return value.hex()
     if isinstance(value, (tuple, list)):
         return [_dump(v) for v in value]
     tolist = getattr(value, "tolist", None)  # a numpy array
@@ -368,11 +377,13 @@ def _value(hint, value, base, key: str):
             return value
         item = typing.get_args(hint)[1]
         return {k: _value(item, v, None, f"{key}.{k}") for k, v in value.items()}
-    if hint is date and isinstance(value, str):
+    if hint in (date, datetime) and isinstance(value, str):
         try:
-            return date.fromisoformat(value)
+            return parse_timestamp(value) if hint is datetime else date.fromisoformat(value)
         except ValueError:
             pass
+    elif hint is bytes and isinstance(value, str) and len(value) % 2 == 0 and set(value) <= _HEX:
+        return bytes.fromhex(value)  # fromhex alone would skip whitespace
     elif hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return real(value)
@@ -408,4 +419,7 @@ _NAMES = {
     str: "a string",
     bool: "true or false",
     date: "an ISO date",
+    datetime: "a timestamp 'YYYY-MM-DD hh:mm:ss'",
+    bytes: "an even number of hex digits",
 }
+_HEX = frozenset("0123456789abcdefABCDEF")

@@ -37,8 +37,8 @@ from .errors import ConfigError
 from .features import FeatureMatrix
 from .frames import DeviceId, FrameColumns, _ColumnBuilder, anonymize
 from .lazy import numpy as np
-from .schema import (epoch_seconds, format_timestamp, parse_timestamp, read_json, to_dict,
-                     utc_datetime, whole_seconds, write_json)
+from .schema import (epoch_seconds, read_artifact, to_dict, utc_datetime, whole_seconds,
+                     write_artifact)
 from .weather import WeatherObservation
 
 NOISE_CLASSES = ("randomized", "single_stop", "out_of_rssi", "short_dwell", "long_dwell")
@@ -58,7 +58,6 @@ class PlantedDwell:
 
 @dataclass(slots=True)
 class GroundTruth:
-    waiting: dict[tuple[str, date], set[DeviceId]] = field(default_factory=dict)
     dwells: list[PlantedDwell] = field(default_factory=list)
     hourly: list[HourlyCount] = field(default_factory=list)
     coefficients: dict = field(default_factory=dict)
@@ -287,8 +286,6 @@ def generate(
                                 end=utc_datetime(t3),
                             )
                         )
-                        truth.waiting.setdefault((stop, day), set()).add(device)
-                        truth.waiting.setdefault((stop2, day), set()).add(device)
                     else:
                         truth.noise_devices[cls] += 1
                         truth.noise_frames[cls] += emitted
@@ -362,51 +359,12 @@ def linear_scenario(cfg: LinearScenarioConfig) -> FeatureMatrix:
 
 # --- ground-truth serialization -------------------------------------------
 
+TRUTH_FORMAT_VERSION = 2
+
 
 def write_truth_json(truth: GroundTruth, dest: Union[str, os.PathLike]) -> None:
-    waiting = {}
-    for (stop, day), devices in sorted(truth.waiting.items()):
-        waiting.setdefault(stop, {})[day.isoformat()] = sorted(d.hex for d in devices)
-    payload = {
-        "format_version": 1,
-        "waiting": waiting,
-        "dwells": [
-            [d.stop, d.device.hex, format_timestamp(d.start), format_timestamp(d.end)]
-            for d in truth.dwells
-        ],
-        "hourly": [[h.stop, format_timestamp(h.hour), h.count] for h in truth.hourly],
-        "coefficients": truth.coefficients,
-        "signal_devices": truth.signal_devices,
-        "signal_frames": truth.signal_frames,
-        "noise_devices": truth.noise_devices,
-        "noise_frames": truth.noise_frames,
-    }
-    write_json(dest, payload)
+    write_artifact(dest, truth, TRUTH_FORMAT_VERSION)
 
 
 def read_truth_json(source: Union[str, os.PathLike]) -> GroundTruth:
-    with read_json(source, 1) as payload:
-        truth = GroundTruth(coefficients=payload.get("coefficients", {}))
-        for stop, by_day in payload["waiting"].items():
-            for day_text, hexes in by_day.items():
-                truth.waiting[(stop, date.fromisoformat(day_text))] = {
-                    DeviceId.from_hex(h) for h in hexes
-                }
-        truth.dwells = [
-            PlantedDwell(
-                stop=stop,
-                device=DeviceId.from_hex(dev),
-                start=parse_timestamp(start),
-                end=parse_timestamp(end),
-            )
-            for stop, dev, start, end in payload["dwells"]
-        ]
-        truth.hourly = [
-            HourlyCount(stop=stop, hour=parse_timestamp(hour), count=float(count))
-            for stop, hour, count in payload["hourly"]
-        ]
-        truth.signal_devices = int(payload["signal_devices"])
-        truth.signal_frames = int(payload["signal_frames"])
-        truth.noise_devices = {k: int(v) for k, v in payload["noise_devices"].items()}
-        truth.noise_frames = {k: int(v) for k, v in payload["noise_frames"].items()}
-        return truth
+    return read_artifact(GroundTruth, source, TRUTH_FORMAT_VERSION)

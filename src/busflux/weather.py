@@ -88,7 +88,14 @@ class WeatherParseReport:
         return dict(Counter(reason.split(": ", 1)[0] for _, reason in self.rejected))
 
 
+# The unix seconds that a datetime can hold, years 1 to 9999.
+_DT_RANGE = range(epoch_seconds(datetime.min),
+                  epoch_seconds(datetime.max.replace(microsecond=0)) + 1)
+
+
 def _validate(values: dict) -> str | None:
+    if values["dt"] not in _DT_RANGE:
+        return f"dt out of range: {values['dt']}"
     for name in NUMERIC_FIELDS:
         if not math.isfinite(values[name]):
             return f"non-finite {name}: {values[name]}"

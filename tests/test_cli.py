@@ -217,11 +217,12 @@ def test_aggregate_outputs_match_pinned_digests(ws, tmp_path):
 # Digests of the pure-Python artifacts of the same scenario, taken before
 # the table writers moved to busflux.schema. The matrices and the history
 # hold numpy-computed floats whose bytes may vary by platform, so they are
-# covered by the round trip below instead. The frames and truth digests
-# were taken while the generator still built one record per frame.
+# covered by the round trip below instead. The frames digest was taken
+# while the generator still built one record per frame; the truth digest
+# is of format 2, whose dwells and hourly rows read back equal to format 1's.
 PINNED_SHA256 = {
     "frames": "510ca2dbd11398a185355e96599730aa72d84e2474af7d74088f85b886dad92d",
-    "truth": "bbb953793af1ce5a9b51521920c75f244037d394645c72045db6d5730b0cd96c",
+    "truth": "f727a4e6860fc1785743164d08a7c04e5301b0fa8f7dcbb901251c53ae9f72d9",
     "segments": "2d4a88ac783013b1a4f7edebfdae07440d854c7d4c52eb50afb37186512d477c",
     "joined": "6055917338e3391cd7143a18de8472ca670515bf2884b730555add8591998eb3",
     "svg": "ea01ec5447caee4b41775524174b1026f7309a3492285b466134eab6d7feeaf5",
@@ -740,6 +741,26 @@ def test_one_wrong_leaf_of_an_artifact_exits_0_1_or_2_and_never_raises(ws, tmp_p
         assert code == 2, (file, path, token)
     if code == 0 and out.exists():
         load_json(out)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_wrong_leaf_of_truth_json_raises_nothing_but_a_parse_error(ws, tmp_path_factory,
+                                                                     data):
+    leaves = list(_leaves(json.loads(ws["truth"].read_text())))
+    path, original = data.draw(st.sampled_from(leaves))
+    token = data.draw(st.sampled_from(PROBE_TOKENS))
+    edited = with_leaf(ws["truth"], tmp_path_factory.mktemp("probe") / "truth.json", path, token)
+    if token == OVERFLOW:
+        edited.write_text(edited.read_text().replace(f'"{OVERFLOW}"', OVERFLOW))
+    try:
+        read_truth_json(edited)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{edited}: "), exc
+    else:
+        # coefficients, a record of the scenario's demand model, is not typed.
+        assert path[0] == "coefficients" or _declares(path, original, token) is not False, (
+            path, token)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 import re
-from datetime import date, timedelta
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta
 
 import pytest
 
@@ -222,6 +223,39 @@ def test_float_fields_accept_integers():
     cfg = config_from_dict({"train": {"learning_rate": 1}, "split": {"test_fraction": 0.5}})
     assert cfg.train.learning_rate == 1.0
     assert isinstance(cfg.train.learning_rate, float)
+
+
+@dataclass(frozen=True)
+class Stamped:
+    at: datetime
+    digest: bytes
+
+
+def test_datetime_and_bytes_leaves_round_trip():
+    stamped = Stamped(datetime(2017, 4, 5, 8, 0, 1), bytes([0, 15, 160, 255]))
+    assert to_dict(stamped) == {"at": "2017-04-05 08:00:01", "digest": "000fa0ff"}
+    assert from_dict(Stamped, json.loads(json.dumps(to_dict(stamped)))) == stamped
+    assert from_dict(Stamped, {"at": "2017-04-05 08:00:01", "digest": "000FA0FF"}) == stamped
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"at": "2017-04-05T08:00:01"}, "config key 'at' needs a timestamp"),
+        ({"at": "2017-04-05 08:00:01.5"}, "config key 'at' needs a timestamp"),
+        ({"at": "2017-13-05 08:00:01"}, "config key 'at' needs a timestamp"),
+        ({"at": 1491379201}, "config key 'at' needs a timestamp"),
+        ({"digest": "00 fa"}, "config key 'digest' needs an even number of hex digits"),
+        ({"digest": " 00fa"}, "config key 'digest' needs an even number of hex digits"),
+        ({"digest": "00f"}, "config key 'digest' needs an even number of hex digits"),
+        ({"digest": "0x0f"}, "config key 'digest' needs an even number of hex digits"),
+        ({"digest": [0, 15]}, "config key 'digest' needs an even number of hex digits"),
+    ],
+)
+def test_bad_datetime_and_bytes_leaves_name_the_key(doc, message):
+    base = Stamped(datetime(2017, 4, 5), b"")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        from_dict(Stamped, doc, base)
 
 
 @pytest.mark.parametrize(

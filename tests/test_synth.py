@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
+from conftest import with_leaf
 
 from busflux.aggregation import hourly_counts
 from busflux.cleaning import clean
-from busflux.errors import ConfigError
+from busflux.errors import ConfigError, ParseError
 from busflux.frames import is_randomized
 from busflux.models.linear import lr_fit
 from busflux.schema import epoch_seconds
@@ -253,17 +255,7 @@ def test_truth_json_round_trip(tmp_path):
     _, _, truth = generate(tiny(days=2, noise=NoiseMix(randomized=0.15)))
     dest = tmp_path / "truth.json"
     write_truth_json(truth, dest)
-    back = read_truth_json(dest)
-    assert back.waiting == truth.waiting
-    assert back.dwells == truth.dwells
-    assert [(h.stop, h.hour, h.count) for h in back.hourly] == [
-        (h.stop, h.hour, h.count) for h in truth.hourly
-    ]
-    assert back.signal_devices == truth.signal_devices
-    assert back.signal_frames == truth.signal_frames
-    assert back.noise_devices == truth.noise_devices
-    assert back.noise_frames == truth.noise_frames
-    assert back.coefficients == truth.coefficients
+    assert read_truth_json(dest) == truth
 
 
 def test_truth_json_is_deterministic(tmp_path):
@@ -274,9 +266,44 @@ def test_truth_json_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_waiting_sets_match_dwell_records():
-    _, _, truth = generate(tiny(days=2))
-    rebuilt = {}
-    for d in truth.dwells:
-        rebuilt.setdefault((d.stop, d.start.date()), set()).add(d.device)
-    assert rebuilt == truth.waiting
+@pytest.fixture(scope="module")
+def truth_file(tmp_path_factory):
+    _, _, truth = generate(tiny(days=1))
+    dest = tmp_path_factory.mktemp("truth") / "truth.json"
+    write_truth_json(truth, dest)
+    return dest
+
+
+DIGEST = "a8931454a0fe78b78685e0385c22fbca3f2782d2"
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("dwells", 3, "start"), "2017-04-05T08:00:00",
+         "key 'dwells[3].start' needs a timestamp 'YYYY-MM-DD hh:mm:ss', got '2017-04-05T08:00:00'"),
+        (("dwells", 3, "start"), "2017-04-05 08:00",
+         "key 'dwells[3].start' needs a timestamp 'YYYY-MM-DD hh:mm:ss', got '2017-04-05 08:00'"),
+        (("hourly", 0, "hour"), 1491379200,
+         "key 'hourly[0].hour' needs a timestamp 'YYYY-MM-DD hh:mm:ss', got 1491379200"),
+        (("dwells", 0, "device", "digest"), DIGEST[:20] + " " + DIGEST[21:],
+         "key 'dwells[0].device.digest' needs an even number of hex digits"),
+        (("dwells", 0, "device", "digest"), DIGEST[:-1],
+         "key 'dwells[0].device.digest' needs an even number of hex digits"),
+        (("dwells", 0, "device", "digest"), DIGEST[:-2],
+         "key 'dwells[0].device': device digest must be 20 bytes"),
+        (("dwells", 0, "device", "digest"), DIGEST[:-2] + "xy",
+         "key 'dwells[0].device.digest' needs an even number of hex digits"),
+    ],
+)
+def test_a_bad_truth_leaf_is_refused_naming_the_file_and_key(truth_file, tmp_path, path,
+                                                            value, message):
+    bad = with_leaf(truth_file, tmp_path / "truth.json", path, value)
+    with pytest.raises(ParseError, match=re.escape(f"{bad}: {message}")):
+        read_truth_json(bad)
+
+
+def test_a_truth_json_of_format_1_is_refused_naming_the_file(truth_file, tmp_path):
+    bad = with_leaf(truth_file, tmp_path / "truth.json", ("format_version",), 1)
+    with pytest.raises(ParseError, match=re.escape(f"{bad}: expected format version 2, got 1")):
+        read_truth_json(bad)

@@ -189,6 +189,23 @@ def test_wrong_typed_fields_reject_the_row(tmp_path, fmt, field, value, reason):
     assert report.rejected == [(0, f"missing or malformed field: {reason}")]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("dt", [DT_8AM * 1000, -DT_8AM * 100])
+def test_a_dt_that_no_datetime_holds_rejects_the_row(tmp_path, fmt, dt):
+    # A millisecond timestamp passed as a good row, and hourly_lookup then
+    # raised OverflowError, so join exited 1 with a traceback.
+    good = obs(dt=DT_8AM + 3600)
+    if fmt == "json":
+        path = write_json(tmp_path, [row(dt=dt), row(dt=DT_8AM + 3600)])
+    else:
+        path = tmp_path / "wx.csv"
+        path.write_text(CSV_HEADER + "\n" + _csv_line(obs(), dt=str(dt)) + _csv_line(good))
+    observations, report = parse_weather(path)
+    assert observations == [good]
+    assert report.rejected == [(0, f"dt out of range: {dt}")]
+    assert list(hourly_lookup(observations).values()) == [good]
+
+
 def test_duplicate_dt_keeps_first(tmp_path):
     path = write_json(tmp_path, [row(temp=10.0), row(temp=9.0, temp_min=8.0)])
     observations, report = parse_weather(path)
